@@ -60,11 +60,7 @@ def main(argv=None):
     for name, rep in reports:
         print("%s (%s), bands up to length %d"
               % (name, rep["presentation"], args.max_len))
-        print("  length  count  count^(1/length)")
-        for d in range(1, args.max_len + 1):
-            c = rep["counts"][d]
-            r = ("%.4f" % rep["rates"][d]) if c else "-"
-            print("  %6d  %5d  %s" % (d, c, r))
+        print("\n".join(strings.growth_table(rep, indent="  ")))
         print("  total %d, max rate %.4f at length %d"
               % (rep["total"], rep["max_rate"], rep["argmax_length"]))
         print()

@@ -119,13 +119,6 @@ class _PathLevels:
         return self.by_deg
 
 
-def _paths_by_degree(q, up_to, budget):
-    """All composable paths per length, lexicographically sorted arrow-id tuples."""
-    levels = _PathLevels(q, budget)
-    levels.ensure(up_to)
-    return levels.by_deg
-
-
 def _colkey(path):
     return (len(path), path)
 

@@ -293,11 +293,7 @@ def cmd_bands(args):
         _write_output(json.dumps(doc, indent=2), args.out)
         return 0
     lines = ["bands of %s up to length %d" % (rep["presentation"], max_len)]
-    lines.append("length  count  count^(1/length)")
-    for d in range(1, max_len + 1):
-        c = rep["counts"][d]
-        r = ("%.4f" % rep["rates"][d]) if c else "-"
-        lines.append("%6d  %5d  %s" % (d, c, r))
+    lines.extend(strings.growth_table(rep))
     lines.append("total: %d (%d up to inversion)"
                  % (rep["total"], rep["up_to_inversion"]))
     lines.append("max growth rate: %.4f at length %d"
@@ -349,11 +345,7 @@ def cmd_certify_growth(args):
     max_len = _opt(args.max_len, "MAX_LEN", int, 12)
     rep = strings.growth_report(strings.enumerate_bands(pres, max_len))
     lines.append("band counts up to length %d:" % max_len)
-    lines.append("  length  count  count^(1/length)")
-    for d in range(1, max_len + 1):
-        c = rep["counts"][d]
-        r = ("%.4f" % rep["rates"][d]) if c else "-"
-        lines.append("  %6d  %5d  %s" % (d, c, r))
+    lines.extend(strings.growth_table(rep, indent="  "))
     lines.append("growth estimate: max count^(1/length) = %.4f at length %d"
                  % (rep["max_rate"], rep["argmax_length"]))
     lines.append("scope: %s" % cert.scope)

@@ -15,13 +15,11 @@ __all__ = [
     "DEFAULT_PRIME",
     "is_prime",
     "inv_mod",
-    "as_matrix",
     "rref",
     "rank",
     "nullspace",
     "left_nullspace",
     "matmul",
-    "row_space_dims",
     "is_invertible",
     "det_int",
 ]
@@ -46,16 +44,6 @@ def inv_mod(a, p):
     if a == 0:
         raise ZeroDivisionError("inverse of 0 mod %d" % p)
     return pow(a, p - 2, p)
-
-
-def as_matrix(rows, p, width=None):
-    """Build an int64 matrix reduced mod p from a list of row iterables."""
-    if len(rows) == 0:
-        return np.zeros((0, 0 if width is None else width), dtype=np.int64)
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return np.mod(a, p)
 
 
 def rref(a, p):
@@ -129,14 +117,6 @@ def matmul(a, b, p):
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     return np.mod(a @ b, p)
-
-
-def row_space_dims(mats, p):
-    """Rank of the stacked rows of the given matrices (same width)."""
-    rows = [m for m in mats if m.shape[0] > 0]
-    if not rows:
-        return 0
-    return rank(np.vstack(rows), p)
 
 
 def is_invertible(a, p):

@@ -19,6 +19,14 @@ A band is a closed primitive word w such that w^m is a string for m large
 enough to expose every cyclic junction and every cyclic factor up to the
 longest effective forbidden word.  Bands are canonicalized to the
 lexicographically least rotation; a band and its inverse are kept distinct.
+
+Each presentation precomputes one W2 window table: for each length, the
+letter tuples that spell an effective forbidden word or its inverse.  The
+string check, the seam analysis of composed bands and the band enumeration
+all scan factors by looking windows up in it.  The enumeration builds Lyndon
+words whose junctions and inner factors are legal by construction, so a
+collected word is a band once the windows crossing its closing seam are
+clear; it never runs the full band check.
 """
 
 import collections
@@ -54,6 +62,7 @@ __all__ = [
     "rho2",
     "enumerate_bands",
     "growth_report",
+    "growth_table",
 ]
 
 DIRECT = "direct"
@@ -229,10 +238,18 @@ class WordPresentation:
             if not any(aid in self.special_ids for aid in f.arrows)
         )
         self._max_eff = max((len(f.arrows) for f in self._effective), default=0)
-        self._eff2 = {f.arrows for f in self._effective if len(f.arrows) == 2}
-        self._eff_long = tuple(
-            f.arrows for f in self._effective if len(f.arrows) >= 3)
-        self._eff1 = {f.arrows for f in self._effective if len(f.arrows) == 1}
+        # The W2 window table: by length, each letter tuple that spells an
+        # effective forbidden word, directly or as its inverse, maps to its
+        # (index, inverse?, arrows) entries; sorting entries gives the
+        # reporting order (by index, direct before inverse).
+        windows = collections.defaultdict(dict)
+        for i, f in enumerate(self._effective):
+            table = windows[len(f.arrows)]
+            for key, inv in (
+                    (tuple(direct(a) for a in f.arrows), False),
+                    (tuple(inverse(a) for a in reversed(f.arrows)), True)):
+                table[key] = table.get(key, ()) + ((i, inv, f.arrows),)
+        self._w2_windows = tuple(sorted(windows.items()))
         greater = collections.defaultdict(set)
         for x, y in self.comparability:
             greater[x].add(y)
@@ -375,30 +392,20 @@ def string_quotient(q, maps, name=None):
 
 def _w2_window_violations(p, w, j):
     """Effective forbidden factors ending at 0-based position j."""
+    hits = []
+    for L, table in p._w2_windows:
+        if L > j + 1:
+            break
+        hits.extend(table.get(w[j - L + 1 : j + 1], ()))
     out = []
-    for arrows in _all_effective(p):
-        L = len(arrows)
-        s = j - L + 1
-        if s < 0:
-            continue
-        seg = w[s : j + 1]
-        if all(l.kind == DIRECT for l in seg):
-            if tuple(l.arrow for l in seg) == arrows:
-                out.append(Incompatibility(
-                    "W2", s + 1,
-                    "letters %d-%d spell forbidden word %s"
-                    % (s + 1, j + 1, ".".join(arrows))))
-        if all(l.kind == INVERSE for l in seg):
-            if tuple(l.arrow for l in reversed(seg)) == arrows:
-                out.append(Incompatibility(
-                    "W2", s + 1,
-                    "letters %d-%d spell the inverse of forbidden word %s"
-                    % (s + 1, j + 1, ".".join(arrows))))
+    for _, inv, arrows in sorted(hits):
+        s = j - len(arrows) + 1
+        out.append(Incompatibility(
+            "W2", s + 1,
+            "letters %d-%d spell %sforbidden word %s"
+            % (s + 1, j + 1, "the inverse of " if inv else "",
+               ".".join(arrows))))
     return out
-
-
-def _all_effective(p):
-    return [f.arrows for f in p.effective_forbidden]
 
 
 def is_string(p, w):
@@ -482,10 +489,14 @@ def is_band(p, w):
             "word is a proper power (least period %d)" % _min_period(w)))
     if viols:
         return BandCheck(w, False, tuple(viols), 0)
-    maxf = p.max_effective_forbidden
-    m = max(2, -(-maxf // len(w)) + 1)
+    m = _band_power(p, len(w))
     sc = is_string(p, w * m)
     return BandCheck(w, sc.ok, sc.violations, m)
+
+
+def _band_power(p, n):
+    """The power m of a closed word of length n that is_band checks."""
+    return max(2, -(-p.max_effective_forbidden // n) + 1)
 
 
 def canonical_band(w):
@@ -493,14 +504,9 @@ def canonical_band(w):
     w = tuple(w)
     if not w:
         raise ValueError("empty word")
-    best = w
-    bk = word_key(w)
-    for i in range(1, len(w)):
-        r = w[i:] + w[:i]
-        rk = word_key(r)
-        if rk < bk:
-            best, bk = r, rk
-    return best
+    k = word_key(w)
+    i = min(range(len(w)), key=lambda i: k[i:] + k[:i])
+    return w[i:] + w[:i]
 
 
 def compose(*words):
@@ -603,8 +609,11 @@ def free_composability(p, w1, w2, depth=6):
     block junctions, then composes every primitive necklace over the block
     symbols 1 and 2 up to the given depth and runs the full band check on
     each.  Returns a FreeComposability certificate, or a CounterExample at
-    the first failing pattern.
+    the first failing pattern.  depth must be at least 2: shorter patterns
+    never put the two bands next to each other.
     """
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
     w1, w2 = tuple(w1), tuple(w2)
     b1 = is_band(p, w1)
     if not b1.ok:
@@ -728,57 +737,49 @@ def enumerate_bands(p, max_len):
     extended only while it remains the prefix of some lexicographically
     least rotation, junction transitions stay legal, no effective forbidden
     factor appears, and the word can still close within the length bound.
-    Each collected word is a Lyndon word, so rotations are never produced
-    twice; a full band check filters the remaining cyclic conditions.
+    Each collected word w is a Lyndon word, hence primitive, so rotations
+    are never produced twice, and a legal transition from its last letter
+    back to its first closes it.  The only condition left is the seam check:
+    no forbidden window of length >= 3 that starts inside w and ends past
+    it matches w^m, with m as in is_band.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     letters = p.letters()
     L = len(letters)
-    idx = {l: i for i, l in enumerate(letters)}
-    eff2 = p._eff2
-    eff1 = p._eff1
+    windows = dict(p._w2_windows)
+    single = windows.get(1, {})
+    pair = windows.get(2, {})
+    long_windows = [(n, table) for n, table in p._w2_windows if n >= 3]
     allowed = [[False] * L for _ in range(L)]
     for i, x in enumerate(letters):
-        if (x.kind == DIRECT and (x.arrow,) in eff1) or (
-                x.kind == INVERSE and (x.arrow,) in eff1):
+        if (x,) in single:
             continue
         for j, y in enumerate(letters):
-            if (y.kind == DIRECT or y.kind == INVERSE) and (y.arrow,) in eff1:
+            if (y,) in single:
                 continue
             if p.end(x) != p.start(y):
                 continue
             if y == invert_letter(x):
                 continue
-            if x.kind == DIRECT and y.kind == DIRECT and \
-                    (x.arrow, y.arrow) in eff2:
-                continue
-            if x.kind == INVERSE and y.kind == INVERSE and \
-                    (y.arrow, x.arrow) in eff2:
+            if (x, y) in pair:
                 continue
             if p.comparable(invert_letter(x), y):
                 continue
             allowed[i][j] = True
     succ = [[j for j in range(L) if allowed[i][j]] for i in range(L)]
     pred = [[i for i in range(L) if allowed[i][j]] for j in range(L)]
-    eff_long = p._eff_long
 
-    def window_blocked(w, c):
-        for arrows in eff_long:
-            n = len(arrows)
-            if len(w) + 1 < n:
-                continue
-            seg = w[len(w) - n + 1 :] + [c]
-            if all(l.kind == DIRECT for l in seg) and \
-                    tuple(l.arrow for l in seg) == arrows:
-                return True
-            if all(l.kind == INVERSE for l in seg) and \
-                    tuple(l.arrow for l in reversed(seg)) == arrows:
-                return True
-        return False
+    def seam_clear(u):
+        t = len(u)
+        uu = u * _band_power(p, t)
+        return not any(uu[s : s + n] in table
+                       for n, table in long_windows
+                       for s in range(max(0, t - n + 1), t))
 
     found = []
     for s0 in range(L):
-        if (letters[s0].kind == DIRECT and (letters[s0].arrow,) in eff1) or \
-                (letters[s0].kind == INVERSE and (letters[s0].arrow,) in eff1):
+        if (letters[s0],) in single:
             continue
         dist = [None] * L
         frontier = [i for i in range(L) if allowed[i][s0]]
@@ -801,9 +802,9 @@ def enumerate_bands(p, max_len):
 
         def rec(t, per):
             if per == t and allowed[widx[-1]][s0]:
-                bc = is_band(p, tuple(w))
-                if bc.ok:
-                    found.append(tuple(w))
+                u = tuple(w)
+                if seam_clear(u):
+                    found.append(u)
             if t == max_len:
                 return
             base = widx[t - per]
@@ -814,9 +815,11 @@ def enumerate_bands(p, max_len):
                     continue
                 if dist[c] is None or t + 1 + dist[c] > max_len:
                     continue
-                if window_blocked(w, letters[c]):
+                x = letters[c]
+                if any(n <= t + 1 and tuple(w[t + 1 - n :]) + (x,) in table
+                       for n, table in long_windows):
                     continue
-                w.append(letters[c])
+                w.append(x)
                 widx.append(c)
                 rec(t + 1, per if ck == bkey else t + 1)
                 w.pop()
@@ -863,3 +866,12 @@ def growth_report(census):
         "self_inverse": self_inv,
         "up_to_inversion": (census.total + self_inv) // 2,
     }
+
+
+def growth_table(rep, indent=""):
+    """The length / count / count^(1/length) table of a growth report."""
+    lines = [indent + "length  count  count^(1/length)"]
+    for d, c in rep["counts"].items():
+        r = ("%.4f" % rep["rates"][d]) if c else "-"
+        lines.append(indent + "%6d  %5d  %s" % (d, c, r))
+    return lines

@@ -125,6 +125,55 @@ def test_bands_requires_presentation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_bands_rejects_nonpositive_max_len(capsys, max_len):
+    code, out, err = run(capsys, "bands", "--builtin", "sphere5",
+                         "--max-len", max_len)
+    assert code == 2
+    assert out == ""
+    assert "max_len must be >= 1" in err
+
+
+def test_bands_text_table(capsys):
+    code, out, err = run(capsys, "bands", "--builtin", "sphere5",
+                         "--max-len", "5")
+    assert code == 0
+    assert out.splitlines()[:7] == [
+        "bands of sphere5 up to length 5",
+        "length  count  count^(1/length)",
+        "     1      0  -",
+        "     2      0  -",
+        "     3      2  1.2599",
+        "     4      0  -",
+        "     5      4  1.3195",
+    ]
+
+
+@pytest.mark.parametrize("depth", ["0", "1"])
+def test_certify_growth_rejects_short_depth(capsys, tmp_path, depth):
+    cert = tmp_path / "growth.json"
+    code, out, err = run(capsys, "certify-growth", "--builtin", "sphere5",
+                         "--depth", depth, "--out", str(cert))
+    assert code == 2
+    assert "depth must be >= 2" in err
+    assert not cert.exists()
+
+
+def test_verify_rejects_depth_zero_certificate(capsys, tmp_path):
+    # what --depth 0 used to write: no patterns, so nothing was checked
+    cert = tmp_path / "growth.json"
+    run(capsys, "certify-growth", "--builtin", "sphere5", "--depth", "2",
+        "--max-len", "4", "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["depth"] = 0
+    doc["necklaces"] = []
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert code == 2
+    assert "PASS" not in out
+    assert "depth must be >= 2" in err
+
+
 def test_certify_growth_and_verify(capsys, tmp_path):
     cert = tmp_path / "growth.json"
     code, out, err = run(capsys, "certify-growth", "--builtin", "sphere5",
@@ -189,6 +238,8 @@ def test_certify_growth_reports_counts_and_scope(capsys):
                          "--max-len", "8")
     assert code == 0
     assert "band counts up to length 8" in out
+    assert "  length  count  count^(1/length)\n       1      0  -\n" in out
+    assert "       8      9  1.3161\n" in out
     assert "growth estimate: max count^(1/length) = 1.3195" in out
     assert "scope:" in out and "quotient" in out
 

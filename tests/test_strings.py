@@ -273,6 +273,14 @@ def test_free_composability_requires_bands(sphere5_pres):
         free_composability(sphere5_pres, alpha + alpha, alpha, depth=3)
 
 
+@pytest.mark.parametrize("depth", [0, 1])
+def test_free_composability_rejects_short_depth(sphere5_pres, depth):
+    alpha = parse_word(ALPHA)
+    beta = parse_word(BETA)
+    with pytest.raises(ValueError, match="depth must be >= 2"):
+        free_composability(sphere5_pres, alpha, beta, depth=depth)
+
+
 def test_free_composability_same_word_fails(sphere5_pres):
     alpha = parse_word(ALPHA)
     res = free_composability(sphere5_pres, alpha, alpha, depth=4)
@@ -340,6 +348,214 @@ def test_growth_report_shape(sphere5_pres):
     assert rep["total"] == 24
     assert rep["self_inverse"] == 6
     assert rep["up_to_inversion"] == 15
+
+
+# ---------------------------------------------------------------------------
+# W2 window table: exact violation reports, band seam check
+
+
+def _loops_presentation():
+    """One vertex, two loops; overlapping and repeated forbidden words."""
+    return WordPresentation(
+        "loops", ("v",), {"x": ("v", "v"), "y": ("v", "v")}, (),
+        [ForbiddenWord(("x", "y", "x")), ForbiddenWord(("y", "x")),
+         ForbiddenWord(("y", "x")), ForbiddenWord(("x",))])
+
+
+# (presentation, word, every (kind, position, detail) in reporting order)
+W2_GOLDEN = [
+    ("sphere5", "a1.b1", (
+        ("W2", 1, "letters 1-2 spell forbidden word a1.b1"),
+    )),
+    ("sphere5", "b1'.a1'", (
+        ("W2", 1, "letters 1-2 spell the inverse of forbidden word a1.b1"),
+    )),
+    ("sphere5", "c2.a3.a1.b2", (
+        ("W2", 1, "letters 1-4 spell forbidden word c2.a3.a1.b2"),
+    )),
+    ("sphere5", "b2'.a1'.a3'.c2'", (
+        ("W2", 1, "letters 1-4 spell the inverse of forbidden word c2.a3.a1.b2"),
+    )),
+    ("sphere5", "a1.b1.c1.a1.b1", (
+        ("W2", 1, "letters 1-2 spell forbidden word a1.b1"),
+        ("W2", 2, "letters 2-3 spell forbidden word b1.c1"),
+        ("W2", 3, "letters 3-4 spell forbidden word c1.a1"),
+        ("W2", 4, "letters 4-5 spell forbidden word a1.b1"),
+    )),
+    ("sphere5", "c1'.b1'.a1'.c1'", (
+        ("W2", 1, "letters 1-2 spell the inverse of forbidden word b1.c1"),
+        ("W2", 2, "letters 2-3 spell the inverse of forbidden word a1.b1"),
+        ("W2", 3, "letters 3-4 spell the inverse of forbidden word c1.a1"),
+    )),
+    ("sphere5", "a1.a1'", (
+        ("W1", 1, "letter 2 is the inverse of letter 1"),
+        ("incomparability", 1, "junction pair (a1', a1') is comparable"),
+    )),
+    ("sphere5", "a1.c1", (
+        ("W3", 1, "letters 1 and 2 do not compose (a1 ends at 2, c1 starts at 4)"),
+        ("incomparability", 1, "junction pair (a1', c1) is comparable"),
+    )),
+    ("sphere5", "c2.a3.a1.b2.c2.a3.a1.b2", (
+        ("W2", 1, "letters 1-4 spell forbidden word c2.a3.a1.b2"),
+        ("W2", 4, "letters 4-5 spell forbidden word b2.c2"),
+        ("W2", 5, "letters 5-8 spell forbidden word c2.a3.a1.b2"),
+    )),
+    ("sphere5", "a3'.c2'.b2'.a1'.a3'.c2'", (
+        ("W2", 2, "letters 2-3 spell the inverse of forbidden word b2.c2"),
+        ("W2", 3, "letters 3-6 spell the inverse of forbidden word c2.a3.a1.b2"),
+    )),
+    ("sphere5", "a1.b2.eps2*.c2.a3.a1.b2", (
+        ("W2", 4, "letters 4-7 spell forbidden word c2.a3.a1.b2"),
+    )),
+    ("sphere5", "a1.b2.eps2*.c2", (
+    )),
+    ("sphere5", "b2.eps2*.c2.a3", (
+    )),
+    ("sphere5", "a1.a2'.a3.a1.a2'.a3", (
+    )),
+    ("sphere5", "eps1*.eps1*", (
+        ("W1", 1, "letter 2 is the inverse of letter 1"),
+        ("incomparability", 1, "junction pair (eps1*, eps1*) is comparable"),
+    )),
+    ("torus", "x1_1'.x0_0'.x0_2'.x0_1'.x0_0'", (
+        ("W2", 2, "letters 2-3 spell the inverse of forbidden word x0_2.x0_0"),
+        ("W2", 3, "letters 3-4 spell the inverse of forbidden word x0_1.x0_2"),
+        ("W2", 4, "letters 4-5 spell the inverse of forbidden word x0_0.x0_1"),
+    )),
+    ("torus", "x1_0.x0_0'.x0_2'.x0_1'.x1_1.x0_1'", (
+        ("W2", 2, "letters 2-3 spell the inverse of forbidden word x0_2.x0_0"),
+        ("W2", 3, "letters 3-4 spell the inverse of forbidden word x0_1.x0_2"),
+    )),
+    ("torus", "x1_1'.x0_0'.x0_2'.x0_1'.x1_1.x0_1'.x0_1.x0_1'.x0_1", (
+        ("W2", 2, "letters 2-3 spell the inverse of forbidden word x0_2.x0_0"),
+        ("W2", 3, "letters 3-4 spell the inverse of forbidden word x0_1.x0_2"),
+        ("W1", 6, "letter 7 is the inverse of letter 6"),
+        ("incomparability", 6, "junction pair (x0_1, x0_1) is comparable"),
+        ("W1", 7, "letter 8 is the inverse of letter 7"),
+        ("incomparability", 7, "junction pair (x0_1', x0_1') is comparable"),
+        ("W1", 8, "letter 9 is the inverse of letter 8"),
+        ("incomparability", 8, "junction pair (x0_1, x0_1) is comparable"),
+    )),
+    ("torus", "x1_1.x0_1'.x0_0'", (
+        ("W2", 2, "letters 2-3 spell the inverse of forbidden word x0_0.x0_1"),
+    )),
+    ("torus", "x0_1'.x1_1.x1_2.x1_0.x1_1.x1_2.x1_0", (
+        ("W2", 2, "letters 2-3 spell forbidden word x1_1.x1_2"),
+        ("W2", 3, "letters 3-4 spell forbidden word x1_2.x1_0"),
+        ("W2", 4, "letters 4-5 spell forbidden word x1_0.x1_1"),
+        ("W2", 5, "letters 5-6 spell forbidden word x1_1.x1_2"),
+        ("W2", 6, "letters 6-7 spell forbidden word x1_2.x1_0"),
+    )),
+    ("torus", "x0_1'.x0_1.x0_2.x0_0.x1_0'", (
+        ("W1", 1, "letter 2 is the inverse of letter 1"),
+        ("incomparability", 1, "junction pair (x0_1, x0_1) is comparable"),
+        ("W2", 2, "letters 2-3 spell forbidden word x0_1.x0_2"),
+        ("W2", 3, "letters 3-4 spell forbidden word x0_2.x0_0"),
+    )),
+    ("torus", "x1_0'.x1_0.x1_1.x1_1'.x0_0'.x0_0.x1_1", (
+        ("W1", 1, "letter 2 is the inverse of letter 1"),
+        ("incomparability", 1, "junction pair (x1_0, x1_0) is comparable"),
+        ("W2", 2, "letters 2-3 spell forbidden word x1_0.x1_1"),
+        ("W1", 3, "letter 4 is the inverse of letter 3"),
+        ("incomparability", 3, "junction pair (x1_1', x1_1') is comparable"),
+        ("W1", 5, "letter 6 is the inverse of letter 5"),
+        ("incomparability", 5, "junction pair (x0_0, x0_0) is comparable"),
+    )),
+    ("torus", "x1_2'.x1_1'.x1_1.x1_2.x0_0", (
+        ("W2", 1, "letters 1-2 spell the inverse of forbidden word x1_1.x1_2"),
+        ("W1", 2, "letter 3 is the inverse of letter 2"),
+        ("incomparability", 2, "junction pair (x1_1, x1_1) is comparable"),
+        ("W2", 3, "letters 3-4 spell forbidden word x1_1.x1_2"),
+    )),
+    ("loops", "x.y.x", (
+        ("W2", 1, "letters 1-1 spell forbidden word x"),
+        ("W2", 1, "letters 1-3 spell forbidden word x.y.x"),
+        ("W2", 2, "letters 2-3 spell forbidden word y.x"),
+        ("W2", 2, "letters 2-3 spell forbidden word y.x"),
+        ("W2", 3, "letters 3-3 spell forbidden word x"),
+    )),
+    ("loops", "x'.y'.x'", (
+        ("W2", 1, "letters 1-1 spell the inverse of forbidden word x"),
+        ("W2", 1, "letters 1-2 spell the inverse of forbidden word y.x"),
+        ("W2", 1, "letters 1-2 spell the inverse of forbidden word y.x"),
+        ("W2", 1, "letters 1-3 spell the inverse of forbidden word x.y.x"),
+        ("W2", 3, "letters 3-3 spell the inverse of forbidden word x"),
+    )),
+    ("loops", "y.x.y.x", (
+        ("W2", 1, "letters 1-2 spell forbidden word y.x"),
+        ("W2", 1, "letters 1-2 spell forbidden word y.x"),
+        ("W2", 2, "letters 2-2 spell forbidden word x"),
+        ("W2", 2, "letters 2-4 spell forbidden word x.y.x"),
+        ("W2", 3, "letters 3-4 spell forbidden word y.x"),
+        ("W2", 3, "letters 3-4 spell forbidden word y.x"),
+        ("W2", 4, "letters 4-4 spell forbidden word x"),
+    )),
+    ("loops", "y'.y'.x'.y'", (
+        ("W2", 3, "letters 3-3 spell the inverse of forbidden word x"),
+        ("W2", 3, "letters 3-4 spell the inverse of forbidden word y.x"),
+        ("W2", 3, "letters 3-4 spell the inverse of forbidden word y.x"),
+    )),
+]
+
+
+def test_is_string_violations_golden(sphere5_pres, torus_quotient):
+    pres = {"sphere5": sphere5_pres, "torus": torus_quotient,
+            "loops": _loops_presentation()}
+    for name, text, want in W2_GOLDEN:
+        got = is_string(pres[name], parse_word(text)).violations
+        assert tuple((v.kind, v.position, v.detail) for v in got) == want, \
+            (name, text)
+
+
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_enumerate_bands_rejects_nonpositive_max_len(max_len):
+    # the single loop x is a band of length 1
+    pres = WordPresentation("loop", ("v",), {"x": ("v", "v")}, (), ())
+    assert enumerate_bands(pres, 1).counts == (2,)
+    with pytest.raises(ValueError, match="max_len must be >= 1"):
+        enumerate_bands(pres, max_len)
+
+
+@st.composite
+def _presentations(draw):
+    """Small presentations whose forbidden words outrun the band lengths.
+
+    Forbidden words of length 2-7 against bands of length at most 4 make
+    the seam windows wrap a band more than once.  No comparability pairs
+    and no length-1 forbidden words, which the naive checker leaves out.
+    """
+    vertices = ("u", "v")[: draw(st.integers(1, 2))]
+    arrows = {}
+    for k in range(draw(st.integers(2, 3))):
+        arrows["a%d" % k] = (draw(st.sampled_from(vertices)),
+                             draw(st.sampled_from(vertices)))
+    specials = ()
+    if draw(st.booleans()):
+        arrows["e"] = (vertices[-1], vertices[-1])
+        specials = ("e",)
+    forbidden = []
+    for _ in range(draw(st.integers(1, 3))):
+        walk = [draw(st.sampled_from(sorted(arrows)))]
+        for _ in range(draw(st.integers(1, 6))):
+            nexts = sorted(a for a, (s, t) in arrows.items()
+                           if s == arrows[walk[-1]][1])
+            if not nexts:
+                break
+            walk.append(draw(st.sampled_from(nexts)))
+        if len(walk) >= 2:
+            forbidden.append(ForbiddenWord(tuple(walk)))
+    return WordPresentation("random", vertices, arrows, specials, forbidden)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentations(), st.integers(1, 4))
+def test_census_matches_oracle_random_presentations(pres, max_len):
+    census = enumerate_bands(pres, max_len)
+    want = oracles.naive_enumerate_bands(pres, max_len)
+    got = {d: set() for d in range(1, max_len + 1)}
+    for w in census.words:
+        got[len(w)].add(oracles.naive_canonical(w))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,31 @@ closed two-sided ideal generated by a finite set of relations (each relation
 a linear combination of parallel composable paths).  The computation is a
 degreewise elimination over F_p:
 
-For a cutoff d, the span of the ideal inside paths of length <= d is
+For a cutoff c, the span of the ideal inside paths of length <= c is
 generated by the truncations of u * r * v over relations r and composable
-padding paths u, v with |u| + min_length(r) + |v| <= d (components pushed
-beyond d by the padding are dropped; this is exactly the image of the closed
-ideal in the quotient by paths of length > d).  Row reduction of those
+padding paths u, v with |u| + min_length(r) + |v| <= c (components pushed
+beyond c by the padding are dropped; this is exactly the image I_c of the
+closed ideal in the quotient by paths of length > c).  Row reduction of those
 generators against the path basis ordered by (length, lexicographic id
 sequence) yields pivot paths; the non-pivot paths of length k are a basis of
-the k-th radical layer.  The pivot set at length <= d does not depend on the
-cutoff, so the cutoffs can be processed in increasing order.
+the k-th radical layer.  The pivot set at length <= d is the same for every
+cutoff c >= d (truncating I_c to length d gives all of I_d and keeps leading
+paths), so one elimination gives every layer up to its cutoff, and the
+cutoffs double, 1, 2, 4, 8, ... capped at max_deg; a runtime check confirms
+that the layers read at the previous cutoff did not move.
 
 The first length k with zero surviving paths proves that the radical powers
 stabilize, hence vanish, at k: the algebra is finite dimensional with basis
 the surviving paths of length < k, and any product of total length >= k is
 zero.  If no such k appears up to max_deg the computation reports
-non-stabilization instead of guessing.
+non-stabilization instead of guessing.  When a doubling step would cross the
+path budget, the cutoff is clamped to the longest length that fits; if no
+layer vanishes up to there, the failure names the first degree past it.
+
+Normal forms come from the last elimination, whose cutoff may pass k; they
+are the same as at cutoff k, because every path of length >= k lies in the
+ideal and the normal form of a shorter path is the unique combination of
+surviving paths congruent to it modulo the ideal.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -28,7 +38,6 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_PRIME
-from .qp import Relation, RelationSet
 
 __all__ = [
     "NonStabilizationError",
@@ -85,49 +94,60 @@ def _validate_relations(q, rels):
 class _PathLevels:
     """Composable paths per length, extended lazily one level at a time.
 
-    Levels are lexicographically sorted arrow-id tuples.  The cumulative
-    number of paths of positive length is capped by the budget; crossing
-    it raises MemoryError naming the offending degree.
+    Levels are built in lexicographic order of arrow-id tuples and numbered
+    consecutively, so the integer column ids follow the (length, lex) order:
+    paths[c] has id c, ids is the inverse map, and the paths of length d
+    have the ids range(bounds[d], bounds[d + 1]).  starting and ending map
+    (length, vertex) to the paths leaving or entering the vertex.  The
+    cumulative number of paths of positive length is capped by the budget;
+    crossing it raises MemoryError naming the offending degree.
     """
 
     def __init__(self, q, budget):
-        self.q = q
         self.budget = budget
+        self.arrows = sorted(q.arrows, key=lambda a: a.id)
         self.arrows_from = {}
-        for a in sorted(q.arrows, key=lambda a: a.id):
+        for a in self.arrows:
             self.arrows_from.setdefault(a.source, []).append(a)
-        self.by_deg = [[()]]  # degree 0 handled separately per vertex
-        self.total = 0
+        self.source = {a.id: a.source for a in self.arrows}
+        self.target = {a.id: a.target for a in self.arrows}
+        self.top = 0
+        self.paths = []
+        self.ids = {}
+        self.bounds = [0, 0]
+        self.starting = {(0, v): [()] for v in q.vertices}
+        self.ending = dict(self.starting)
 
     def ensure(self, deg):
-        """Extend to the given length and return the level list."""
-        while len(self.by_deg) <= deg:
-            d = len(self.by_deg)
+        """Extend the levels to the given length."""
+        for d in range(self.top + 1, deg + 1):
             if d == 1:
-                level = [(a.id,) for a in
-                         sorted(self.q.arrows, key=lambda a: a.id)]
+                level = [(a.id,) for a in self.arrows]
             else:
-                level = []
-                for path in self.by_deg[-1]:
-                    tgt = self.q.arrow(path[-1]).target
-                    for a in self.arrows_from.get(tgt, ()):
-                        level.append(path + (a.id,))
-            self.total += len(level)
-            if self.total > self.budget:
+                level = [
+                    path + (a.id,) for path in self.paths[self.bounds[d - 1]:]
+                    for a in self.arrows_from.get(self.target[path[-1]], ())
+                ]
+            if len(self.paths) + len(level) > self.budget:
                 raise MemoryError("path budget exceeded at degree %d" % d)
-            self.by_deg.append(level)
-        return self.by_deg
-
-
-def _colkey(path):
-    return (len(path), path)
+            for path in level:
+                self.ids[path] = len(self.paths)
+                self.paths.append(path)
+                self.starting.setdefault(
+                    (d, self.source[path[0]]), []).append(path)
+                self.ending.setdefault(
+                    (d, self.target[path[-1]]), []).append(path)
+            self.bounds.append(len(self.paths))
+            self.top = d
 
 
 class _Echelon:
-    """Sparse row echelon over F_p keyed by path columns.
+    """Sparse row echelon over F_p keyed by integer column ids.
 
-    Each stored row is normalized so its minimal column (the pivot) has
-    coefficient 1; all other entries sit at strictly later columns.
+    Each row is normalized so its minimal column (the pivot) has
+    coefficient 1, and is stored under its pivot without that entry: the
+    stored tail is a tuple of the (column, coefficient) pairs at strictly
+    later columns.
     """
 
     def __init__(self, p):
@@ -138,45 +158,27 @@ class _Echelon:
         p = self.p
         row = {c: v % p for c, v in row.items() if v % p != 0}
         while row:
-            c = min(row, key=_colkey)
-            piv = self.pivots.get(c)
-            if piv is None:
-                inv = linalg.inv_mod(row[c], p)
-                row = {k: (v * inv) % p for k, v in row.items()}
-                self.pivots[c] = row
-                return c
-            f = row[c]
-            for k, v in piv.items():
+            c = min(row)
+            f = row.pop(c)
+            tail = self.pivots.get(c)
+            if tail is None:
+                if f != 1:
+                    inv = linalg.inv_mod(f, p)
+                    row = {k: (v * inv) % p for k, v in row.items()}
+                self.pivots[c] = tuple(row.items())
+                return
+            for k, v in tail:
                 nv = (row.get(k, 0) - f * v) % p
                 if nv:
                     row[k] = nv
                 else:
                     row.pop(k, None)
-        return None
 
 
-def _run_elimination(q, rels, p, cutoff, paths_by_deg):
+def _run_elimination(q, rels, p, cutoff, levels):
     """Echelonize the ideal generators truncated at the cutoff degree."""
     ech = _Echelon(p)
-    start_index = {}
-    end_index = {}
-    for d, paths in enumerate(paths_by_deg[: cutoff + 1]):
-        if d == 0:
-            continue
-        for path in paths:
-            start_index.setdefault((d, q.path_source(path)), []).append(path)
-            end_index.setdefault((d, q.path_target(path)), []).append(path)
-
-    def ending_at(d, v):
-        if d == 0:
-            return ((),)
-        return end_index.get((d, v), ())
-
-    def starting_at(d, v):
-        if d == 0:
-            return ((),)
-        return start_index.get((d, v), ())
-
+    ids = levels.ids
     for r in rels.generators:
         m = r.min_length
         if m > cutoff:
@@ -184,29 +186,63 @@ def _run_elimination(q, rels, p, cutoff, paths_by_deg):
         src = q.path_source(r.terms[0][0])
         tgt = q.path_target(r.terms[0][0])
         for a in range(cutoff - m + 1):
-            for u in ending_at(a, src):
+            for u in levels.ending.get((a, src), ()):
                 for b in range(cutoff - m - a + 1):
-                    for v in starting_at(b, tgt):
+                    heads = [(u + path, coeff) for path, coeff in r.terms
+                             if a + len(path) + b <= cutoff]
+                    for v in levels.starting.get((b, tgt), ()):
                         row = {}
-                        for path, coeff in r.terms:
-                            if a + len(path) + b > cutoff:
-                                continue
-                            col = u + path + v
+                        for head, coeff in heads:
+                            col = ids[head + v]
                             row[col] = row.get(col, 0) + coeff
-                        if row:
-                            ech.insert(row)
+                        ech.insert(row)
     return ech
 
 
-def _survivor_counts(ech, paths_by_deg, cutoff):
-    counts = []
-    for d in range(cutoff + 1):
-        if d == 0:
-            continue
-        paths = paths_by_deg[d] if d < len(paths_by_deg) else []
-        alive = sum(1 for path in paths if path not in ech.pivots)
-        counts.append(alive)
-    return counts
+def _eliminate(q, rels, p, max_deg, path_budget):
+    """The degree loop of graded_dimensions and compute_basis.
+
+    Returns (dims, stop, ech, levels): stop is the first length with no
+    surviving path and dims lists the layers below it, or stop is None and
+    dims covers 0..max_deg; ech is the last elimination over levels' ids.
+    Raises NonStabilizationError if the path budget runs out first.
+    """
+    if not linalg.is_prime(p):
+        raise ValueError("field modulus %d is not prime" % p)
+    if max_deg < 1:
+        raise ValueError("max_deg must be >= 1")
+    if path_budget < 1:
+        raise ValueError("path_budget must be >= 1")
+    _validate_relations(q, rels)
+    dims = [len(q.vertices)]
+    levels = _PathLevels(q, path_budget)
+    cutoff, budget_hit = 0, None
+    while cutoff < max_deg and budget_hit is None:
+        prev, cutoff = cutoff, min(max(2 * cutoff, 1), max_deg)
+        try:
+            levels.ensure(cutoff)
+        except MemoryError as exc:
+            budget_hit, cutoff = exc, levels.top
+            if cutoff == prev:
+                break
+        ech = _run_elimination(q, rels, p, cutoff, levels)
+        counts = [
+            sum(1 for c in range(levels.bounds[d], levels.bounds[d + 1])
+                if c not in ech.pivots)
+            for d in range(1, cutoff + 1)
+        ]
+        if counts[:prev] != dims[1:]:
+            raise RuntimeError(
+                "internal error: pivot columns moved between cutoffs %d and %d"
+                % (prev, cutoff)
+            )
+        for d in range(prev + 1, cutoff + 1):
+            if counts[d - 1] == 0:
+                return dims, d, ech, levels
+            dims.append(counts[d - 1])
+    if budget_hit is not None:
+        raise NonStabilizationError(max_deg, dims, str(budget_hit))
+    return dims, None, ech, levels
 
 
 def graded_dimensions(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
@@ -221,35 +257,13 @@ def graded_dimensions(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
         about higher layers.
 
     Raises:
+        ValueError: if p is not prime, or max_deg or path_budget is < 1.
         NonStabilizationError: only if the path budget is exhausted before
         max_deg; plain non-stabilization at max_deg is reported through the
         stabilized flag.
     """
-    if not linalg.is_prime(p):
-        raise ValueError("field modulus %d is not prime" % p)
-    if max_deg < 1:
-        raise ValueError("max_deg must be >= 1")
-    _validate_relations(q, rels)
-    dims = [len(q.vertices)]
-    levels = _PathLevels(q, path_budget)
-    prev_counts = []
-    for d in range(1, max_deg + 1):
-        try:
-            paths_by_deg = levels.ensure(d)
-        except MemoryError as exc:
-            raise NonStabilizationError(max_deg, dims, str(exc))
-        ech = _run_elimination(q, rels, p, d, paths_by_deg)
-        counts = _survivor_counts(ech, paths_by_deg, d)
-        if counts[: len(prev_counts)] != prev_counts:
-            raise RuntimeError(
-                "internal error: pivot columns moved between cutoffs %d and %d"
-                % (d - 1, d)
-            )
-        prev_counts = counts
-        dims.append(counts[-1])
-        if counts[-1] == 0:
-            return dims[:-1], True
-    return dims, False
+    dims, stop, _, _ = _eliminate(q, rels, p, max_deg, path_budget)
+    return dims, stop is not None
 
 
 @dataclass(frozen=True)
@@ -348,54 +362,27 @@ def compute_basis(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
     multiplication table via back-substituted normal forms.
 
     Raises:
+        ValueError: if p is not prime, or max_deg or path_budget is < 1.
         NonStabilizationError: if no such k exists within max_deg or the
         path budget is exhausted first.
     """
-    if not linalg.is_prime(p):
-        raise ValueError("field modulus %d is not prime" % p)
-    _validate_relations(q, rels)
-    dims = [len(q.vertices)]
-    levels = _PathLevels(q, path_budget)
-    ech = None
-    stop = None
-    paths_by_deg = levels.by_deg
-    prev_counts = []
-    for d in range(1, max_deg + 1):
-        try:
-            paths_by_deg = levels.ensure(d)
-        except MemoryError as exc:
-            raise NonStabilizationError(max_deg, dims, str(exc))
-        ech = _run_elimination(q, rels, p, d, paths_by_deg)
-        counts = _survivor_counts(ech, paths_by_deg, d)
-        if counts[: len(prev_counts)] != prev_counts:
-            raise RuntimeError(
-                "internal error: pivot columns moved between cutoffs %d and %d"
-                % (d - 1, d)
-            )
-        prev_counts = counts
-        dims.append(counts[-1])
-        if counts[-1] == 0:
-            stop = d
-            break
+    dims, stop, ech, levels = _eliminate(q, rels, p, max_deg, path_budget)
     if stop is None:
         raise NonStabilizationError(max_deg, dims)
-    dims = dims[:-1]
 
-    # normal forms by back-substitution, processing columns in decreasing
-    # order so every non-pivot entry of a pivot row is already resolved
-    all_cols = []
-    for d in range(1, stop + 1):
-        all_cols.extend(paths_by_deg[d])
-    all_cols.sort(key=_colkey)
-    nf = {}
-    for col in reversed(all_cols):
+    # normal forms of the paths of length <= stop by back-substitution,
+    # processing columns in decreasing order so every non-pivot entry of a
+    # pivot row is already resolved; longer paths lie in the ideal
+    limit = levels.bounds[stop + 1]
+    nf = [None] * limit
+    for col in reversed(range(limit)):
         piv = ech.pivots.get(col)
         if piv is None:
             nf[col] = {col: 1}
             continue
         acc = {}
-        for k, v in piv.items():
-            if k == col:
+        for k, v in piv:
+            if k >= limit:
                 continue
             for b, c in nf[k].items():
                 nv = (acc.get(b, 0) - v * c) % p
@@ -407,17 +394,17 @@ def compute_basis(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
 
     vertices = sorted(q.vertices)
     basis = [(v, ()) for v in vertices]
-    for d in range(1, stop + 1):
-        for path in paths_by_deg[d]:
-            if path not in ech.pivots:
-                basis.append((q.path_source(path), path))
+    basis_of_col = {}
+    for col in range(limit):
+        if col not in ech.pivots:
+            basis_of_col[col] = len(basis)
+            path = levels.paths[col]
+            basis.append((q.path_source(path), path))
     index = {el: i for i, el in enumerate(basis)}
 
     def nf_indices(path):
-        out = []
-        for b, c in sorted(nf[path].items(), key=lambda it: _colkey(it[0])):
-            out.append((index[(q.path_source(b), b)], c))
-        return tuple(out)
+        return tuple((basis_of_col[b], c)
+                     for b, c in sorted(nf[levels.ids[path]].items()))
 
     arrow_nf = {x.id: nf_indices((x.id,)) for x in q.arrows}
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from surfalg.strings import DIRECT, INVERSE, SPECIAL
+from surfalg.strings import DIRECT, INVERSE, SPECIAL, Letter
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def naive_is_string(pres, word):
     # forbidden factors of w or w^-1, every window of every length
     eff = set(_effective_forbidden(pres))
     for i in range(len(word)):
-        for j in range(i + 2, len(word) + 1):
+        for j in range(i + 1, len(word) + 1):
             win = word[i:j]
             if all(l.kind == DIRECT for l in win):
                 if tuple(l.arrow for l in win) in eff:
@@ -218,8 +218,7 @@ def naive_is_string(pres, word):
     inv_kind = {DIRECT: INVERSE, INVERSE: DIRECT, SPECIAL: SPECIAL}
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
-        ainv = (a.arrow, inv_kind[a.kind])
-        if naive_comparable(pres, ainv, (b.arrow, b.kind)):
+        if naive_comparable(pres, Letter(a.arrow, inv_kind[a.kind]), b):
             return False
     return True
 
@@ -265,8 +264,6 @@ def naive_enumerate_bands(pres, max_len):
         else:
             letters.append((aid, DIRECT))
             letters.append((aid, INVERSE))
-    from surfalg.strings import Letter
-
     letters = [Letter(a, k) for a, k in sorted(letters)]
     starts = {}
     for l in letters:

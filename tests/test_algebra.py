@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,86 @@ def test_nonprime_field_rejected(torus_quiver, torus_relations):
         algebra.graded_dimensions(torus_quiver, torus_relations, p=32004)
 
 
+@pytest.mark.parametrize("fn", [algebra.graded_dimensions,
+                                algebra.compute_basis])
+@pytest.mark.parametrize("kwargs,message", [
+    ({"max_deg": 0}, "max_deg must be >= 1"),
+    ({"max_deg": -1}, "max_deg must be >= 1"),
+    ({"path_budget": 0}, "path_budget must be >= 1"),
+    ({"path_budget": -5}, "path_budget must be >= 1"),
+])
+def test_nonpositive_bounds_rejected(torus_quiver, torus_relations, fn,
+                                     kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        fn(torus_quiver, torus_relations, p=32003, **kwargs)
+
+
+def _genus2_data():
+    t = fixtures.genus2()
+    q = qp.build_quiver(t)
+    return q, qp.jacobian_relations(qp.build_potential(t, q))
+
+
+@pytest.mark.parametrize("name", ["torus", "genus2"])
+def test_graded_dims_independent_of_cutoff(name, torus_quiver,
+                                           torus_relations):
+    # max_deg 3, 5, 6 and 7 fall between doubling steps
+    if name == "torus":
+        q, rels = torus_quiver, torus_relations
+    else:
+        q, rels = _genus2_data()
+    full, _ = algebra.graded_dimensions(q, rels, p=32003, max_deg=8)
+    for k in range(1, 9):
+        dims, stab = algebra.graded_dimensions(q, rels, p=32003, max_deg=k)
+        assert dims == full[: k + 1], k
+        assert stab == (len(full) <= k), k
+
+
+@st.composite
+def _mixed_relation_algebras(draw):
+    """Random 1-3 vertex quivers with relations mixing path lengths.
+
+    Each relation is a 2-path, often minus a scalar times a parallel path
+    of length 3 or 4, the shape of a cyclic derivative of a potential.
+    """
+    p = draw(st.sampled_from([2, 3, 32003]))
+    vertices = tuple("v%d" % i for i in range(draw(st.integers(1, 3))))
+    arrows = tuple(
+        Arrow("x%d" % k, draw(st.sampled_from(vertices)),
+              draw(st.sampled_from(vertices)))
+        for k in range(draw(st.integers(1, 4))))
+    q = Quiver(vertices, arrows)
+    _, by_len = oracles.all_paths_up_to(q, 4)
+    gens = []
+    if by_len[2]:
+        for two in draw(st.lists(st.sampled_from(by_len[2]), min_size=1,
+                                 max_size=3, unique=True)):
+            terms = {two: 1}
+            longer = [
+                path for d in (3, 4) for path in by_len[d]
+                if q.path_source(path) == q.path_source(two)
+                and q.path_target(path) == q.path_target(two)
+            ]
+            if longer and draw(st.booleans()):
+                terms[draw(st.sampled_from(longer))] = -draw(
+                    st.integers(1, p - 1))
+            gens.append(Relation.from_dict(terms))
+    return q, RelationSet(tuple(gens)), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_relation_algebras())
+def test_mixed_relations_match_dense_oracle(data):
+    q, rels, p = data
+    want = oracles.brute_graded_dims(q, rels, p, 5)
+    got, stab = algebra.graded_dimensions(q, rels, p=p, max_deg=5)
+    assert list(got) == want[: len(got)]
+    if stab:
+        assert not any(want[len(got):])
+    else:
+        assert len(got) == 6
+
+
 # ---------------------------------------------------------------------------
 # basis and multiplication
 
@@ -122,6 +204,33 @@ def test_torus_basis_shape(torus_algebra):
 def test_tetra_scalar_two_basis(tetra_algebra):
     assert tetra_algebra.dim == 36
     assert tetra_algebra.graded_dims == (6, 12, 12, 6)
+
+
+def _algebra_digest(a):
+    text = a.to_json() + repr(sorted(a.arrow_nf.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of the basis, multiplication table, Cartan matrix and arrow
+# normal forms, recorded before the degree loop moved from one elimination
+# per cutoff to doubling cutoffs.
+TETRA_DIGEST = "c0428c7cb02fe9e47929b3e0a48c2064833ccba03e5c6b17f1f9f5d01ad2ba68"
+TORUS_DIGEST = "001b7f54a6f3668b89951dca808d8bea1a391d0ff3affea231cab1b48d5d282a"
+
+
+def test_tetra_mult_table_golden(tetra_algebra):
+    assert _algebra_digest(tetra_algebra) == TETRA_DIGEST
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_deg": 40},  # last cutoff 8, past the stopping length 7
+    {"max_deg": 7},  # last cutoff exactly 7
+    {"max_deg": 40, "path_budget": 1000},  # 8 is over budget: clamped to 7
+])
+def test_torus_mult_table_golden(torus_quiver, torus_relations, kwargs):
+    a = algebra.compute_basis(torus_quiver, torus_relations, p=32003,
+                              **kwargs)
+    assert _algebra_digest(a) == TORUS_DIGEST
 
 
 def test_vertex_units_are_idempotent(torus_algebra):

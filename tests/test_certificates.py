@@ -57,6 +57,15 @@ def test_algebra_from_spec_fields():
         algebra_from_spec({"builtin": "torus", "oops": 1})
 
 
+@pytest.mark.parametrize("builtin", ["torus", "kx2"])
+@pytest.mark.parametrize("field,value", [
+    ("max_deg", 0), ("max_deg", -1), ("path_budget", 0), ("path_budget", -5),
+])
+def test_algebra_from_spec_rejects_nonpositive_bounds(builtin, field, value):
+    with pytest.raises(ValueError, match="%s must be >= 1" % field):
+        algebra_from_spec({"builtin": builtin, field: value})
+
+
 def test_module_from_spec_requires_one_source():
     a = algebra_from_spec({"builtin": "torus"})
     with pytest.raises(ValueError):

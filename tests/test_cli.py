@@ -104,6 +104,62 @@ def test_algebra_nonstabilizing_exits_three(capsys):
     assert "[9, 18, 18, 18, 18, 18]" in out
 
 
+def _torus_doc(field):
+    return {
+        "name": "torus", "field": field, "stabilized": True,
+        "dimension": 36, "loewy_length": 7,
+        "graded_dimensions": [3, 6, 6, 6, 6, 6, 3],
+        "cartan": {"vertices": ["1", "2", "3"], "matrix": [[4, 4, 4]] * 3,
+                   "determinant": 0},
+        "weakly_symmetric": True,
+    }
+
+
+def _genus2_partial(reason, top):
+    return {
+        "name": "genus2", "field": 32003, "stabilized": False,
+        "reason": reason, "graded_dimensions": [9] + [18] * top,
+    }
+
+
+# Exact `algebra --format json` outputs, recorded before the degree loop
+# moved from one elimination per cutoff to doubling cutoffs.
+ALGEBRA_GOLDEN = [
+    (("--builtin", "torus"), 0, _torus_doc(32003)),
+    (("--builtin", "torus", "--field", "5"), 0, _torus_doc(5)),
+    (("--builtin", "kx2"), 0, {
+        "name": "kx2", "field": 32003, "stabilized": True, "dimension": 2,
+        "loewy_length": 2, "graded_dimensions": [1, 1],
+        "cartan": {"vertices": ["1"], "matrix": [[2]], "determinant": 2},
+        "weakly_symmetric": True,
+    }),
+    (("--builtin", "genus2", "--max-deg", "10"), 3,
+     _genus2_partial("max_deg reached", 10)),
+    (("--builtin", "genus2", "--path-budget", "5000"), 3,
+     _genus2_partial("path budget exceeded at degree 9", 8)),
+    (("--builtin", "genus2", "--path-budget", "2000"), 3,
+     _genus2_partial("path budget exceeded at degree 7", 6)),
+]
+
+
+@pytest.mark.parametrize("args,code,doc", ALGEBRA_GOLDEN)
+def test_algebra_json_golden(capsys, args, code, doc):
+    got_code, out, err = run(capsys, "algebra", *args, "--format", "json")
+    assert got_code == code
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--max-deg", "0"), ("--max-deg", "-1"),
+    ("--path-budget", "0"), ("--path-budget", "-5"),
+])
+def test_algebra_rejects_nonpositive_bounds(capsys, flag, value):
+    code, out, err = run(capsys, "algebra", "--builtin", "torus",
+                         flag, value)
+    assert code == 2
+    assert "%s must be >= 1" % flag[2:].replace("-", "_") in err
+
+
 def test_bands_text(capsys):
     code, out, err = run(capsys, "bands", "--builtin", "sphere5",
                          "--max-len", "8")
@@ -267,6 +323,17 @@ def test_periodicity_module_file_unknown_field(capsys, tmp_path):
     code, out, err = run(capsys, "periodicity", "--module", str(path))
     assert code == 2
     assert "woops" in err
+
+
+def test_periodicity_module_file_nonpositive_max_deg(capsys, tmp_path):
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps({
+        "algebra": {"builtin": "torus", "max_deg": 0},
+        "dims": {"1": 1, "2": 0, "3": 0},
+    }))
+    code, out, err = run(capsys, "periodicity", "--module", str(path))
+    assert code == 2
+    assert "max_deg must be >= 1" in err
 
 
 def test_syzygy_chain(capsys):

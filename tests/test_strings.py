@@ -520,9 +520,9 @@ def test_enumerate_bands_rejects_nonpositive_max_len(max_len):
 def _presentations(draw):
     """Small presentations whose forbidden words outrun the band lengths.
 
-    Forbidden words of length 2-7 against bands of length at most 4 make
-    the seam windows wrap a band more than once.  No comparability pairs
-    and no length-1 forbidden words, which the naive checker leaves out.
+    Forbidden words of length 1-7 against bands of length at most 4 make
+    the seam windows wrap a band more than once; up to two comparability
+    pairs between letters with a common end exercise the junction rule.
     """
     vertices = ("u", "v")[: draw(st.integers(1, 2))]
     arrows = {}
@@ -536,15 +536,24 @@ def _presentations(draw):
     forbidden = []
     for _ in range(draw(st.integers(1, 3))):
         walk = [draw(st.sampled_from(sorted(arrows)))]
-        for _ in range(draw(st.integers(1, 6))):
+        for _ in range(draw(st.integers(0, 6))):
             nexts = sorted(a for a, (s, t) in arrows.items()
                            if s == arrows[walk[-1]][1])
             if not nexts:
                 break
             walk.append(draw(st.sampled_from(nexts)))
-        if len(walk) >= 2:
-            forbidden.append(ForbiddenWord(tuple(walk)))
-    return WordPresentation("random", vertices, arrows, specials, forbidden)
+        forbidden.append(ForbiddenWord(tuple(walk)))
+    plain = WordPresentation("random", vertices, arrows, specials, forbidden)
+    letters = plain.letters()
+    comparability = []
+    for _ in range(draw(st.integers(0, 2))):
+        x = draw(st.sampled_from(letters))
+        same_end = [y for y in letters
+                    if y != x and plain.end(y) == plain.end(x)]
+        if same_end:
+            comparability.append((x, draw(st.sampled_from(same_end))))
+    return WordPresentation("random", vertices, arrows, specials, forbidden,
+                            comparability)
 
 
 @settings(max_examples=60, deadline=None)

@@ -45,8 +45,7 @@ def main(argv=None):
         res = homology.check_periodicity(a, s, period=args.period,
                                          trials=args.trials, seed=args.seed)
         try:
-            rank = homology.tube_rank(a, s, trials=args.trials,
-                                      seed=args.seed)
+            rank = homology.tube_rank(a, res)
         except ValueError:
             rank = None
         chain = " -> ".join(str(list(dv)) for dv in res.dim_chain)

@@ -79,6 +79,7 @@ from .homology import (
     projective_module,
     projective_cover,
     syzygy,
+    syzygy_chain,
     iso_check,
     check_periodicity,
     ar_translate,

@@ -245,18 +245,15 @@ def make_growth_certificate(pres_spec, p, w1, w2, depth=6):
     )
 
 
-def make_periodicity_certificate(alg_spec, a, mod_spec, m, period=4,
-                                 trials=20, seed=0):
-    """Run the periodicity check and wrap the outcome (any verdict)."""
-    res = homology.check_periodicity(a, m, period=period, trials=trials,
-                                     seed=seed)
+def make_periodicity_certificate(alg_spec, mod_spec, res):
+    """Wrap a check_periodicity result (any verdict) with its specs."""
     iso = res.iso
     return PeriodicityCertificate(
         algebra=dict(alg_spec),
         module=dict(mod_spec),
-        period=period,
-        trials=trials,
-        seed=seed,
+        period=res.period,
+        trials=res.trials,
+        seed=res.seed,
         verdict=res.verdict,
         dim_chain=res.dim_chain,
         hom_dim=iso.hom_forward if iso is not None else 0,

@@ -409,19 +409,13 @@ def _module_targets(args):
         m = certificates.module_from_spec(a, mspec)
         return a, doc["algebra"], [(args.module, mspec, m)]
     a, aspec = _algebra_from_args(args)
-    if args.simple:
-        vs = [args.simple]
-    else:
-        vs = sorted(a.quiver.vertices)
-    targets = []
-    for v in vs:
-        targets.append(
-            ("simple(%s)" % v, {"simple": v}, homology.simple_module(a, v)))
-    return a, aspec, targets
+    vs = [args.simple] if args.simple else sorted(a.quiver.vertices)
+    return a, aspec, [
+        ("simple(%s)" % v, {"simple": v}, homology.simple_module(a, v))
+        for v in vs]
 
 
 def cmd_periodicity(args):
-    period = args.period
     trials = _opt(args.trials, "TRIALS", int, 20)
     seed = _opt(args.seed, "SEED", int, 0)
     a, aspec, targets = _module_targets(args)
@@ -429,12 +423,13 @@ def cmd_periodicity(args):
         raise ValueError("--out needs a single module (--simple or --module)")
     all_ok = True
     for label, mspec, m in targets:
-        cert = certificates.make_periodicity_certificate(
-            aspec, a, mspec, m, period=period, trials=trials, seed=seed)
+        res = homology.check_periodicity(a, m, period=args.period,
+                                         trials=trials, seed=seed)
+        cert = certificates.make_periodicity_certificate(aspec, mspec, res)
         chain = " -> ".join(str(list(dv)) for dv in cert.dim_chain)
         print("%s: %s [%s]" % (label, cert.verdict, chain))
         try:
-            rank = homology.tube_rank(a, m, trials=trials, seed=seed)
+            rank = homology.tube_rank(a, res)
         except ValueError as e:
             print("  tube rank: n/a (%s)" % e)
         else:
@@ -450,19 +445,14 @@ def cmd_periodicity(args):
 
 
 def cmd_syzygy(args):
-    steps = args.steps
     a, _, targets = _module_targets(args)
+    chains = [(label, homology.syzygy_chain(a, m, args.steps))
+              for label, _, m in targets]
     vertices = sorted(a.quiver.vertices)
     print("vertex order: %s" % ", ".join(vertices))
-    for label, _, m in targets:
-        chain = [m.dim_vector(vertices)]
-        cur = m
-        for _ in range(steps):
-            cur = homology.syzygy(a, cur)
-            chain.append(cur.dim_vector(vertices))
-            if cur.total_dim == 0:
-                break
-        print("%s: %s" % (label, " -> ".join(str(list(dv)) for dv in chain)))
+    for label, chain in chains:
+        print("%s: %s" % (label, " -> ".join(
+            str(list(x.dim_vector(vertices))) for x in chain)))
     return 0
 
 

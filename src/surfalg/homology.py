@@ -5,16 +5,22 @@ matrix of an arrow x: s -> t has shape (dims[s], dims[t]) and acts on row
 vectors.  Relations of the algebra must act as zero; validate_module checks
 this together with the shapes.
 
-syzygy computes the kernel of the projective cover, so iterating it walks
-the chain of syzygies; over a weakly symmetric algebra the squared syzygy
-computes the translate used for tube ranks.
+syzygy computes the kernel of the projective cover; syzygy_chain, the one
+loop over it, returns (m, Om, ..., O^k m) up to the first zero module and is
+what the `syzygy` command prints.  check_periodicity keeps the chain it walks
+in its result, which `periodicity` and scripts/periodicity_table.py pass on
+to tube_rank: over a weakly symmetric algebra tau = O^2, so tube_rank reads
+O^2 m and O^4 m from that chain (extended only for periods below 4), reuses
+the result's isomorphism test at the step equal to the period (m against
+O^4 m by default), and checks weak symmetry once per call.
 """
 
-from dataclasses import dataclass
+import collections
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import algebra, linalg
 
 __all__ = [
     "FDModule",
@@ -25,6 +31,7 @@ __all__ = [
     "projective_module",
     "projective_cover",
     "syzygy",
+    "syzygy_chain",
     "radical_series",
     "iso_check",
     "check_periodicity",
@@ -123,27 +130,31 @@ def simple_module(a, v):
     return FDModule(dims, mats)
 
 
-def projective_module(a, v):
-    """The right module on the basis paths starting at v."""
-    if v not in a.quiver.vertices:
-        raise KeyError("unknown vertex %r" % (v,))
-    idxs = a.indices_from(v)
+def _free_module(a, basis):
+    """Sum of projectives on (summand, basis index) rows, and their indices."""
+    dims = {v: 0 for v in a.quiver.vertices}
     local = {}
-    dims = {u: 0 for u in a.quiver.vertices}
-    for bi in idxs:
+    for li, bi in basis:
         w = a.basis_target(bi)
-        local[bi] = dims[w]
+        local[(li, bi)] = dims[w]
         dims[w] += 1
     mats = {}
     for x in sorted(a.quiver.arrows, key=lambda x: x.id):
         mat = _zeros(dims[x.source], dims[x.target])
-        for bi in idxs:
+        for li, bi in basis:
             if a.basis_target(bi) != x.source:
                 continue
             for bj, c in a.right_multiply_arrow(bi, x.id):
-                mat[local[bi], local[bj]] = c
+                mat[local[(li, bi)], local[(li, bj)]] = c
         mats[x.id] = mat
-    return FDModule(dims, mats)
+    return FDModule(dims, mats), local
+
+
+def projective_module(a, v):
+    """The right module on the basis paths starting at v."""
+    if v not in a.quiver.vertices:
+        raise KeyError("unknown vertex %r" % (v,))
+    return _free_module(a, [(0, bi) for bi in a.indices_from(v)])[0]
 
 
 @dataclass(frozen=True)
@@ -179,37 +190,15 @@ def projective_cover(a, m):
         stacked = np.vstack([r for r in rows if r.shape[0]]) \
             if any(r.shape[0] for r in rows) else _zeros(0, dv)
         rad, piv = linalg.rref(stacked, p)
-        free = [j for j in range(dv) if j not in set(piv)]
-        for j in free:
-            u = _zeros(1, dv)
-            u[0, j] = 1
-            lifts.append((v, u[0]))
-    summands = {}
-    for v, u in lifts:
-        summands[v] = summands.get(v, 0) + 1
+        eye = np.eye(dv, dtype=np.int64)
+        lifts.extend((v, eye[j]) for j in range(dv) if j not in set(piv))
+    summands = collections.Counter(v for v, _ in lifts)
 
-    basis = []
-    for li, (v, u) in enumerate(lifts):
-        for bi in a.indices_from(v):
-            basis.append((li, bi))
-    dims = {v: 0 for v in a.quiver.vertices}
-    local = {}
-    for row, (li, bi) in enumerate(basis):
-        w = a.basis_target(bi)
-        local[(li, bi)] = dims[w]
-        dims[w] += 1
-    mats = {}
-    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
-        mat = _zeros(dims[x.source], dims[x.target])
-        for li, bi in basis:
-            if a.basis_target(bi) != x.source:
-                continue
-            for bj, c in a.right_multiply_arrow(bi, x.id):
-                mat[local[(li, bi)], local[(li, bj)]] = c
-        mats[x.id] = mat
-    cover = FDModule(dims, mats)
-
-    phi = {v: _zeros(dims[v], m.dims.get(v, 0)) for v in a.quiver.vertices}
+    basis = [(li, bi) for li, (v, _) in enumerate(lifts)
+             for bi in a.indices_from(v)]
+    cover, local = _free_module(a, basis)
+    phi = {v: _zeros(cover.dims[v], m.dims.get(v, 0))
+           for v in a.quiver.vertices}
     for li, bi in basis:
         v, path = a.basis[bi]
         w = a.basis_target(bi)
@@ -251,6 +240,18 @@ def syzygy(a, m):
                 "syzygy image of arrow %s leaves the kernel" % (x.id,))
         mats[x.id] = coords % p
     return FDModule(dims, mats)
+
+
+def syzygy_chain(a, m, steps):
+    """(m, Om, ..., O^steps m), cut after the first zero syzygy."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    chain = [m]
+    for _ in range(steps):
+        chain.append(syzygy(a, chain[-1]))
+        if chain[-1].total_dim == 0:
+            break
+    return tuple(chain)
 
 
 def radical_series(a, m):
@@ -345,6 +346,8 @@ def iso_check(a, m, n, trials=20, seed=0):
     vertex.  Returns iso (with the witnessing combination), not_iso (with
     the separating invariant), or inconclusive.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     p = a.field
     vertices = _vertices(a)
     dm = m.dim_vector(vertices)
@@ -404,6 +407,9 @@ class PeriodicityResult:
     verdict: str
     dim_chain: tuple
     iso: object
+    trials: int
+    seed: int
+    modules: tuple = field(repr=False, compare=False)
 
 
 def check_periodicity(a, m, period=4, trials=20, seed=0):
@@ -414,44 +420,50 @@ def check_periodicity(a, m, period=4, trials=20, seed=0):
     """
     if period < 1:
         raise ValueError("period must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    modules = syzygy_chain(a, m, period)
+    if modules[1].total_dim == 0:
+        raise ValueError("module is projective; its syzygy vanishes")
     vertices = _vertices(a)
-    chain = [m.dim_vector(vertices)]
-    cur = m
-    for k in range(period):
-        cur = syzygy(a, cur)
-        if cur.total_dim == 0:
-            if k == 0:
-                raise ValueError(
-                    "module is projective; its syzygy vanishes")
-            return PeriodicityResult(
-                period, "not_periodic", tuple(chain), None)
-        chain.append(cur.dim_vector(vertices))
-    iso = iso_check(a, m, cur, trials=trials, seed=seed)
+    chain = tuple(x.dim_vector(vertices) for x in modules if x.total_dim)
+    if len(chain) <= period:
+        return PeriodicityResult(
+            period, "not_periodic", chain, None, trials, seed, modules)
+    iso = iso_check(a, m, modules[-1], trials=trials, seed=seed)
     verdict = "periodic" if iso.verdict == "iso" else (
         "not_periodic" if iso.verdict == "not_iso" else "inconclusive")
-    return PeriodicityResult(period, verdict, tuple(chain), iso)
+    return PeriodicityResult(period, verdict, chain, iso, trials, seed,
+                             modules)
 
 
-def ar_translate(a, m):
-    """Squared syzygy, valid as the translate only over weakly symmetric algebras."""
-    from .algebra import check_weakly_symmetric
-
-    ok, _ = check_weakly_symmetric(a)
+def _require_weakly_symmetric(a):
+    ok, _ = algebra.check_weakly_symmetric(a)
     if not ok:
         raise ValueError(
             "algebra is not weakly symmetric; the squared syzygy "
             "does not compute the translate")
-    return syzygy(a, syzygy(a, m))
 
 
-def tube_rank(a, m, trials=20, seed=0):
-    """1 if the translate fixes m, 2 if its square does, else None."""
-    tau = ar_translate(a, m)
-    r1 = iso_check(a, m, tau, trials=trials, seed=seed)
-    if r1.verdict == "iso":
-        return 1
-    tau2 = ar_translate(a, tau)
-    r2 = iso_check(a, m, tau2, trials=trials, seed=seed)
-    if r2.verdict == "iso":
-        return 2
+def ar_translate(a, m):
+    """Squared syzygy, valid as the translate only over weakly symmetric algebras."""
+    _require_weakly_symmetric(a)
+    return syzygy_chain(a, m, 2)[-1]
+
+
+def tube_rank(a, res):
+    """1 if tau fixes the module, 2 if tau^2 does, else None.
+
+    res is the module's check_periodicity result (see the module docstring)."""
+    _require_weakly_symmetric(a)
+    chain = res.modules
+    if len(chain) < 5 and chain[-1].total_dim:
+        chain = chain[:-1] + syzygy_chain(a, chain[-1], 5 - len(chain))
+    for rank, step in ((1, 2), (2, 4)):
+        if step >= len(chain) or chain[step].total_dim == 0:
+            return None
+        iso = res.iso if step == res.period else iso_check(
+            a, chain[0], chain[step], trials=res.trials, seed=res.seed)
+        if iso.verdict == "iso":
+            return rank
     return None

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from surfalg import certificates, strings
+from surfalg.homology import check_periodicity
 from surfalg.certificates import (
     algebra_from_spec,
     certificate_from_json,
@@ -31,8 +32,8 @@ def _periodicity_cert():
     a = algebra_from_spec(aspec)
     mspec = {"simple": "1"}
     m = module_from_spec(a, mspec)
-    return a, make_periodicity_certificate(aspec, a, mspec, m, period=4,
-                                           trials=10, seed=0)
+    res = check_periodicity(a, m, period=4, trials=10, seed=0)
+    return a, make_periodicity_certificate(aspec, mspec, res)
 
 
 def test_presentation_from_spec_sphere5():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from surfalg import cli, fixtures
+from surfalg import algebra, cli, fixtures, homology
 from surfalg.surface import triangulation_to_json
 
 
@@ -281,6 +281,52 @@ def test_periodicity_kx2_rank_one(capsys):
     assert code == 0
     assert "periodic" in out
     assert "tube rank: 1" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_periodicity_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run(capsys, "periodicity", "--builtin", "torus",
+                         "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert "trials must be >= 1" in err
+
+
+def test_verify_rejects_zero_trials_certificate(capsys, tmp_path):
+    cert = tmp_path / "periodicity.json"
+    run(capsys, "periodicity", "--builtin", "kx2", "--simple", "1",
+        "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["trials"] = 0
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert code == 2
+    assert "PASS" not in out
+    assert "trials must be >= 1" in err
+
+
+def test_syzygy_rejects_negative_steps(capsys):
+    code, out, err = run(capsys, "syzygy", "--builtin", "torus",
+                         "--steps", "-2")
+    assert code == 2
+    assert out == ""
+    assert "steps must be >= 0" in err
+
+
+def test_periodicity_shares_one_chain_per_module(capsys, monkeypatch):
+    # per torus simple: O^1..O^4 once, m against O^4 m once (reused for the
+    # tube rank), m against O^2 m once, and one weak-symmetry check
+    calls = {"syzygy": 0, "iso_check": 0, "check_weakly_symmetric": 0}
+    for mod, name in ((homology, "syzygy"), (homology, "iso_check"),
+                      (algebra, "check_weakly_symmetric")):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    code, out, err = run(capsys, "periodicity", "--builtin", "torus")
+    assert code == 0
+    assert calls == {"syzygy": 12, "iso_check": 6,
+                     "check_weakly_symmetric": 3}
 
 
 def test_certify_growth_excluded_surface(capsys):

@@ -12,6 +12,7 @@ from surfalg.homology import (
     radical_series,
     simple_module,
     syzygy,
+    syzygy_chain,
     tube_rank,
     validate_module,
 )
@@ -161,7 +162,8 @@ def test_ar_translate_is_double_syzygy(torus_algebra):
 def test_tube_ranks(torus_algebra):
     for v in VS:
         s = simple_module(torus_algebra, v)
-        assert tube_rank(torus_algebra, s) == 2
+        res = check_periodicity(torus_algebra, s)
+        assert tube_rank(torus_algebra, res) == 2
 
 
 def test_tube_rank_one_example(tetra_algebra):
@@ -172,7 +174,8 @@ def test_tube_rank_one_example(tetra_algebra):
         s = simple_module(tetra_algebra, v)
         o2 = syzygy(tetra_algebra, syzygy(tetra_algebra, s))
         if s.dim_vector(vs) == o2.dim_vector(vs):
-            ranks.add(tube_rank(tetra_algebra, s))
+            res = check_periodicity(tetra_algebra, s)
+            ranks.add(tube_rank(tetra_algebra, res))
     # structural sanity: every reported rank is 1 or 2 (or undecided)
     assert ranks <= {1, 2, None}
 
@@ -185,3 +188,46 @@ def test_hom_dims_symmetric_for_iso_pairs(torus_algebra):
     res = iso_check(torus_algebra, s, o4)
     assert res.verdict == "iso"
     assert res.hom_forward == res.hom_backward
+
+
+def test_syzygy_chain_matches_iterated_syzygy(torus_algebra):
+    s = simple_module(torus_algebra, "2")
+    chain = syzygy_chain(torus_algebra, s, 4)
+    assert len(chain) == 5 and chain[0] is s
+    cur = s
+    for x in chain[1:]:
+        cur = syzygy(torus_algebra, cur)
+        assert iso_check(torus_algebra, x, cur).verdict == "iso"
+    assert syzygy_chain(torus_algebra, s, 0) == (s,)
+
+
+def test_syzygy_chain_stops_after_zero(torus_algebra):
+    p = projective_module(torus_algebra, "1")
+    chain = syzygy_chain(torus_algebra, p, 6)
+    assert len(chain) == 2
+    assert chain[1].total_dim == 0
+
+
+@pytest.mark.parametrize("steps", [-1, -2])
+def test_syzygy_chain_rejects_negative_steps(torus_algebra, steps):
+    s = simple_module(torus_algebra, "1")
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        syzygy_chain(torus_algebra, s, steps)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_nonpositive_trials_rejected(torus_algebra, trials):
+    s = simple_module(torus_algebra, "1")
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        iso_check(torus_algebra, s, s, trials=trials)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check_periodicity(torus_algebra, s, trials=trials)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 4, 8])
+def test_tube_rank_from_any_period(torus_algebra, period):
+    # chains shorter than O^4 are extended, longer ones are read as they are
+    s = simple_module(torus_algebra, "3")
+    res = check_periodicity(torus_algebra, s, period=period)
+    assert len(res.modules) == period + 1
+    assert tube_rank(torus_algebra, res) == 2

@@ -1,0 +1,175 @@
+"""Exact outputs of `periodicity`, `syzygy`, `verify` and
+scripts/periodicity_table.py, recorded before periodicity, tube rank and
+`syzygy` came to share one syzygy chain per module."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+from surfalg import cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULE_FILE = "fixtures/torus_simple1.json"
+
+RANK2 = "  omega^4 iso: yes; tau^2 iso: yes (tau = omega^2); tube rank: 2\n"
+RANK1 = "  omega^4 iso: yes; tau^2 iso: yes (tau = omega^2); tube rank: 1\n"
+
+S1_CHAIN = "[1, 0, 0] -> [3, 4, 4] -> [5, 4, 4] -> [3, 4, 4] -> [1, 0, 0]"
+S2_CHAIN = "[0, 1, 0] -> [4, 3, 4] -> [4, 5, 4] -> [4, 3, 4] -> [0, 1, 0]"
+S3_CHAIN = "[0, 0, 1] -> [4, 4, 3] -> [4, 4, 5] -> [4, 4, 3] -> [0, 0, 1]"
+KX2_CHAIN = "[1] -> [1] -> [1] -> [1] -> [1]"
+
+TORUS_ALL = (
+    "simple(1): periodic [" + S1_CHAIN + "]\n" + RANK2
+    + "simple(2): periodic [" + S2_CHAIN + "]\n" + RANK2
+    + "simple(3): periodic [" + S3_CHAIN + "]\n" + RANK2
+)
+
+PERIODICITY_GOLDEN = [
+    (("--builtin", "torus"), 0, TORUS_ALL),
+    (("--builtin", "torus", "--field", "5"), 0, TORUS_ALL),
+    (("--builtin", "torus", "--trials", "1"), 0, TORUS_ALL),
+    (("--builtin", "kx2"), 0,
+     "simple(1): periodic [" + KX2_CHAIN + "]\n" + RANK1),
+    (("--builtin", "kx2", "--period", "2"), 0,
+     "simple(1): periodic [[1] -> [1] -> [1]]\n" + RANK1),
+    (("--builtin", "torus", "--simple", "1", "--period", "1"), 1,
+     "simple(1): not_periodic [[1, 0, 0] -> [3, 4, 4]]\n" + RANK2),
+    (("--builtin", "torus", "--simple", "1", "--period", "2"), 1,
+     "simple(1): not_periodic [[1, 0, 0] -> [3, 4, 4] -> [5, 4, 4]]\n"
+     + RANK2),
+    (("--builtin", "torus", "--simple", "1", "--period", "3"), 1,
+     "simple(1): not_periodic [[1, 0, 0] -> [3, 4, 4] -> [5, 4, 4]"
+     " -> [3, 4, 4]]\n" + RANK2),
+    (("--builtin", "torus", "--simple", "1", "--period", "8"), 0,
+     "simple(1): periodic [[1, 0, 0] -> [3, 4, 4] -> [5, 4, 4]"
+     " -> [3, 4, 4] -> [1, 0, 0] -> [3, 4, 4] -> [5, 4, 4]"
+     " -> [3, 4, 4] -> [1, 0, 0]]\n" + RANK2),
+    (("--module", MODULE_FILE), 0,
+     MODULE_FILE + ": periodic [" + S1_CHAIN + "]\n" + RANK2),
+    (("--builtin", "torus", "--simple", "2", "--seed", "7",
+      "--trials", "3"), 0,
+     "simple(2): periodic [" + S2_CHAIN + "]\n" + RANK2),
+]
+
+SYZYGY_GOLDEN = [
+    (("--builtin", "torus", "--steps", "8"),
+     "vertex order: 1, 2, 3\n"
+     "simple(1): " + S1_CHAIN + " -> [3, 4, 4] -> [5, 4, 4] -> [3, 4, 4]"
+     " -> [1, 0, 0]\n"
+     "simple(2): " + S2_CHAIN + " -> [4, 3, 4] -> [4, 5, 4] -> [4, 3, 4]"
+     " -> [0, 1, 0]\n"
+     "simple(3): " + S3_CHAIN + " -> [4, 4, 3] -> [4, 4, 5] -> [4, 4, 3]"
+     " -> [0, 0, 1]\n"),
+    (("--builtin", "torus", "--steps", "0"),
+     "vertex order: 1, 2, 3\n"
+     "simple(1): [1, 0, 0]\nsimple(2): [0, 1, 0]\nsimple(3): [0, 0, 1]\n"),
+    (("--builtin", "kx2"),
+     "vertex order: 1\nsimple(1): " + KX2_CHAIN + "\n"),
+    (("--module", MODULE_FILE, "--steps", "5"),
+     "vertex order: 1, 2, 3\n"
+     + MODULE_FILE + ": " + S1_CHAIN + " -> [3, 4, 4]\n"),
+]
+
+TORUS_SPEC = {"builtin": "torus", "field": 32003, "max_deg": 40}
+S1_DIMS = [[1, 0, 0], [3, 4, 4], [5, 4, 4], [3, 4, 4], [1, 0, 0]]
+PASS_4 = ("certificate kind: periodicity\n"
+          "  replayed 4 syzygy steps with seed 0; verdict periodic confirmed\n"
+          "PASS\n")
+
+
+def _cert(algebra, module, dim_chain, period=4, verdict="periodic",
+          hom_dim=1, witness=(27222,)):
+    return {"algebra": algebra, "dim_chain": dim_chain, "hom_dim": hom_dim,
+            "kind": "periodicity", "module": module, "period": period,
+            "seed": 0, "trials": 20, "verdict": verdict,
+            "witness": list(witness)}
+
+
+# (periodicity args, exit code, stdout, certificate, verify code and stdout)
+CERT_GOLDEN = [
+    (("--builtin", "torus", "--simple", "1"), 0,
+     "simple(1): periodic [" + S1_CHAIN + "]\n" + RANK2,
+     _cert(TORUS_SPEC, {"simple": "1"}, S1_DIMS), 0, PASS_4),
+    (("--builtin", "kx2", "--simple", "1"), 0,
+     "simple(1): periodic [" + KX2_CHAIN + "]\n" + RANK1,
+     _cert(dict(TORUS_SPEC, builtin="kx2"), {"simple": "1"}, [[1]] * 5),
+     0, PASS_4),
+    (("--builtin", "torus", "--simple", "3", "--period", "2"), 1,
+     "simple(3): not_periodic [[0, 0, 1] -> [4, 4, 3] -> [4, 4, 5]]\n"
+     + RANK2,
+     _cert(TORUS_SPEC, {"simple": "3"}, [[0, 0, 1], [4, 4, 3], [4, 4, 5]],
+           period=2, verdict="not_periodic", hom_dim=0, witness=()),
+     1, "certificate kind: periodicity\n"
+        "  replayed 2 syzygy steps with seed 0; verdict not_periodic "
+        "confirmed\n"
+        "  certificate does not claim periodicity\n"
+        "FAIL\n"),
+    (("--module", MODULE_FILE), 0,
+     MODULE_FILE + ": periodic [" + S1_CHAIN + "]\n" + RANK2,
+     _cert(TORUS_SPEC, {"dims": {"1": 1, "2": 0, "3": 0}, "matrices": {}},
+           S1_DIMS), 0, PASS_4),
+]
+
+TABLE_HEAD = "simple     verdict      tube rank syzygy dimension chain\n"
+TABLE_GOLDEN = [
+    ("torus",
+     "algebra torus over F_32003, dimension 36\n" + TABLE_HEAD
+     + "S(1)       periodic     2         " + S1_CHAIN + "\n"
+     + "S(2)       periodic     2         " + S2_CHAIN + "\n"
+     + "S(3)       periodic     2         " + S3_CHAIN + "\n"),
+    ("kx2",
+     "algebra kx2 over F_32003, dimension 2\n" + TABLE_HEAD
+     + "S(1)       periodic     1         " + KX2_CHAIN + "\n"),
+]
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.fixture
+def in_root(monkeypatch):
+    # module files are named relative to the repository root, and the
+    # printed label is the path as given
+    monkeypatch.chdir(ROOT)
+
+
+@pytest.mark.parametrize("args,code,out", PERIODICITY_GOLDEN)
+def test_periodicity_golden(capsys, in_root, args, code, out):
+    assert run(capsys, "periodicity", *args) == (code, out, "")
+
+
+@pytest.mark.parametrize("args,out", SYZYGY_GOLDEN)
+def test_syzygy_golden(capsys, in_root, args, out):
+    assert run(capsys, "syzygy", *args) == (0, out, "")
+
+
+@pytest.mark.parametrize("args,code,out,doc,vcode,vout", CERT_GOLDEN)
+def test_periodicity_certificate_golden(capsys, in_root, tmp_path, args,
+                                        code, out, doc, vcode, vout):
+    path = tmp_path / "cert.json"
+    assert run(capsys, "periodicity", *args, "--out", str(path)) == (
+        code, out, "")
+    assert path.read_text() == json.dumps(doc, indent=2,
+                                          sort_keys=True) + "\n"
+    assert run(capsys, "verify", "--input", str(path)) == (vcode, vout, "")
+
+
+def _table_script():
+    spec = importlib.util.spec_from_file_location(
+        "periodicity_table", ROOT / "scripts" / "periodicity_table.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("builtin,out", TABLE_GOLDEN)
+def test_periodicity_table_script_golden(capsys, builtin, out):
+    code = _table_script().main(["--builtin", builtin])
+    got = capsys.readouterr()
+    assert (code, got.out, got.err) == (0, out, "")

@@ -4,12 +4,14 @@
 For every simple module the script prints the four-step syzygy dimension
 chain, the isomorphism verdict against the fourth syzygy, and the tube
 rank (1 if the translate fixes the module, 2 if its square does).
+Invalid options print one `error:` line to stderr and exit 2 (3 when the
+algebra does not stabilize), as the `surfalg` command does.
 """
 
 import argparse
 import sys
 
-from surfalg import certificates, homology
+from surfalg import algebra, certificates, homology
 
 
 def main(argv=None):
@@ -33,17 +35,25 @@ def main(argv=None):
               "directly (qp.build_potential with puncture_scalars)",
               file=sys.stderr)
         return 2
-    a = certificates.algebra_from_spec(spec)
-    vertices = sorted(a.quiver.vertices)
+    try:
+        a = certificates.algebra_from_spec(spec)
+        results = [
+            homology.check_periodicity(a, homology.simple_module(a, v),
+                                       period=args.period,
+                                       trials=args.trials, seed=args.seed)
+            for v in sorted(a.quiver.vertices)]
+    except algebra.NonStabilizationError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 3
+    except ValueError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
     print("algebra %s over F_%d, dimension %d"
           % (args.builtin, args.field, a.dim))
     print("%-10s %-12s %-9s %s" % ("simple", "verdict", "tube rank",
                                    "syzygy dimension chain"))
     exit_code = 0
-    for v in vertices:
-        s = homology.simple_module(a, v)
-        res = homology.check_periodicity(a, s, period=args.period,
-                                         trials=args.trials, seed=args.seed)
+    for v, res in zip(sorted(a.quiver.vertices), results):
         try:
             rank = homology.tube_rank(a, res)
         except ValueError:

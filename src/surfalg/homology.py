@@ -13,6 +13,10 @@ to tube_rank: over a weakly symmetric algebra tau = O^2, so tube_rank reads
 O^2 m and O^4 m from that chain (extended only for periods below 4), reuses
 the result's isomorphism test at the step equal to the period (m against
 O^4 m by default), and checks weak symmetry once per call.
+
+iso_check solves Hom(m, n) and tries seeded random combinations of its
+basis first; Hom(n, m) is solved only when no invertible one (a witness)
+is found, since a witness makes the two Hom spaces equal in dimension.
 """
 
 import collections
@@ -305,6 +309,9 @@ def _hom_basis(a, m, n):
     for v in vertices:
         offs[v] = total
         total += m.dims.get(v, 0) * n.dims.get(v, 0)
+    # f_s: m_s x n_s per vertex, unknowns row-major from offs[s]; arrow
+    # x: s -> t gives M_x f_t - f_s N_x = 0, one row per entry (i, j), and
+    # row-major vec(A X B) = (A kron B^T) vec(X)
     eqs = []
     for x in sorted(a.quiver.arrows, key=lambda x: x.id):
         s, t = x.source, x.target
@@ -312,20 +319,14 @@ def _hom_basis(a, m, n):
         ns, nt = n.dims.get(s, 0), n.dims.get(t, 0)
         if ms == 0 or nt == 0:
             continue
-        mx = _arrow_matrix(a, m, x.id)
-        nx = _arrow_matrix(a, n, x.id)
-        for i in range(ms):
-            for j in range(nt):
-                row = [0] * total
-                for k in range(mt):
-                    row[offs[t] + k * nt + j] = (
-                        row[offs[t] + k * nt + j] + int(mx[i, k])) % p
-                for k in range(ns):
-                    row[offs[s] + i * ns + k] = (
-                        row[offs[s] + i * ns + k] - int(nx[k, j])) % p
-                if any(row):
-                    eqs.append(row)
-    mat = np.array(eqs, dtype=np.int64) if eqs else _zeros(0, total)
+        block = _zeros(ms * nt, total)
+        block[:, offs[t]:offs[t] + mt * nt] += np.kron(
+            _arrow_matrix(a, m, x.id), np.eye(nt, dtype=np.int64))
+        block[:, offs[s]:offs[s] + ms * ns] -= np.kron(
+            np.eye(ms, dtype=np.int64), _arrow_matrix(a, n, x.id).T)
+        block %= p
+        eqs.append(block[block.any(axis=1)])
+    mat = np.vstack(eqs) if eqs else _zeros(0, total)
     null, _ = linalg.nullspace(mat, p)
     basis = []
     for row in null:
@@ -341,10 +342,12 @@ def iso_check(a, m, n, trials=20, seed=0):
     """Decide isomorphism by invariants, then randomized intertwiners.
 
     Dimension vectors and radical filtrations must match; then the
-    intertwiner spaces in both directions are solved exactly, and random
-    combinations of the forward basis are tested for invertibility at every
-    vertex.  Returns iso (with the witnessing combination), not_iso (with
-    the separating invariant), or inconclusive.
+    intertwiner space Hom(m, n) is solved exactly, and random combinations
+    of its basis are tested for invertibility at every vertex.  Hom(n, m)
+    is solved only when no witness is found: an invertible intertwiner
+    makes m and n isomorphic, so hom_backward is then hom_forward.
+    Returns iso (with the witnessing combination), not_iso (with the
+    separating invariant), or inconclusive.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -364,6 +367,26 @@ def iso_check(a, m, n, trials=20, seed=0):
             "radical filtrations differ: %s vs %s" % (rm, rn),
             0, 0, (), 0, seed)
     fwd = _hom_basis(a, m, n)
+    rng = np.random.default_rng(seed)
+    for t in range(trials if fwd else 0):
+        coeffs = rng.integers(0, p, size=len(fwd))
+        if not coeffs.any():
+            coeffs[0] = 1
+        ok = True
+        for v in vertices:
+            h = _zeros(m.dims.get(v, 0), n.dims.get(v, 0))
+            for c, fam in zip(coeffs, fwd):
+                h = (h + int(c) * fam[v]) % p
+            if h.shape[0] != h.shape[1] or not linalg.is_invertible(h, p):
+                ok = False
+                break
+        if ok:
+            # m and n are isomorphic, so Hom(n, m) has the dimension of
+            # Hom(m, n) and need not be solved
+            return IsoResult(
+                "iso", "invertible intertwiner found on trial %d" % (t + 1),
+                len(fwd), len(fwd),
+                tuple(int(c) for c in coeffs), t + 1, seed)
     bwd = _hom_basis(a, n, m)
     if len(fwd) != len(bwd):
         return IsoResult(
@@ -377,24 +400,6 @@ def iso_check(a, m, n, trials=20, seed=0):
         return IsoResult(
             "not_iso", "no nonzero intertwiners exist",
             0, 0, (), 0, seed)
-    rng = np.random.default_rng(seed)
-    for t in range(trials):
-        coeffs = rng.integers(0, p, size=len(fwd))
-        if not coeffs.any():
-            coeffs[0] = 1
-        ok = True
-        for v in vertices:
-            h = _zeros(m.dims.get(v, 0), n.dims.get(v, 0))
-            for c, fam in zip(coeffs, fwd):
-                h = (h + int(c) * fam[v]) % p
-            if h.shape[0] != h.shape[1] or not linalg.is_invertible(h, p):
-                ok = False
-                break
-        if ok:
-            return IsoResult(
-                "iso", "invertible intertwiner found on trial %d" % (t + 1),
-                len(fwd), len(bwd),
-                tuple(int(c) for c in coeffs), t + 1, seed)
     return IsoResult(
         "inconclusive",
         "no invertible intertwiner in %d random trials" % trials,

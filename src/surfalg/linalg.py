@@ -1,8 +1,19 @@
 """Exact dense linear algebra over a prime field F_p, on top of numpy int64.
 
 All matrices are numpy arrays with dtype int64 and entries reduced to
-[0, p).  The default modulus keeps every intermediate product well inside
-int64 range (values < p**2 * ncols for the row updates used here).
+[0, p).  A product of two entries is at most (p-1)**2, so matmul, whose
+entries sum k such products for an inner dimension k, is exact only while
+(p-1)**2 * k < 2**63; it raises ValueError naming p and k otherwise, and
+rref needs the same bound with k = 1.  The default modulus is far inside
+both.
+
+rref updates, for each pivot in column c, only columns c onward and only
+the rows with a nonzero entry in column c.  This relies on an invariant of
+the elimination: when column c is reached, the rows from the next pivot
+row down are zero left of c.  The pivot row is one of them, so subtracting
+a multiple of it changes nothing left of c, and nothing in a row whose
+entry in c is zero.  The RREF of a row space is unique, so the result
+equals that of the full update.
 
 Vectors are rows throughout the package: matrices act on the right.
 """
@@ -46,6 +57,15 @@ def inv_mod(a, p):
     return pow(a, p - 2, p)
 
 
+def _check_exact(p, k):
+    """Raise unless sums of k products of residues mod p fit in int64."""
+    if (p - 1) ** 2 * k >= 2 ** 63:
+        raise ValueError(
+            "field modulus %d is too large for exact int64 arithmetic with "
+            "inner dimension %d: (p-1)^2 * %d must stay below 2^63"
+            % (p, k, k))
+
+
 def rref(a, p):
     """Reduced row echelon form over F_p.
 
@@ -57,6 +77,7 @@ def rref(a, p):
         (r, pivots) where r contains the nonzero rows of the RREF and
         pivots is the list of pivot column indices, one per row of r.
     """
+    _check_exact(p, 1)
     a = np.mod(np.asarray(a, dtype=np.int64), p)
     if a.ndim != 2:
         raise ValueError("rref expects a 2d array")
@@ -66,16 +87,21 @@ def rref(a, p):
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = np.flatnonzero(a[:, c])
+        below = nz[nz >= r]
+        if below.size == 0:
             continue
-        i = r + int(nz[0])
+        i = int(below[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * inv_mod(a[r, c], p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+            a[[r, i], c:] = a[[i, r], c:]
+        if a[r, c] != 1:
+            a[r, c:] = a[r, c:] * inv_mod(a[r, c], p) % p
+        # nz still lists the rows to clear, less i: row i now holds the old
+        # row r, which is zero in column c whenever i != r
+        rows = nz[nz != i]
+        if rows.size:
+            a[rows, c:] = (a[rows, c:]
+                           - np.outer(a[rows, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -100,10 +126,8 @@ def nullspace(a, p):
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     n = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, f in enumerate(free):
-        n[i, f] = 1
-        for row, pc in enumerate(pivots):
-            n[i, pc] = (-int(r[row, f])) % p
+    n[np.arange(len(free)), free] = 1
+    n[:, pivots] = (-r[:, free].T) % p
     return n, free
 
 
@@ -114,8 +138,10 @@ def left_nullspace(a, p):
 
 
 def matmul(a, b, p):
+    """a @ b mod p; ValueError if the field is too large for int64."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
+    _check_exact(p, a.shape[-1])
     return np.mod(a @ b, p)
 
 

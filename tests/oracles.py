@@ -46,6 +46,56 @@ def rref_mod(mat, p):
     return a[:r], pivots
 
 
+def kernel_from_rref(ref, pivots, ncols, p):
+    """Coordinate-readable kernel basis read off an RREF: row i has a 1 at
+    the i-th free column, 0 at the other free columns."""
+    free = [c for c in range(ncols) if c not in pivots]
+    n = np.zeros((len(free), ncols), dtype=np.int64)
+    for i, f in enumerate(free):
+        n[i, f] = 1
+        for row, pc in enumerate(pivots):
+            n[i, pc] = -int(ref[row, f]) % p
+    return n, free
+
+
+def naive_hom_basis(quiver, p, m_dims, m_mats, n_dims, n_mats):
+    """Intertwiners from m to n, one equation at a time.
+
+    Unknown f_v is an m_dims[v] x n_dims[v] matrix, laid out row-major per
+    vertex in sorted vertex order; arrow x: s -> t asks M_x f_t = f_s N_x.
+    Returns the kernel basis of the equations, one {vertex: matrix} family
+    per basis row.
+    """
+    vertices = sorted(quiver.vertices)
+    offs, total = {}, 0
+    for v in vertices:
+        offs[v] = total
+        total += m_dims.get(v, 0) * n_dims.get(v, 0)
+    eqs = []
+    for x in sorted(quiver.arrows, key=lambda x: x.id):
+        s, t = x.source, x.target
+        ms, mt = m_dims.get(s, 0), m_dims.get(t, 0)
+        ns, nt = n_dims.get(s, 0), n_dims.get(t, 0)
+        mx = m_mats.get(x.id, np.zeros((ms, mt), dtype=np.int64))
+        nx = n_mats.get(x.id, np.zeros((ns, nt), dtype=np.int64))
+        for i in range(ms):
+            for j in range(nt):
+                row = [0] * total
+                for k in range(mt):
+                    row[offs[t] + k * nt + j] += int(mx[i, k])
+                for k in range(ns):
+                    row[offs[s] + i * ns + k] -= int(nx[k, j])
+                if any(c % p for c in row):
+                    eqs.append(row)
+    mat = np.array(eqs, dtype=np.int64).reshape(len(eqs), total)
+    ref, pivots = rref_mod(mat, p)
+    null, _ = kernel_from_rref(ref, pivots, total, p)
+    return [
+        {v: row[offs[v]:offs[v] + m_dims.get(v, 0) * n_dims.get(v, 0)]
+         .reshape(m_dims.get(v, 0), n_dims.get(v, 0)) for v in vertices}
+        for row in null]
+
+
 def all_paths_up_to(quiver, max_len):
     """All composable paths as arrow-id tuples, grouped by length.
 

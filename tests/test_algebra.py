@@ -398,3 +398,75 @@ def test_inv_mod():
             assert (a * linalg.inv_mod(a, p)) % p == 1
     with pytest.raises(ZeroDivisionError):
         linalg.inv_mod(0, 5)
+
+
+KERNEL_SHAPES = ("dense", "sparse", "tall", "duplicate_rows", "zero_columns",
+                 "square")
+
+
+@st.composite
+def kernel_matrix(draw):
+    """Matrices up to 40 x 40 of the shapes the row-skipping rref update
+    meets: sparse rows, more rows than columns, repeated rows, columns
+    with no entry, and square ones (often invertible)."""
+    kind = draw(st.sampled_from(KERNEL_SHAPES))
+    p = draw(st.sampled_from([2, 5, 32003]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    if kind == "tall":
+        cols = draw(st.integers(1, 20))
+        rows = draw(st.integers(cols + 1, 40))
+    elif kind == "square":
+        cols = rows
+    density = {"sparse": 0.08, "tall": 0.3}.get(kind, 1.0)
+    m = rng.integers(-2 * p, 2 * p, size=(rows, cols))
+    m = m * (rng.random((rows, cols)) < density)
+    if kind == "duplicate_rows":
+        m[rng.integers(0, rows, size=rows // 2)] = m[0]
+    elif kind == "zero_columns":
+        m[:, rng.random(cols) < 0.4] = 0
+    return m.astype(np.int64), p
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_matrix())
+def test_kernel_matches_oracle_up_to_40(drawn):
+    m, p = drawn
+    ours, pivots = linalg.rref(m, p)
+    ref, ref_pivots = oracles.rref_mod(m, p)
+    assert pivots == ref_pivots
+    assert ours.shape == ref.shape
+    assert (ours == ref).all()
+    assert linalg.rank(m, p) == len(ref_pivots)
+
+    ns, free = linalg.nullspace(m, p)
+    want, want_free = oracles.kernel_from_rref(ref, ref_pivots, m.shape[1], p)
+    assert free == want_free
+    assert ns.shape == want.shape and (ns == want).all()
+    assert not ((m % p) @ ns.T % p).any()
+
+    lns, lfree = linalg.left_nullspace(m, p)
+    tref, tpivots = oracles.rref_mod(m.T, p)
+    want, want_free = oracles.kernel_from_rref(tref, tpivots, m.shape[0], p)
+    assert lfree == want_free
+    assert lns.shape == want.shape and (lns == want).all()
+    assert not (lns @ (m % p) % p).any()
+
+    square = m.shape[0] == m.shape[1]
+    assert linalg.is_invertible(m, p) == (
+        square and len(ref_pivots) == m.shape[0])
+
+
+def test_matmul_rejects_fields_too_large_for_int64():
+    p = 2147483647
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, p, size=(4, 12), dtype=np.int64)
+    b = rng.integers(0, p, size=(12, 4), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"2147483647.*inner dimension 12"):
+        linalg.matmul(a, b, p)
+    # two products of residues still fit: the result is exact
+    exact = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p
+              for col in b[:2, :].T] for row in a[:, :2]]
+    assert linalg.matmul(a[:, :2], b[:2, :], p).tolist() == exact
+    with pytest.raises(ValueError, match="inner dimension 1"):
+        linalg.rref(np.eye(2, dtype=np.int64), 2 ** 32 + 15)

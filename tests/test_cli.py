@@ -427,3 +427,13 @@ def test_output_files_written(capsys, tmp_path):
                          "--format", "dot", "--out", str(out_path))
     assert code == 0
     assert out_path.read_text().startswith("digraph")
+
+
+def test_periodicity_rejects_field_too_large_for_int64(capsys):
+    code, out, err = run(capsys, "periodicity", "--builtin", "torus",
+                         "--field", "2147483647")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: field modulus 2147483647 is too large")
+    assert "inner dimension" in err

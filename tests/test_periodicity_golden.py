@@ -173,3 +173,18 @@ def test_periodicity_table_script_golden(capsys, builtin, out):
     code = _table_script().main(["--builtin", builtin])
     got = capsys.readouterr()
     assert (code, got.out, got.err) == (0, out, "")
+
+
+@pytest.mark.parametrize("args,code,err", [
+    (("--trials", "0"), 2, "error: trials must be >= 1\n"),
+    (("--period", "0"), 2, "error: period must be >= 1\n"),
+    (("--field", "4"), 2, "error: field modulus 4 is not prime\n"),
+    (("--max-deg", "3"), 3,
+     "error: no stabilization within degree 3 (max_deg reached); "
+     "graded dims so far: [3, 6, 6, 6]\n"),
+])
+def test_periodicity_table_script_rejects_bad_options(capsys, args, code,
+                                                      err):
+    got_code = _table_script().main(["--builtin", "torus", *args])
+    got = capsys.readouterr()
+    assert (got_code, got.out, got.err) == (code, "", err)

@@ -12,22 +12,14 @@ import argparse
 import json
 import sys
 
-from surfalg import fixtures, qp, strings
-
-
-def presentation_for(name):
-    if name == "sphere5":
-        return strings.sphere5_presentation()
-    t = fixtures.builtin_triangulation(name)
-    q = qp.build_quiver(t)
-    maps = qp.arrow_maps(t, q)
-    return strings.string_quotient(q, maps, name="string-quotient(%s)" % name)
+from surfalg import certificates, strings
 
 
 def survey(names, max_len):
     out = []
     for name in names:
-        pres = presentation_for(name)
+        pres = certificates.presentation_from_spec(
+            certificates.presentation_spec({"builtin": name}))
         census = strings.enumerate_bands(pres, max_len)
         out.append((name, strings.growth_report(census)))
     return out

@@ -68,6 +68,7 @@ from .strings import (
     compose,
     free_composability,
     build_xi,
+    build_eta,
     rho1,
     rho2,
     enumerate_bands,

@@ -33,6 +33,7 @@ surviving paths congruent to it modulo the ideal.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -207,6 +208,8 @@ def _eliminate(q, rels, p, max_deg, path_budget):
     dims covers 0..max_deg; ech is the last elimination over levels' ids.
     Raises NonStabilizationError if the path budget runs out first.
     """
+    # the int64 bound first: trial division would not finish on a huge p
+    linalg._check_exact(p, 1)
     if not linalg.is_prime(p):
         raise ValueError("field modulus %d is not prime" % p)
     if max_deg < 1:
@@ -257,7 +260,8 @@ def graded_dimensions(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
         about higher layers.
 
     Raises:
-        ValueError: if p is not prime, or max_deg or path_budget is < 1.
+        ValueError: if p is not prime or (p-1)^2 >= 2^63, or max_deg or
+        path_budget is < 1.
         NonStabilizationError: only if the path budget is exhausted before
         max_deg; plain non-stabilization at max_deg is reported through the
         stabilized flag.
@@ -293,8 +297,10 @@ class FDAlgebra:
     def loewy_length(self):
         return len(self.graded_dims)
 
-    def basis_index(self, element):
-        return self._index[element]
+    @cached_property
+    def weak_symmetry(self):
+        """check_weakly_symmetric(self), run on the first read only."""
+        return check_weakly_symmetric(self)
 
     def basis_source(self, i):
         v, path = self.basis[i]
@@ -362,7 +368,8 @@ def compute_basis(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
     multiplication table via back-substituted normal forms.
 
     Raises:
-        ValueError: if p is not prime, or max_deg or path_budget is < 1.
+        ValueError: if p is not prime or (p-1)^2 >= 2^63, or max_deg or
+        path_budget is < 1.
         NonStabilizationError: if no such k exists within max_deg or the
         path budget is exhausted first.
     """

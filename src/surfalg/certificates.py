@@ -11,6 +11,11 @@ Two kinds of certificate:
   seeded isomorphism evidence.  Replaying rebuilds both and re-runs the
   periodicity check with the same seed.
 
+Every source the program reads -- a builtin name, a triangulation
+document, kx2 or sphere5 -- is resolved here, by the spec readers
+triangulation_from_spec, quotient_from_spec and algebra_from_spec; the
+command line and the scripts build their objects through them too.
+
 All document readers are strict: unknown fields are rejected by name.
 """
 
@@ -20,12 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures, qp, strings, algebra, homology
-from .surface import triangulation_from_json, validate_triangulation
+from .surface import triangulation_from_json
 
 __all__ = [
     "GrowthCertificate",
     "PeriodicityCertificate",
     "VerificationResult",
+    "source_label",
+    "triangulation_from_spec",
+    "presentation_spec",
+    "quotient_from_spec",
     "presentation_from_spec",
     "algebra_from_spec",
     "module_from_spec",
@@ -49,25 +58,38 @@ def _check_fields(doc, where, required, optional=()):
         raise ValueError("%s has unknown field %r" % (where, unknown[0]))
 
 
-def _triangulation_from_source(spec, where):
+def source_label(spec):
+    """Name of a source in reports: the builtin's, or "custom" for a document."""
+    return spec.get("builtin", "custom")
+
+
+def triangulation_from_spec(spec, where="source spec"):
+    """The triangulation of {"builtin": name} or {"triangulation": document}.
+
+    It is not validated here: qp.build_quiver validates every triangulation
+    that reaches a quiver.
+    """
     if ("builtin" in spec) == ("triangulation" in spec):
         raise ValueError(
             "%s needs exactly one of 'builtin' or 'triangulation'" % where)
     if "builtin" in spec:
-        t = fixtures.builtin_triangulation(spec["builtin"])
-        label = spec["builtin"]
-    else:
-        t = triangulation_from_json(spec["triangulation"])
-        label = "custom"
-    report = validate_triangulation(t)
-    if not report.ok:
-        raise ValueError(
-            "%s triangulation is invalid: %s" % (where, report.violations[0]))
-    return t, label
+        return fixtures.builtin_triangulation(spec["builtin"])
+    return triangulation_from_json(spec["triangulation"])
 
 
-def presentation_from_spec(spec):
-    """Rebuild a word presentation from its serializable spec."""
+def presentation_spec(source):
+    """Presentation spec of a source spec: the shipped sphere5 presentation
+    for the builtin sphere5, the string quotient of any other triangulation."""
+    if source == {"builtin": "sphere5"}:
+        return {"source": "sphere5"}
+    return dict(source, source="string-quotient")
+
+
+def quotient_from_spec(spec):
+    """Word presentation of a presentation spec, with its arrow maps.
+
+    The maps are None for sphere5, whose presentation is shipped as data.
+    """
     _check_fields(spec, "presentation spec", ("source",),
                   ("builtin", "triangulation"))
     source = spec["source"]
@@ -75,14 +97,19 @@ def presentation_from_spec(spec):
         if "builtin" in spec or "triangulation" in spec:
             raise ValueError(
                 "presentation spec for sphere5 takes no surface fields")
-        return strings.sphere5_presentation()
+        return strings.sphere5_presentation(), None
     if source == "string-quotient":
-        t, label = _triangulation_from_source(spec, "presentation spec")
+        t = triangulation_from_spec(spec, "presentation spec")
         q = qp.build_quiver(t)
         maps = qp.arrow_maps(t, q)
-        return strings.string_quotient(
-            q, maps, name="string-quotient(%s)" % label)
+        name = "string-quotient(%s)" % source_label(spec)
+        return strings.string_quotient(q, maps, name=name), maps
     raise ValueError("unknown presentation source %r" % (source,))
+
+
+def presentation_from_spec(spec):
+    """Rebuild a word presentation from its serializable spec."""
+    return quotient_from_spec(spec)[0]
 
 
 def algebra_from_spec(spec):
@@ -104,7 +131,7 @@ def algebra_from_spec(spec):
                 "'triangulation'")
         q, rels = fixtures.kx2_algebra_data()
     else:
-        t, _ = _triangulation_from_source(spec, "algebra spec")
+        t = triangulation_from_spec(spec, "algebra spec")
         q = qp.build_quiver(t)
         rels = qp.jacobian_relations(qp.build_potential(t, q))
     return algebra.compute_basis(q, rels, p=p, max_deg=max_deg,

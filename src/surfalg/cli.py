@@ -11,6 +11,11 @@ Subcommands:
   syzygy          print the syzygy dimension chain of a module
   verify          replay a certificate file
 
+Every command names its source with --builtin or --input (or --module):
+the --input file is read once, into a source spec, and the triangulation,
+word presentation or algebra comes from the spec readers of
+`certificates`, the same code that replays certificates.
+
 Numeric defaults can be overridden by environment variables with the
 SURFALG_ prefix (SURFALG_FIELD, SURFALG_MAX_DEG, SURFALG_MAX_LEN,
 SURFALG_DEPTH, SURFALG_SEED, SURFALG_TRIALS, SURFALG_FORMAT,
@@ -29,7 +34,6 @@ from . import algebra, certificates, fixtures, homology, qp, strings
 from .linalg import DEFAULT_PRIME
 from .surface import (
     excluded_for_certificates,
-    triangulation_from_json,
     triangulation_to_json,
     validate_triangulation,
     valency,
@@ -72,50 +76,23 @@ def _write_output(text, out):
         print(text)
 
 
-def _load_triangulation(args):
-    if getattr(args, "input", None) and getattr(args, "builtin", None):
-        raise ValueError("give either --input or --builtin, not both")
-    if getattr(args, "input", None):
-        return triangulation_from_json(_read_file(args.input)), "custom"
-    name = getattr(args, "builtin", None)
-    if not name:
-        raise ValueError("one of --input or --builtin is required")
-    return fixtures.builtin_triangulation(name), name
+def _source_spec(args):
+    """The source spec of --input or --builtin; --input wins.
 
-
-def _surface_spec(args):
-    if getattr(args, "input", None):
-        return {
-            "triangulation": json.loads(
-                triangulation_to_json(triangulation_from_json(
-                    _read_file(args.input))))
-        }
+    The --input file is read here, once; the spec readers parse it.
+    """
+    if args.input:
+        return {"triangulation": json.loads(_read_file(args.input))}
     return {"builtin": args.builtin}
 
 
-def _quotient_setup(args, for_certificate=False):
-    """Triangulation -> (quiver, maps, presentation, presentation spec)."""
-    t, label = _load_triangulation(args)
-    if for_certificate and excluded_for_certificates(t.surface):
-        raise ValueError(
-            "excluded surface: a sphere with %d punctures is outside the "
-            "certified range (needs positive genus or more than 4 punctures)"
-            % len(t.surface.punctures))
-    q = qp.build_quiver(t)
-    maps = qp.arrow_maps(t, q)
-    pres = strings.string_quotient(q, maps, name="string-quotient(%s)" % label)
-    spec = {"source": "string-quotient"}
-    spec.update(_surface_spec(args))
-    return q, maps, pres, spec
-
-
-def _presentation_setup(args, for_certificate=False):
-    """Resolve a word presentation: sphere5 builtin or a string quotient."""
-    if getattr(args, "builtin", None) == "sphere5" and not getattr(
-            args, "input", None):
-        return strings.sphere5_presentation(), {"source": "sphere5"}, None
-    q, maps, pres, spec = _quotient_setup(args, for_certificate)
-    return pres, spec, maps
+def _one_source_spec(args):
+    """_source_spec, for the commands that take exactly one of the flags."""
+    if args.input and args.builtin:
+        raise ValueError("give either --input or --builtin, not both")
+    if not (args.input or args.builtin):
+        raise ValueError("one of --input or --builtin is required")
+    return _source_spec(args)
 
 
 def _add_surface_args(sp, default_builtin=None, extra_builtins=()):
@@ -134,7 +111,9 @@ DEFAULT_WORD2 = "a1.b2.eps2*.c2.c3'.eps3*.b3'"
 
 def cmd_build(args):
     fmt = _opt(args.format, "FORMAT", str, "text")
-    t, label = _load_triangulation(args)
+    spec = _one_source_spec(args)
+    t = certificates.triangulation_from_spec(spec)
+    label = certificates.source_label(spec)
     report = validate_triangulation(t)
     quiver = maps = potential = None
     note = None
@@ -209,16 +188,11 @@ def cmd_algebra(args):
     max_deg = _opt(args.max_deg, "MAX_DEG", int, algebra.DEFAULT_MAX_DEG)
     budget = _opt(args.path_budget, "PATH_BUDGET", int,
                   algebra.DEFAULT_PATH_BUDGET)
-    if getattr(args, "builtin", None) == "kx2" and not args.input:
-        label = "kx2"
-        q, rels = fixtures.kx2_algebra_data()
-    else:
-        t, label = _load_triangulation(args)
-        q = qp.build_quiver(t)
-        rels = qp.jacobian_relations(qp.build_potential(t, q))
+    spec = _one_source_spec(args)
+    label = certificates.source_label(spec)
     try:
-        a = algebra.compute_basis(q, rels, p=p, max_deg=max_deg,
-                                  path_budget=budget)
+        a = certificates.algebra_from_spec(
+            dict(spec, field=p, max_deg=max_deg, path_budget=budget))
     except algebra.NonStabilizationError as e:
         if fmt == "json":
             doc = {
@@ -237,7 +211,7 @@ def cmd_algebra(args):
             _write_output("\n".join(lines), args.out)
         return 3
     cm = algebra.cartan_matrix(a)
-    ws, _ = algebra.check_weakly_symmetric(a)
+    ws, _ = a.weak_symmetry
     if fmt == "json":
         doc = {
             "name": label,
@@ -273,7 +247,8 @@ def cmd_algebra(args):
 def cmd_bands(args):
     fmt = _opt(args.format, "FORMAT", str, "text")
     max_len = _opt(args.max_len, "MAX_LEN", int, 12)
-    pres, _, _ = _presentation_setup(args)
+    pres = certificates.presentation_from_spec(
+        certificates.presentation_spec(_one_source_spec(args)))
     census = strings.enumerate_bands(pres, max_len)
     rep = strings.growth_report(census)
     if fmt == "json":
@@ -307,7 +282,15 @@ def cmd_bands(args):
 
 def cmd_certify_growth(args):
     depth = _opt(args.depth, "DEPTH", int, 6)
-    pres, spec, maps = _presentation_setup(args, for_certificate=True)
+    source = _one_source_spec(args)
+    t = certificates.triangulation_from_spec(source)
+    if excluded_for_certificates(t.surface):
+        raise ValueError(
+            "excluded surface: a sphere with %d punctures is outside the "
+            "certified range (needs positive genus or more than 4 punctures)"
+            % len(t.surface.punctures))
+    spec = certificates.presentation_spec(source)
+    pres, maps = certificates.quotient_from_spec(spec)
     if args.word1 or args.word2:
         if not (args.word1 and args.word2):
             raise ValueError("give both --word1 and --word2, or neither")
@@ -322,9 +305,7 @@ def cmd_certify_growth(args):
             raise ValueError("unknown arrow %r" % (aid,))
         rule = args.companion_rule
         w1 = strings.build_xi(maps, aid, companion_rule=rule)
-        _, beta = strings._companions(maps, aid, rule)
-        w2 = strings.invert_word(
-            strings.build_xi(maps, maps.g[beta], companion_rule=rule))
+        w2 = strings.build_eta(maps, aid, companion_rule=rule)
     cert = certificates.make_growth_certificate(spec, pres, w1, w2,
                                                 depth=depth)
     if isinstance(cert, strings.CounterExample):
@@ -358,7 +339,8 @@ def cmd_certify_growth(args):
 
 
 def cmd_xi(args):
-    q, maps, pres, _ = _quotient_setup(args)
+    pres, maps = certificates.quotient_from_spec(
+        dict(_one_source_spec(args), source="string-quotient"))
     rule = args.companion_rule
     if args.all:
         arrows = sorted(maps.f)
@@ -378,24 +360,13 @@ def cmd_xi(args):
         if not args.all:
             print("  rho1 = %s" % ".".join(strings.rho1(maps, aid, rule)))
             print("  rho2 = %s" % ".".join(strings.rho2(maps, aid, rule)))
-            _, beta = strings._companions(maps, aid, rule)
-            eta = strings.invert_word(
-                strings.build_xi(maps, maps.g[beta], companion_rule=rule))
+            eta = strings.build_eta(maps, aid, companion_rule=rule)
             be = strings.is_band(pres, eta)
             ok = ok and be.ok
             print("  eta  = %s" % strings.format_word(eta))
             print("  length %d, band: %s"
                   % (len(eta), "yes" if be.ok else "no"))
     return 0 if ok else 1
-
-
-def _algebra_from_args(args):
-    spec = _surface_spec(args)
-    p = _opt(args.field, "FIELD", int, DEFAULT_PRIME)
-    max_deg = _opt(args.max_deg, "MAX_DEG", int, algebra.DEFAULT_MAX_DEG)
-    spec["field"] = p
-    spec["max_deg"] = max_deg
-    return certificates.algebra_from_spec(spec), spec
 
 
 def _module_targets(args):
@@ -408,7 +379,11 @@ def _module_targets(args):
         mspec = {"dims": doc["dims"], "matrices": doc.get("matrices", {})}
         m = certificates.module_from_spec(a, mspec)
         return a, doc["algebra"], [(args.module, mspec, m)]
-    a, aspec = _algebra_from_args(args)
+    aspec = _source_spec(args)
+    aspec["field"] = _opt(args.field, "FIELD", int, DEFAULT_PRIME)
+    aspec["max_deg"] = _opt(args.max_deg, "MAX_DEG", int,
+                            algebra.DEFAULT_MAX_DEG)
+    a = certificates.algebra_from_spec(aspec)
     vs = [args.simple] if args.simple else sorted(a.quiver.vertices)
     return a, aspec, [
         ("simple(%s)" % v, {"simple": v}, homology.simple_module(a, v))

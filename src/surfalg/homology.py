@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, linalg
+from . import linalg
 
 __all__ = [
     "FDModule",
@@ -443,8 +443,7 @@ def check_periodicity(a, m, period=4, trials=20, seed=0):
 
 
 def _require_weakly_symmetric(a):
-    ok, _ = algebra.check_weakly_symmetric(a)
-    if not ok:
+    if not a.weak_symmetry[0]:
         raise ValueError(
             "algebra is not weakly symmetric; the squared syzygy "
             "does not compute the translate")

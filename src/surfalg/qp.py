@@ -77,12 +77,6 @@ class Quiver:
     def has_arrow(self, arrow_id):
         return arrow_id in self._by_id
 
-    def arrows_out(self, v):
-        return tuple(a for a in self.arrows if a.source == v)
-
-    def arrows_in(self, v):
-        return tuple(a for a in self.arrows if a.target == v)
-
     def path_source(self, path):
         return self.arrow(path[0]).source
 
@@ -153,10 +147,6 @@ class Relation:
     @property
     def min_length(self):
         return min(len(p) for p, _ in self.terms)
-
-    @property
-    def max_length(self):
-        return max(len(p) for p, _ in self.terms)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ __all__ = [
     "compose",
     "free_composability",
     "build_xi",
+    "build_eta",
     "rho1",
     "rho2",
     "enumerate_bands",
@@ -283,10 +284,6 @@ class WordPresentation:
     def end(self, l):
         s, t = self.arrows[l.arrow]
         return s if l.kind == INVERSE else t
-
-    @property
-    def effective_forbidden(self):
-        return self._effective
 
     @property
     def max_effective_forbidden(self):
@@ -703,6 +700,14 @@ def build_xi(maps, alpha, companion_rule="figure"):
     word.append(direct(delta))
     word.extend(inverse(a) for a in reversed(rho2(maps, alpha, companion_rule)))
     return tuple(word)
+
+
+def build_eta(maps, alpha, companion_rule="figure"):
+    """The word eta paired with xi(alpha): xi(g(beta)) inverted, where beta
+    is alpha's companion under companion_rule."""
+    _, beta = _companions(maps, alpha, companion_rule)
+    return invert_word(
+        build_xi(maps, maps.g[beta], companion_rule=companion_rule))
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ from surfalg.algebra import (cartan_matrix, check_weakly_symmetric,
 from surfalg.homology import check_periodicity, simple_module, tube_rank
 from surfalg.qp import arrow_maps, build_potential, build_quiver, \
     jacobian_relations
-from surfalg.strings import (FreeComposability, build_xi, compose,
-                             enumerate_bands, free_composability,
-                             growth_report, invert_word, is_band, is_string,
+from surfalg.strings import (FreeComposability, build_eta, build_xi,
+                             compose, enumerate_bands, free_composability,
+                             growth_report, is_band, is_string,
                              parse_word, rho2, sphere5_presentation,
-                             string_quotient, _companions)
+                             string_quotient)
 from surfalg.surface import valency
 
 import oracles
@@ -144,12 +144,12 @@ def test_xi_eta_general_growth():
             assert len(xi) == 34
             assert is_band(pres, xi).ok
 
-            _, beta = _companions(maps, aid, "figure")
-            eta = invert_word(build_xi(maps, maps.g[beta]))
+            eta = build_eta(maps, aid)
             assert is_band(pres, eta).ok
 
             # the long return path of xi(g beta) retraces the g-orbit of
-            # the start arrow itself
+            # the start arrow itself; beta = f(f(aid)) under the figure rule
+            beta = maps.f[maps.f[aid]]
             n = orbit_len[aid]
             expect = []
             x = aid

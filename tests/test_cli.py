@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -315,7 +319,7 @@ def test_syzygy_rejects_negative_steps(capsys):
 
 def test_periodicity_shares_one_chain_per_module(capsys, monkeypatch):
     # per torus simple: O^1..O^4 once, m against O^4 m once (reused for the
-    # tube rank), m against O^2 m once, and one weak-symmetry check
+    # tube rank), m against O^2 m once; one weak-symmetry check per algebra
     calls = {"syzygy": 0, "iso_check": 0, "check_weakly_symmetric": 0}
     for mod, name in ((homology, "syzygy"), (homology, "iso_check"),
                       (algebra, "check_weakly_symmetric")):
@@ -326,7 +330,7 @@ def test_periodicity_shares_one_chain_per_module(capsys, monkeypatch):
     code, out, err = run(capsys, "periodicity", "--builtin", "torus")
     assert code == 0
     assert calls == {"syzygy": 12, "iso_check": 6,
-                     "check_weakly_symmetric": 3}
+                     "check_weakly_symmetric": 1}
 
 
 def test_certify_growth_excluded_surface(capsys):
@@ -437,3 +441,22 @@ def test_periodicity_rejects_field_too_large_for_int64(capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: field modulus 2147483647 is too large")
     assert "inner dimension" in err
+
+
+def test_algebra_rejects_huge_field_without_hanging():
+    # 2^61 - 1 is prime; trial division on it would run for minutes, so the
+    # int64 bound has to be checked before primality
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from surfalg.cli import main; sys.exit(main())",
+             "algebra", "--builtin", "kx2", "--field", "2305843009213693951"],
+            capture_output=True, text=True, env=env, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("algebra --field 2^61-1 did not exit within 30 s")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: field modulus 2305843009213693951 is too large")

@@ -231,3 +231,24 @@ def test_tube_rank_from_any_period(torus_algebra, period):
     res = check_periodicity(torus_algebra, s, period=period)
     assert len(res.modules) == period + 1
     assert tube_rank(torus_algebra, res) == 2
+
+
+def test_translate_refuses_non_weakly_symmetric(monkeypatch):
+    # the path algebra of 1 -> 2: the socle of P(1) sits at vertex 2
+    from surfalg import algebra
+    from surfalg.qp import Arrow, Quiver, RelationSet
+    calls = []
+
+    def counted(a, _check=algebra.check_weakly_symmetric):
+        calls.append(a)
+        return _check(a)
+
+    monkeypatch.setattr(algebra, "check_weakly_symmetric", counted)
+    a = algebra.compute_basis(
+        Quiver(("1", "2"), (Arrow("a", "1", "2"),)), RelationSet(()))
+    s = simple_module(a, "1")
+    res = check_periodicity(a, s)
+    for attempt in (lambda: ar_translate(a, s), lambda: tube_rank(a, res)):
+        with pytest.raises(ValueError, match="not weakly symmetric"):
+            attempt()
+    assert len(calls) == 1  # the socle test ran once, for both refusals

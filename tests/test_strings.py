@@ -239,7 +239,7 @@ def test_rho_identities(torus_maps, genus2_setup):
     # rho2 of the follower arrow retraces the g-orbit of the start arrow
     for maps in (torus_maps, genus2_setup[2]):
         for aid in sorted(maps.f):
-            gamma, beta = strings._companions(maps, aid, "figure")
+            beta = maps.f[maps.f[aid]]  # the figure rule's companion
             n_a = maps.orbit_length(aid)
             expected = [aid]
             for _ in range(n_a - 3):
@@ -248,9 +248,15 @@ def test_rho_identities(torus_maps, genus2_setup):
 
 
 def test_eta_is_inverted_xi(torus_maps, torus_quotient):
-    gamma, beta = strings._companions(torus_maps, "x0_0", "figure")
-    eta = invert_word(strings.build_xi(torus_maps, torus_maps.g[beta]))
-    assert is_band(torus_quotient, eta).ok
+    # companions of x0_0: beta = f(f(x0_0)) under the figure rule and
+    # f(x0_0) under the swapped one
+    f, g = torus_maps.f, torus_maps.g
+    for rule, beta in (("figure", f[f["x0_0"]]), ("swapped", f["x0_0"])):
+        eta = strings.build_eta(torus_maps, "x0_0", companion_rule=rule)
+        assert eta == invert_word(
+            strings.build_xi(torus_maps, g[beta], companion_rule=rule))
+    assert is_band(torus_quotient,
+                   strings.build_eta(torus_maps, "x0_0")).ok
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Two kinds of certificate:
 
   free-composability: two band words over a presentation, a pattern depth,
-  and the list of composition patterns that were verified to be bands.
-  Replaying rebuilds the presentation from its spec and re-runs every
-  composition up to the depth; no band enumeration is involved.
+  the four block-junction records and the list of composition patterns
+  that were verified to be bands.  Replaying rebuilds the presentation from
+  its spec, recomputes the junctions and re-checks every composition up to
+  the depth; no band enumeration is involved.  The stored junction records,
+  max_forbidden, necklace list with its band flags and scope must all
+  equal what the replay finds.
 
   periodicity: an algebra spec, a module spec, a syzygy period and the
   seeded isomorphism evidence.  Replaying rebuilds both and re-runs the
@@ -179,6 +182,10 @@ GROWTH_SCOPE = (
     "inherits the growth")
 
 
+# The fields of one block-junction record, in document order.
+_JUNCTION_FIELDS = ("blocks", "last", "first", "violations", "seam_factors")
+
+
 @dataclass(frozen=True)
 class GrowthCertificate:
     presentation: dict
@@ -308,9 +315,7 @@ def certificate_from_json(text):
                       ("scope",))
         junctions = []
         for j in doc["junctions"]:
-            _check_fields(j, "junction record",
-                          ("blocks", "last", "first", "violations",
-                           "seam_factors"))
+            _check_fields(j, "junction record", _JUNCTION_FIELDS)
             junctions.append({
                 "blocks": j["blocks"],
                 "last": j["last"],
@@ -382,12 +387,31 @@ def _verify_growth(cert):
         messages.append(
             "replayed %d composition patterns to depth %d; all are bands"
             % (len(fc.necklaces), cert.depth))
-    for j in fc.junctions:
-        if j["violations"]:
-            ok = False
-            messages.append(
-                "junction %s has violations %s"
-                % (j["blocks"], list(j["violations"])))
+    unmarked = [s for s, _, band in cert.necklaces if band is not True]
+    if unmarked:
+        ok = False
+        messages.append("necklace %s is not recorded as a band" % unmarked[0])
+    if fc.max_forbidden != cert.max_forbidden:
+        ok = False
+        messages.append(
+            "max_forbidden mismatch: replay says %d, certificate says %r"
+            % (fc.max_forbidden, cert.max_forbidden))
+    if len(fc.junctions) != len(cert.junctions):
+        ok = False
+        messages.append(
+            "certificate stores %d junction records, replay has %d"
+            % (len(cert.junctions), len(fc.junctions)))
+    else:
+        for got, want in zip(fc.junctions, cert.junctions):
+            differ = [k for k in _JUNCTION_FIELDS if got[k] != want[k]]
+            if differ:
+                ok = False
+                messages.append(
+                    "junction %s differs from the replay in %s"
+                    % (got["blocks"], ", ".join(differ)))
+    if cert.scope != GROWTH_SCOPE:
+        ok = False
+        messages.append("scope differs from the certified claim")
     return VerificationResult(ok, "free-composability", tuple(messages))
 
 

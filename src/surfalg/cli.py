@@ -76,23 +76,18 @@ def _write_output(text, out):
         print(text)
 
 
-def _source_spec(args):
-    """The source spec of --input or --builtin; --input wins.
+def _one_source_spec(args):
+    """The source spec of exactly one of --input or --builtin.
 
     The --input file is read here, once; the spec readers parse it.
     """
-    if args.input:
-        return {"triangulation": json.loads(_read_file(args.input))}
-    return {"builtin": args.builtin}
-
-
-def _one_source_spec(args):
-    """_source_spec, for the commands that take exactly one of the flags."""
     if args.input and args.builtin:
         raise ValueError("give either --input or --builtin, not both")
     if not (args.input or args.builtin):
         raise ValueError("one of --input or --builtin is required")
-    return _source_spec(args)
+    if args.input:
+        return {"triangulation": json.loads(_read_file(args.input))}
+    return {"builtin": args.builtin}
 
 
 def _add_surface_args(sp, default_builtin=None, extra_builtins=()):
@@ -379,7 +374,7 @@ def _module_targets(args):
         mspec = {"dims": doc["dims"], "matrices": doc.get("matrices", {})}
         m = certificates.module_from_spec(a, mspec)
         return a, doc["algebra"], [(args.module, mspec, m)]
-    aspec = _source_spec(args)
+    aspec = _one_source_spec(args)
     aspec["field"] = _opt(args.field, "FIELD", int, DEFAULT_PRIME)
     aspec["max_deg"] = _opt(args.max_deg, "MAX_DEG", int,
                             algebra.DEFAULT_MAX_DEG)

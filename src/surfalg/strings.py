@@ -604,10 +604,22 @@ def free_composability(p, w1, w2, depth=6):
 
     Rotates both bands to their least common vertex, analyzes the four
     block junctions, then composes every primitive necklace over the block
-    symbols 1 and 2 up to the given depth and runs the full band check on
-    each.  Returns a FreeComposability certificate, or a CounterExample at
-    the first failing pattern.  depth must be at least 2: shorter patterns
-    never put the two bands next to each other.
+    symbols 1 and 2 up to the given depth and checks that each composed
+    word is a band.  Returns a FreeComposability certificate, or a
+    CounterExample at the first failing pattern.  depth must be at least 2:
+    shorter patterns never put the two bands next to each other.
+
+    Lemma: suppose (a) all four junction records 11, 12, 21, 22 have no
+    violations, and (b) both rotated blocks have at least maxF - 1 letters,
+    maxF being the longest effective forbidden word.  By (b) a window of at
+    most maxF letters meets at most two consecutive blocks, so every cyclic
+    junction and every cyclic factor of a composed word, or of any power of
+    it, lies inside one block (clean: the block is a band) or across one
+    seam (clean by (a)).  The composed word is closed at the basepoint, so
+    it is a band exactly when it is primitive.  Under (a) and (b) each
+    pattern is therefore accepted on is_primitive alone, and the full band
+    check runs only on a non-primitive word, to build its CounterExample.
+    When (a) or (b) fails, the full band check runs on every pattern.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -630,14 +642,18 @@ def free_composability(p, w1, w2, depth=6):
         _junction_record(p, a + b, blocks[a], blocks[b])
         for a, b in (("1", "1"), ("1", "2"), ("2", "1"), ("2", "2"))
     )
+    primitivity_decides = not any(j["violations"] for j in junctions) and \
+        min(len(r1), len(r2)) >= p.max_effective_forbidden - 1
     necklaces = []
     for sym in _lyndon_words("12", depth):
         word = compose(*(blocks[s] for s in sym))
-        bc = is_band(p, word)
-        if not bc.ok:
-            return CounterExample(
-                "".join(sym), word, bc,
-                "composition pattern %s fails the band check" % "".join(sym))
+        if not (primitivity_decides and is_primitive(word)):
+            bc = is_band(p, word)
+            if not bc.ok:
+                return CounterExample(
+                    "".join(sym), word, bc,
+                    "composition pattern %s fails the band check"
+                    % "".join(sym))
         necklaces.append(("".join(sym), len(word), True))
     return FreeComposability(
         presentation_name=p.name,

@@ -7,6 +7,7 @@ public data attributes of the package objects are read; none of the
 package's algorithmic code paths are reused.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -338,6 +339,39 @@ def naive_enumerate_bands(pres, max_len):
         for l in starts[v]:
             walk([l], _letter_ends(pres, l)[1])
     return found
+
+
+def naive_free_composability(pres, w1, w2, depth):
+    """The free-composability verdict from naive_is_band on every pattern.
+
+    Both bands are rotated to their least rotation starting at the least
+    vertex they share.  Every binary Lyndon word up to depth, in (length,
+    symbols) order, is composed from the two blocks and checked.  Returns
+    ("necklaces", patterns) when all are bands, else ("fail", symbols) for
+    the first that is not; the symbols are "" when no vertex is shared.
+    """
+    common = ({_letter_ends(pres, l)[0] for l in w1}
+              & {_letter_ends(pres, l)[0] for l in w2})
+    if not common:
+        return ("fail", "")
+    v0 = min(common)
+
+    def block(w):
+        rots = [w[i:] + w[:i] for i in range(len(w))
+                if _letter_ends(pres, w[i])[0] == v0]
+        return min(rots, key=lambda r: [_naive_key(l) for l in r])
+
+    blocks = {"1": block(tuple(w1)), "2": block(tuple(w2))}
+    patterns = []
+    for n in range(1, depth + 1):
+        for bits in itertools.product("12", repeat=n):
+            s = "".join(bits)
+            if all(s < s[i:] + s[:i] for i in range(1, n)):
+                patterns.append(s)
+    for s in patterns:
+        if not naive_is_band(pres, tuple(l for c in s for l in blocks[c])):
+            return ("fail", s)
+    return ("necklaces", tuple(patterns))
 
 
 # ---------------------------------------------------------------------------

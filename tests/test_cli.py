@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from surfalg import algebra, cli, fixtures, homology
+from surfalg import algebra, cli, fixtures, homology, strings
 from surfalg.surface import triangulation_to_json
 
 
@@ -265,6 +265,49 @@ def test_verify_tampered_certificate_fails(capsys, tmp_path):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tamper,message", [
+    (lambda d: d["junctions"][1].update(violations=["W2"],
+                                        seam_factors=["junk"]),
+     "junction 12 differs from the replay in violations, seam_factors"),
+    (lambda d: d.update(junctions=[]),
+     "certificate stores 0 junction records, replay has 4"),
+    (lambda d: d.update(max_forbidden=99),
+     "max_forbidden mismatch: replay says 4, certificate says 99"),
+    (lambda d: d["necklaces"][2].update(band=False),
+     "necklace 12 is not recorded as a band"),
+    (lambda d: d.update(scope="every algebra has exponential growth"),
+     "scope differs from the certified claim"),
+], ids=["junction", "junctions", "max_forbidden", "band", "scope"])
+def test_verify_checks_stored_growth_evidence(capsys, tmp_path, tamper,
+                                              message):
+    cert = tmp_path / "growth.json"
+    run(capsys, "certify-growth", "--builtin", "sphere5", "--depth", "3",
+        "--max-len", "4", "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    tamper(doc)
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert code == 1
+    assert "  %s\n" % message in out
+    assert out.endswith("FAIL\n")
+
+
+def test_certify_growth_checks_patterns_by_primitivity(capsys, monkeypatch):
+    # clean junctions and blocks of 3 and 7 letters (maxF 4): the full band
+    # check runs on the two input bands only, not on the 127 patterns
+    calls = {"free_composability": 0, "is_band": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(strings, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(strings, name, counted)
+    code, out, err = run(capsys, "certify-growth", "--builtin", "sphere5",
+                         "--depth", "9", "--max-len", "4")
+    assert code == 0
+    assert "verified 127 composition patterns to depth 9" in out
+    assert calls == {"free_composability": 1, "is_band": 2}
+
+
 def test_certify_growth_custom_words_failure(capsys):
     # alpha composed with itself is not freely composable
     code, out, err = run(capsys, "certify-growth", "--builtin", "sphere5",
@@ -307,6 +350,17 @@ def test_verify_rejects_zero_trials_certificate(capsys, tmp_path):
     assert code == 2
     assert "PASS" not in out
     assert "trials must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["periodicity", "syzygy"])
+def test_module_commands_take_exactly_one_source(capsys, command):
+    code, out, err = run(capsys, command, "--builtin", "kx2",
+                         "--input", "fixtures/torus.json")
+    assert (code, out) == (2, "")
+    assert "give either --input or --builtin, not both" in err
+    code, out, err = run(capsys, command)
+    assert (code, out) == (2, "")
+    assert "one of --input or --builtin is required" in err
 
 
 def test_syzygy_rejects_negative_steps(capsys):

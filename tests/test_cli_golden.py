@@ -3,7 +3,8 @@ subcommand over each kind of source: builtins, fixture files, kx2, sphere5,
 tetra, both or neither of --builtin/--input, a missing file and an invalid
 triangulation.  The outputs in cli_golden.json were recorded before all
 commands came to read their sources through the spec readers of
-`certificates`.  Stderr is not pinned here."""
+`certificates`; since then `periodicity`, like every other command, refuses
+--builtin together with --input (exit 2).  Stderr is not pinned here."""
 
 import contextlib
 import io
@@ -59,6 +60,9 @@ CASES = [
     "certify-growth --builtin torus --companion-rule swapped --depth 3 "
     "--max-len 4",
     "certify-growth --builtin sphere5 --word1 a1.a2'.a3 --word2 a1.a2'.a3",
+    # junction 12 is not clean, so every pattern gets the full band check
+    "certify-growth --builtin sphere5 --word1 a1.a2'.a3 "
+    "--word2 a1'.b3.eps3*.c3.a2 --depth 4",
     "certify-growth --builtin torus --arrow nope",
     "certify-growth --builtin tetra",
     "certify-growth --input fixtures/tetra.json",
@@ -83,7 +87,6 @@ CASES = [
     "periodicity --builtin sphere5",
     "periodicity --input {bad}",
     "periodicity --input {missing}",
-    # --input wins over --builtin here, unlike the other commands
     "periodicity --builtin kx2 --input fixtures/torus.json --simple 3",
     "periodicity",
     "syzygy --builtin kx2 --steps 3",

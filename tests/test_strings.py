@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -571,6 +571,52 @@ def test_census_matches_oracle_random_presentations(pres, max_len):
     for w in census.words:
         got[len(w)].add(oracles.naive_canonical(w))
     assert got == want
+
+
+@st.composite
+def _band_pairs(draw):
+    """A _presentations draw, two of its bands of length <= 4, a depth."""
+    pres = draw(_presentations())
+    bands = enumerate_bands(pres, 4).words
+    assume(bands)
+    return (pres, draw(st.sampled_from(bands)), draw(st.sampled_from(bands)),
+            draw(st.integers(2, 5)))
+
+
+# The seams of blocks a0'.a1' and a0'.a1'.a1'.a1' are clean, but the first
+# block is shorter than maxF - 1 = 5: the forbidden window a1.a1.a0.a1.a0.a1
+# (read inverted) crosses three blocks of pattern 12.
+_SHORT_BLOCK_PAIR = (
+    WordPresentation("random", ("u",), {"a0": ("u", "u"), "a1": ("u", "u")},
+                     (), [ForbiddenWord(("a1", "a1", "a0", "a1", "a0", "a1"))]),
+    parse_word("a0'.a1'"), parse_word("a0'.a1'.a1'.a1'"), 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_band_pairs())
+@example(_SHORT_BLOCK_PAIR)
+def test_free_composability_matches_oracle_random_presentations(case):
+    pres, w1, w2, depth = case
+    got = free_composability(pres, w1, w2, depth=depth)
+    if isinstance(got, CounterExample):
+        got = ("fail", got.symbols)
+    else:
+        got = ("necklaces", tuple(s for s, _, _ in got.necklaces))
+    assert got == oracles.naive_free_composability(pres, w1, w2, depth)
+
+
+def test_free_composability_short_block_fails_at_12():
+    pres, w1, w2, depth = _SHORT_BLOCK_PAIR
+    blocks = {"1": canonical_band(w1), "2": canonical_band(w2)}
+    assert blocks == {"1": w1, "2": w2}
+    for a in "12":
+        for b in "12":
+            rec = strings._junction_record(pres, a + b, blocks[a], blocks[b])
+            assert rec["violations"] == ()
+    res = free_composability(pres, w1, w2, depth=depth)
+    assert isinstance(res, CounterExample)
+    assert res.symbols == "12"
+    assert {v.kind for v in res.check.violations} == {"W2"}
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,12 @@ def _verify_periodicity(cert):
     if res.iso is not None and tuple(res.iso.witness) != tuple(cert.witness):
         ok = False
         messages.append("isomorphism witness differs")
+    hom_dim = res.iso.hom_forward if res.iso is not None else 0
+    if hom_dim != cert.hom_dim:
+        ok = False
+        messages.append(
+            "Hom dimension differs: replay says %s, certificate says %s"
+            % (hom_dim, cert.hom_dim))
     if ok:
         messages.append(
             "replayed %d syzygy steps with seed %d; verdict %s confirmed"

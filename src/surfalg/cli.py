@@ -16,10 +16,10 @@ the --input file is read once, into a source spec, and the triangulation,
 word presentation or algebra comes from the spec readers of
 `certificates`, the same code that replays certificates.
 
-Numeric defaults can be overridden by environment variables with the
-SURFALG_ prefix (SURFALG_FIELD, SURFALG_MAX_DEG, SURFALG_MAX_LEN,
-SURFALG_DEPTH, SURFALG_SEED, SURFALG_TRIALS, SURFALG_FORMAT,
-SURFALG_PATH_BUDGET); explicit flags win over the environment.
+Each flag is declared once, in OPTIONS, and the parser is built once.  An
+option left out is read from its variable, if it has one (SURFALG_FORMAT,
+SURFALG_FIELD, SURFALG_MAX_DEG, SURFALG_PATH_BUDGET, SURFALG_MAX_LEN,
+SURFALG_DEPTH, SURFALG_TRIALS, SURFALG_SEED), else takes OPTIONS' default.
 
 Exit codes: 0 success, 1 a check failed, 2 bad input or usage,
 3 the algebra computation did not stabilize.
@@ -39,7 +39,7 @@ from .surface import (
     valency,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run_with_exit_codes"]
 
 
 def _env(name, cast, fallback):
@@ -52,12 +52,6 @@ def _env(name, cast, fallback):
         raise ValueError(
             "environment variable SURFALG_%s=%r is not a valid %s"
             % (name, raw, cast.__name__))
-
-
-def _opt(value, name, cast, fallback):
-    if value is not None:
-        return value
-    return _env(name, cast, fallback)
 
 
 def _read_file(path):
@@ -90,22 +84,11 @@ def _one_source_spec(args):
     return {"builtin": args.builtin}
 
 
-def _add_surface_args(sp, default_builtin=None, extra_builtins=()):
-    sp.add_argument(
-        "--builtin", choices=fixtures.BUILTIN_NAMES + tuple(extra_builtins),
-        default=default_builtin,
-        help="bundled triangulation name")
-    sp.add_argument(
-        "--input", metavar="PATH", default=None,
-        help="triangulation JSON file")
-
-
 DEFAULT_WORD1 = "a1.a2'.a3"
 DEFAULT_WORD2 = "a1.b2.eps2*.c2.c3'.eps3*.b3'"
 
 
 def cmd_build(args):
-    fmt = _opt(args.format, "FORMAT", str, "text")
     spec = _one_source_spec(args)
     t = certificates.triangulation_from_spec(spec)
     label = certificates.source_label(spec)
@@ -119,14 +102,14 @@ def cmd_build(args):
             potential = qp.build_potential(t, quiver)
         except ValueError as e:
             note = str(e)
-    if fmt == "dot":
+    if args.format == "dot":
         if quiver is None:
             raise ValueError(
                 "dot output needs a quiver; %s"
                 % (note or "triangulation is invalid: %s" % report))
         _write_output(qp.quiver_to_dot(quiver), args.out)
         return 0
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "name": label,
             "triangulation": json.loads(triangulation_to_json(t)),
@@ -178,18 +161,15 @@ def cmd_build(args):
 
 
 def cmd_algebra(args):
-    fmt = _opt(args.format, "FORMAT", str, "text")
-    p = _opt(args.field, "FIELD", int, DEFAULT_PRIME)
-    max_deg = _opt(args.max_deg, "MAX_DEG", int, algebra.DEFAULT_MAX_DEG)
-    budget = _opt(args.path_budget, "PATH_BUDGET", int,
-                  algebra.DEFAULT_PATH_BUDGET)
+    p = args.field
     spec = _one_source_spec(args)
     label = certificates.source_label(spec)
     try:
         a = certificates.algebra_from_spec(
-            dict(spec, field=p, max_deg=max_deg, path_budget=budget))
+            dict(spec, field=p, max_deg=args.max_deg,
+                 path_budget=args.path_budget))
     except algebra.NonStabilizationError as e:
-        if fmt == "json":
+        if args.format == "json":
             doc = {
                 "name": label,
                 "field": p,
@@ -207,7 +187,7 @@ def cmd_algebra(args):
         return 3
     cm = algebra.cartan_matrix(a)
     ws, _ = a.weak_symmetry
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "name": label,
             "field": p,
@@ -240,29 +220,18 @@ def cmd_algebra(args):
 
 
 def cmd_bands(args):
-    fmt = _opt(args.format, "FORMAT", str, "text")
-    max_len = _opt(args.max_len, "MAX_LEN", int, 12)
     pres = certificates.presentation_from_spec(
         certificates.presentation_spec(_one_source_spec(args)))
-    census = strings.enumerate_bands(pres, max_len)
+    census = strings.enumerate_bands(pres, args.max_len)
     rep = strings.growth_report(census)
-    if fmt == "json":
-        doc = {
-            "presentation": rep["presentation"],
-            "max_len": rep["max_len"],
-            "counts": {str(d): c for d, c in rep["counts"].items()},
-            "rates": {str(d): r for d, r in rep["rates"].items()},
-            "max_rate": rep["max_rate"],
-            "argmax_length": rep["argmax_length"],
-            "total": rep["total"],
-            "self_inverse": rep["self_inverse"],
-            "up_to_inversion": rep["up_to_inversion"],
-        }
+    if args.format == "json":
+        doc = dict(rep)
         if args.words:
             doc["words"] = [strings.format_word(w) for w in census.words]
         _write_output(json.dumps(doc, indent=2), args.out)
         return 0
-    lines = ["bands of %s up to length %d" % (rep["presentation"], max_len)]
+    lines = ["bands of %s up to length %d"
+             % (rep["presentation"], args.max_len)]
     lines.extend(strings.growth_table(rep))
     lines.append("total: %d (%d up to inversion)"
                  % (rep["total"], rep["up_to_inversion"]))
@@ -276,7 +245,6 @@ def cmd_bands(args):
 
 
 def cmd_certify_growth(args):
-    depth = _opt(args.depth, "DEPTH", int, 6)
     source = _one_source_spec(args)
     t = certificates.triangulation_from_spec(source)
     if excluded_for_certificates(t.surface):
@@ -302,12 +270,12 @@ def cmd_certify_growth(args):
         w1 = strings.build_xi(maps, aid, companion_rule=rule)
         w2 = strings.build_eta(maps, aid, companion_rule=rule)
     cert = certificates.make_growth_certificate(spec, pres, w1, w2,
-                                                depth=depth)
+                                                depth=args.depth)
     if isinstance(cert, strings.CounterExample):
         print("FAIL: %s" % cert.reason)
         if cert.check is not None:
             for v in cert.check.violations:
-                print("  %s at %d: %s" % (v.kind, v.position, v.detail))
+                print("  %s" % v)
         return 1
     lines = []
     lines.append("band 1: %s (length %d)" % (cert.word1,
@@ -318,9 +286,8 @@ def cmd_certify_growth(args):
     lines.append(
         "verified %d composition patterns to depth %d: all bands"
         % (len(cert.necklaces), cert.depth))
-    max_len = _opt(args.max_len, "MAX_LEN", int, 12)
-    rep = strings.growth_report(strings.enumerate_bands(pres, max_len))
-    lines.append("band counts up to length %d:" % max_len)
+    rep = strings.growth_report(strings.enumerate_bands(pres, args.max_len))
+    lines.append("band counts up to length %d:" % args.max_len)
     lines.extend(strings.growth_table(rep, indent="  "))
     lines.append("growth estimate: max count^(1/length) = %.4f at length %d"
                  % (rep["max_rate"], rep["argmax_length"]))
@@ -328,8 +295,7 @@ def cmd_certify_growth(args):
     lines.append("PASS")
     print("\n".join(lines))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(certificates.certificate_to_json(cert) + "\n")
+        _write_output(certificates.certificate_to_json(cert), args.out)
     return 0
 
 
@@ -351,7 +317,7 @@ def cmd_xi(args):
         print("xi(%s) = %s" % (aid, strings.format_word(word)))
         print("  length %d, band: %s" % (len(word), "yes" if bc.ok else "no"))
         for v in bc.violations:
-            print("  %s at %d: %s" % (v.kind, v.position, v.detail))
+            print("  %s" % v)
         if not args.all:
             print("  rho1 = %s" % ".".join(strings.rho1(maps, aid, rule)))
             print("  rho2 = %s" % ".".join(strings.rho2(maps, aid, rule)))
@@ -367,6 +333,9 @@ def cmd_xi(args):
 def _module_targets(args):
     """Resolve (algebra, algebra spec, [(label, module spec, module)])."""
     if args.module:
+        if args.builtin or args.input:
+            raise ValueError("give either --module or %s, not both" % (
+                "--builtin" if args.builtin else "--input"))
         doc = json.loads(_read_file(args.module))
         certificates._check_fields(
             doc, "module file", ("algebra", "dims"), ("matrices",))
@@ -374,10 +343,8 @@ def _module_targets(args):
         mspec = {"dims": doc["dims"], "matrices": doc.get("matrices", {})}
         m = certificates.module_from_spec(a, mspec)
         return a, doc["algebra"], [(args.module, mspec, m)]
-    aspec = _one_source_spec(args)
-    aspec["field"] = _opt(args.field, "FIELD", int, DEFAULT_PRIME)
-    aspec["max_deg"] = _opt(args.max_deg, "MAX_DEG", int,
-                            algebra.DEFAULT_MAX_DEG)
+    aspec = dict(_one_source_spec(args), field=args.field,
+                 max_deg=args.max_deg)
     a = certificates.algebra_from_spec(aspec)
     vs = [args.simple] if args.simple else sorted(a.quiver.vertices)
     return a, aspec, [
@@ -386,15 +353,13 @@ def _module_targets(args):
 
 
 def cmd_periodicity(args):
-    trials = _opt(args.trials, "TRIALS", int, 20)
-    seed = _opt(args.seed, "SEED", int, 0)
     a, aspec, targets = _module_targets(args)
     if args.out and len(targets) != 1:
         raise ValueError("--out needs a single module (--simple or --module)")
     all_ok = True
     for label, mspec, m in targets:
         res = homology.check_periodicity(a, m, period=args.period,
-                                         trials=trials, seed=seed)
+                                         trials=args.trials, seed=args.seed)
         cert = certificates.make_periodicity_certificate(aspec, mspec, res)
         chain = " -> ".join(str(list(dv)) for dv in cert.dim_chain)
         print("%s: %s [%s]" % (label, cert.verdict, chain))
@@ -409,8 +374,7 @@ def cmd_periodicity(args):
         if cert.verdict != "periodic":
             all_ok = False
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(certificates.certificate_to_json(cert) + "\n")
+            _write_output(certificates.certificate_to_json(cert), args.out)
     return 0 if all_ok else 1
 
 
@@ -436,102 +400,100 @@ def cmd_verify(args):
     return 0 if res.ok else 1
 
 
+# The option table: one row per flag, holding its argparse keywords and,
+# for an option that an environment variable can set, the variable's name
+# (after SURFALG_), its cast and the fallback default.
+OPTIONS = {
+    "--builtin": ({"choices": fixtures.BUILTIN_NAMES,
+                   "help": "bundled triangulation name"}, None),
+    "--input": ({"metavar": "PATH", "help": "triangulation JSON file"}, None),
+    "--format": ({"choices": ("text", "json")}, ("FORMAT", str, "text")),
+    "--field": ({"type": int}, ("FIELD", int, DEFAULT_PRIME)),
+    "--max-deg": ({"type": int}, ("MAX_DEG", int, algebra.DEFAULT_MAX_DEG)),
+    "--path-budget": ({"type": int},
+                      ("PATH_BUDGET", int, algebra.DEFAULT_PATH_BUDGET)),
+    "--max-len": ({"type": int}, ("MAX_LEN", int, 12)),
+    "--words": ({"action": "store_true",
+                 "help": "also list the band words"}, None),
+    "--word1": ({"help": "override the first band"}, None),
+    "--word2": ({"help": "override the second band"}, None),
+    "--arrow": ({}, None),
+    "--all": ({"action": "store_true", "help": "check every arrow"}, None),
+    "--companion-rule": ({"choices": ("figure", "swapped"),
+                          "default": "figure"}, None),
+    "--depth": ({"type": int}, ("DEPTH", int, 6)),
+    "--module": ({"metavar": "PATH"}, None),
+    "--simple": ({"metavar": "VERTEX"}, None),
+    "--period": ({"type": int, "default": 4}, None),
+    "--trials": ({"type": int}, ("TRIALS", int, 20)),
+    "--seed": ({"type": int}, ("SEED", int, 0)),
+    "--steps": ({"type": int, "default": 4}, None),
+    "--out": ({"metavar": "PATH"}, None),
+}
+
+# Each option that a variable can set, by its argparse dest.
+_ENV_OPTIONS = {flag[2:].replace("-", "_"): env
+                for flag, (_, env) in OPTIONS.items() if env}
+
+_KX2 = {"choices": fixtures.BUILTIN_NAMES + ("kx2",)}
+
+# (name, help, function, flags); a flag given as (flag, keywords) overrides
+# those keywords of its OPTIONS row for this command.
+_COMMANDS = (
+    ("build", "validate a triangulation, emit quiver", cmd_build,
+     ("--builtin", "--input",
+      ("--format", {"choices": ("text", "json", "dot")}), "--out")),
+    ("algebra", "finite basis and invariants", cmd_algebra,
+     (("--builtin", _KX2), "--input", "--field", "--max-deg",
+      "--path-budget", "--format", "--out")),
+    ("bands", "enumerate bands, report growth", cmd_bands,
+     ("--builtin", "--input", "--max-len", "--words", "--format", "--out")),
+    ("certify-growth", "free-composability certificate for a band pair",
+     cmd_certify_growth,
+     ("--builtin", "--input", "--word1", "--word2",
+      ("--arrow", {"help": "arrow for the cycle-flank construction"}),
+      "--companion-rule", "--depth",
+      ("--max-len",
+       {"help": "length bound for the reported band-count table"}),
+      "--out")),
+    ("xi", "cycle-flank word of an arrow", cmd_xi,
+     ("--builtin", "--input", "--arrow", "--all", "--companion-rule")),
+    ("periodicity", "syzygy periodicity of modules", cmd_periodicity,
+     (("--builtin", _KX2), "--input", "--field", "--max-deg",
+      ("--module", {"help": "module file (algebra spec, dims, matrices)"}),
+      ("--simple", {"help": "check one simple module instead of all"}),
+      "--period", "--trials", "--seed", "--out")),
+    ("syzygy", "syzygy dimension chain", cmd_syzygy,
+     (("--builtin", _KX2), "--input", "--field", "--max-deg", "--module",
+      "--simple", "--steps")),
+    ("verify", "replay a certificate file", cmd_verify,
+     (("--input", {"required": True, "help": None}),)),
+)
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="surfalg",
         description="quivers with potential from surface triangulations: "
                     "algebras, bands, growth and periodicity certificates")
     sub = ap.add_subparsers(dest="command")
-
-    sp = sub.add_parser("build", help="validate a triangulation, emit quiver")
-    _add_surface_args(sp)
-    sp.add_argument("--format", choices=("text", "json", "dot"), default=None)
-    sp.add_argument("--out", metavar="PATH", default=None)
-    sp.set_defaults(func=cmd_build)
-
-    sp = sub.add_parser("algebra", help="finite basis and invariants")
-    _add_surface_args(sp, extra_builtins=("kx2",))
-    sp.add_argument("--field", type=int, default=None)
-    sp.add_argument("--max-deg", type=int, default=None)
-    sp.add_argument("--path-budget", type=int, default=None)
-    sp.add_argument("--format", choices=("text", "json"), default=None)
-    sp.add_argument("--out", metavar="PATH", default=None)
-    sp.set_defaults(func=cmd_algebra)
-
-    sp = sub.add_parser("bands", help="enumerate bands, report growth")
-    _add_surface_args(sp, default_builtin=None)
-    sp.add_argument("--max-len", type=int, default=None)
-    sp.add_argument("--words", action="store_true",
-                    help="also list the band words")
-    sp.add_argument("--format", choices=("text", "json"), default=None)
-    sp.add_argument("--out", metavar="PATH", default=None)
-    sp.set_defaults(func=cmd_bands)
-
-    sp = sub.add_parser("certify-growth",
-                        help="free-composability certificate for a band pair")
-    _add_surface_args(sp)
-    sp.add_argument("--word1", default=None, help="override the first band")
-    sp.add_argument("--word2", default=None, help="override the second band")
-    sp.add_argument("--arrow", default=None,
-                    help="arrow for the cycle-flank construction")
-    sp.add_argument("--companion-rule", choices=("figure", "swapped"),
-                    default="figure")
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--max-len", type=int, default=None,
-                    help="length bound for the reported band-count table")
-    sp.add_argument("--out", metavar="PATH", default=None)
-    sp.set_defaults(func=cmd_certify_growth)
-
-    sp = sub.add_parser("xi", help="cycle-flank word of an arrow")
-    _add_surface_args(sp)
-    sp.add_argument("--arrow", default=None)
-    sp.add_argument("--all", action="store_true",
-                    help="check every arrow")
-    sp.add_argument("--companion-rule", choices=("figure", "swapped"),
-                    default="figure")
-    sp.set_defaults(func=cmd_xi)
-
-    sp = sub.add_parser("periodicity", help="syzygy periodicity of modules")
-    _add_surface_args(sp, extra_builtins=("kx2",))
-    sp.add_argument("--field", type=int, default=None)
-    sp.add_argument("--max-deg", type=int, default=None)
-    sp.add_argument("--module", metavar="PATH", default=None,
-                    help="module file (algebra spec, dims, matrices)")
-    sp.add_argument("--simple", metavar="VERTEX", default=None,
-                    help="check one simple module instead of all")
-    sp.add_argument("--period", type=int, default=4)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", metavar="PATH", default=None)
-    sp.set_defaults(func=cmd_periodicity)
-
-    sp = sub.add_parser("syzygy", help="syzygy dimension chain")
-    _add_surface_args(sp, extra_builtins=("kx2",))
-    sp.add_argument("--field", type=int, default=None)
-    sp.add_argument("--max-deg", type=int, default=None)
-    sp.add_argument("--module", metavar="PATH", default=None)
-    sp.add_argument("--simple", metavar="VERTEX", default=None)
-    sp.add_argument("--steps", type=int, default=4)
-    sp.set_defaults(func=cmd_syzygy)
-
-    sp = sub.add_parser("verify", help="replay a certificate file")
-    sp.add_argument("--input", metavar="PATH", required=True)
-    sp.set_defaults(func=cmd_verify)
-
+    for name, help_, func, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=help_)
+        for flag in flags:
+            flag, override = (flag, {}) if isinstance(flag, str) else flag
+            sp.add_argument(flag, **dict(OPTIONS[flag][0], **override))
+        sp.set_defaults(func=func)
     return ap
 
 
-def main(argv=None):
-    parser = _build_parser()
+PARSER = _build_parser()
+
+
+def run_with_exit_codes(func, *args):
+    """Call func(*args); report a library error on stderr as one `error:`
+    line and return its exit code (3 no stabilization, 2 bad input)."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    if not getattr(args, "func", None):
-        parser.print_help()
-        return 2
-    try:
-        return args.func(args)
+        return func(*args)
     except algebra.NonStabilizationError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
@@ -542,6 +504,24 @@ def main(argv=None):
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+
+
+def _run(args):
+    for dest, env in _ENV_OPTIONS.items():
+        if getattr(args, dest, 0) is None:  # declared, and left unset
+            setattr(args, dest, _env(*env))
+    return args.func(args)
+
+
+def main(argv=None):
+    try:
+        args = PARSER.parse_args(argv)
+    except SystemExit as e:
+        return int(e.code or 0)
+    if not getattr(args, "func", None):
+        PARSER.print_help()
+        return 2
+    return run_with_exit_codes(_run, args)
 
 
 if __name__ == "__main__":

@@ -176,6 +176,9 @@ class Incompatibility:
     position: int
     detail: str
 
+    def __str__(self):
+        return "%s at %d: %s" % (self.kind, self.position, self.detail)
+
 
 @dataclass(frozen=True)
 class StringCheck:
@@ -624,12 +627,11 @@ def free_composability(p, w1, w2, depth=6):
     if depth < 2:
         raise ValueError("depth must be >= 2")
     w1, w2 = tuple(w1), tuple(w2)
-    b1 = is_band(p, w1)
-    if not b1.ok:
-        raise ValueError("first word is not a band: %s" % (b1.violations,))
-    b2 = is_band(p, w2)
-    if not b2.ok:
-        raise ValueError("second word is not a band: %s" % (b2.violations,))
+    for which, w in (("first", w1), ("second", w2)):
+        bc = is_band(p, w)
+        if not bc.ok:
+            raise ValueError("%s word is not a band: %s" % (
+                which, "; ".join(str(v) for v in bc.violations)))
     common = {p.start(l) for l in w1} & {p.start(l) for l in w2}
     if not common:
         return CounterExample(

@@ -265,6 +265,22 @@ def test_verify_tampered_certificate_fails(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_checks_stored_hom_dim(capsys, tmp_path):
+    cert = tmp_path / "kx2.json"
+    run(capsys, "periodicity", "--builtin", "kx2", "--simple", "1",
+        "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    assert doc["hom_dim"] == 1
+    doc["hom_dim"] = 99
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert (code, err) == (1, "")
+    assert out == ("certificate kind: periodicity\n"
+                   "  Hom dimension differs: replay says 1, "
+                   "certificate says 99\n"
+                   "FAIL\n")
+
+
 @pytest.mark.parametrize("tamper,message", [
     (lambda d: d["junctions"][1].update(violations=["W2"],
                                         seam_factors=["junk"]),
@@ -306,6 +322,20 @@ def test_certify_growth_checks_patterns_by_primitivity(capsys, monkeypatch):
     assert code == 0
     assert "verified 127 composition patterns to depth 9" in out
     assert calls == {"free_composability": 1, "is_band": 2}
+
+
+@pytest.mark.parametrize("args,err", [
+    (("--builtin", "torus", "--companion-rule", "swapped"),
+     "error: first word is not a band: "
+     "closed at 10: word ends at 3 but starts at 1\n"),
+    (("--builtin", "sphere5", "--word1", "a1.a2'.a3", "--word2", "a1.a1"),
+     "error: second word is not a band: "
+     "closed at 2: word ends at 2 but starts at 1; "
+     "primitive at 1: word is a proper power (least period 1)\n"),
+], ids=["first", "second"])
+def test_certify_growth_names_the_violations_of_a_non_band(capsys, args,
+                                                           err):
+    assert run(capsys, "certify-growth", *args) == (2, "", err)
 
 
 def test_certify_growth_custom_words_failure(capsys):
@@ -361,6 +391,14 @@ def test_module_commands_take_exactly_one_source(capsys, command):
     code, out, err = run(capsys, command)
     assert (code, out) == (2, "")
     assert "one of --input or --builtin is required" in err
+    # --module is a source too: it refuses either of the others
+    builtin, genus2 = ("--builtin", "kx2"), ("--input", "fixtures/genus2.json")
+    for extra, flag in [(builtin, "--builtin"), (genus2, "--input"),
+                        (builtin + genus2, "--builtin")]:
+        got = run(capsys, command, "--module", "fixtures/torus_simple1.json",
+                  *extra)
+        assert got == (
+            2, "", "error: give either --module or %s, not both\n" % flag)
 
 
 def test_syzygy_rejects_negative_steps(capsys):
@@ -470,6 +508,11 @@ def test_env_override(capsys, monkeypatch):
     code, out, err = run(capsys, "bands", "--builtin", "sphere5",
                          "--max-len", "3")
     assert "up to length 3" in out
+    # the variable is read on each call, not once at import
+    monkeypatch.setenv("SURFALG_MAX_LEN", "5")
+    code, out, err = run(capsys, "bands", "--builtin", "sphere5")
+    assert code == 0
+    assert "up to length 5" in out
 
 
 def test_env_override_bad_value(capsys, monkeypatch):
@@ -477,6 +520,24 @@ def test_env_override_bad_value(capsys, monkeypatch):
     code, out, err = run(capsys, "bands", "--builtin", "sphere5")
     assert code == 2
     assert "SURFALG_MAX_LEN" in err
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("SURFALG_FIELD",
+     ("periodicity", "--module", "fixtures/torus_simple1.json")),
+    ("SURFALG_MAX_LEN",
+     ("certify-growth", "--builtin", "sphere5",
+      "--word1", "a1.a2'.a3", "--word2", "a1.a2'.a3")),
+], ids=["field-module", "max-len-fail"])
+def test_env_bad_value_rejected_on_every_run(capsys, monkeypatch, name,
+                                             argv):
+    # a declared option's variable is read whether or not the command
+    # goes on to use it (with --module, or on a FAIL verdict)
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parents[1])
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: environment variable %s='abc'" % name)
 
 
 def test_output_files_written(capsys, tmp_path):

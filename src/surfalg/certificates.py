@@ -61,6 +61,17 @@ def _check_fields(doc, where, required, optional=()):
         raise ValueError("%s has unknown field %r" % (where, unknown[0]))
 
 
+def _typed(doc, key, kind, where):
+    """doc[key], refused by name unless it is a kind: an int (not a bool)
+    or a list."""
+    value = doc[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError("%s field %r must be %s, not %s" % (
+            where, key, "an integer" if kind is int else "a list",
+            json.dumps(value)))
+    return value
+
+
 def source_label(spec):
     """Name of a source in reports: the builtin's, or "custom" for a document."""
     return spec.get("builtin", "custom")
@@ -115,6 +126,14 @@ def presentation_from_spec(spec):
     return quotient_from_spec(spec)[0]
 
 
+def _int_field(spec, key, default):
+    try:
+        return int(spec.get(key, default))
+    except (TypeError, ValueError):
+        raise ValueError("algebra spec field %r must be an integer, not %s"
+                         % (key, json.dumps(spec[key])))
+
+
 def algebra_from_spec(spec):
     """Rebuild the finite-dimensional algebra from its serializable spec.
 
@@ -124,9 +143,9 @@ def algebra_from_spec(spec):
     _check_fields(spec, "algebra spec", (),
                   ("builtin", "triangulation", "field", "max_deg",
                    "path_budget"))
-    p = int(spec.get("field", algebra.DEFAULT_PRIME))
-    max_deg = int(spec.get("max_deg", algebra.DEFAULT_MAX_DEG))
-    budget = int(spec.get("path_budget", algebra.DEFAULT_PATH_BUDGET))
+    p = _int_field(spec, "field", algebra.DEFAULT_PRIME)
+    max_deg = _int_field(spec, "max_deg", algebra.DEFAULT_MAX_DEG)
+    budget = _int_field(spec, "path_budget", algebra.DEFAULT_PATH_BUDGET)
     if spec.get("builtin") == "kx2":
         if "triangulation" in spec:
             raise ValueError(
@@ -313,18 +332,21 @@ def certificate_from_json(text):
                       ("kind", "presentation", "word1", "word2", "basepoint",
                        "depth", "max_forbidden", "junctions", "necklaces"),
                       ("scope",))
+        where = "free-composability certificate"
         junctions = []
-        for j in doc["junctions"]:
+        for j in _typed(doc, "junctions", list, where):
             _check_fields(j, "junction record", _JUNCTION_FIELDS)
             junctions.append({
                 "blocks": j["blocks"],
                 "last": j["last"],
                 "first": j["first"],
-                "violations": tuple(j["violations"]),
-                "seam_factors": tuple(j["seam_factors"]),
+                "violations": tuple(
+                    _typed(j, "violations", list, "junction record")),
+                "seam_factors": tuple(
+                    _typed(j, "seam_factors", list, "junction record")),
             })
         necklaces = []
-        for nd in doc["necklaces"]:
+        for nd in _typed(doc, "necklaces", list, where):
             _check_fields(nd, "necklace record",
                           ("symbols", "length", "band"))
             necklaces.append((nd["symbols"], nd["length"], nd["band"]))
@@ -333,7 +355,7 @@ def certificate_from_json(text):
             word1=doc["word1"],
             word2=doc["word2"],
             basepoint=doc["basepoint"],
-            depth=doc["depth"],
+            depth=_typed(doc, "depth", int, where),
             max_forbidden=doc["max_forbidden"],
             junctions=tuple(junctions),
             necklaces=tuple(necklaces),
@@ -343,16 +365,21 @@ def certificate_from_json(text):
         _check_fields(doc, "periodicity certificate",
                       ("kind", "algebra", "module", "period", "trials",
                        "seed", "verdict", "dim_chain", "hom_dim", "witness"))
+        where = "periodicity certificate"
+        chain = _typed(doc, "dim_chain", list, where)
+        if not all(isinstance(dv, list) for dv in chain):
+            raise ValueError("%s field 'dim_chain' must be a list of lists"
+                             % where)
         return PeriodicityCertificate(
             algebra=doc["algebra"],
             module=doc["module"],
-            period=doc["period"],
-            trials=doc["trials"],
-            seed=doc["seed"],
+            period=_typed(doc, "period", int, where),
+            trials=_typed(doc, "trials", int, where),
+            seed=_typed(doc, "seed", int, where),
             verdict=doc["verdict"],
-            dim_chain=tuple(tuple(dv) for dv in doc["dim_chain"]),
+            dim_chain=tuple(tuple(dv) for dv in chain),
             hom_dim=doc["hom_dim"],
-            witness=tuple(doc["witness"]),
+            witness=tuple(_typed(doc, "witness", list, where)),
         )
     raise ValueError("unknown certificate kind %r" % (kind,))
 

@@ -22,7 +22,8 @@ SURFALG_FIELD, SURFALG_MAX_DEG, SURFALG_PATH_BUDGET, SURFALG_MAX_LEN,
 SURFALG_DEPTH, SURFALG_TRIALS, SURFALG_SEED), else takes OPTIONS' default.
 
 Exit codes: 0 success, 1 a check failed, 2 bad input or usage,
-3 the algebra computation did not stabilize.
+3 the algebra computation did not stabilize, 141 stdout's pipe was
+closed (128 + SIGPIPE, as a shell reports it).
 """
 
 import argparse
@@ -64,8 +65,13 @@ def _read_file(path):
 
 def _write_output(text, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except BrokenPipeError as e:
+            # a FIFO whose reader has gone is an unwritable --out; only a
+            # broken pipe on stdout exits 141
+            raise ValueError("cannot write %s: %s" % (out, e.strerror))
     else:
         print(text)
 
@@ -477,23 +483,34 @@ def _build_parser():
         description="quivers with potential from surface triangulations: "
                     "algebras, bands, growth and periodicity certificates")
     sub = ap.add_subparsers(dest="command")
+    choices = {}
     for name, help_, func, flags in _COMMANDS:
         sp = sub.add_parser(name, help=help_)
         for flag in flags:
             flag, override = (flag, {}) if isinstance(flag, str) else flag
-            sp.add_argument(flag, **dict(OPTIONS[flag][0], **override))
+            action = sp.add_argument(flag, **dict(OPTIONS[flag][0], **override))
+            if action.choices:
+                choices[name, action.dest] = action.choices
         sp.set_defaults(func=func)
-    return ap
+    return ap, choices
 
 
-PARSER = _build_parser()
+# The parser, and each command's choices for a flag, by (command, dest):
+# a value read from a variable is checked against them, as argparse checks
+# the flag.
+PARSER, _CHOICES = _build_parser()
 
 
 def run_with_exit_codes(func, *args):
     """Call func(*args); report a library error on stderr as one `error:`
-    line and return its exit code (3 no stabilization, 2 bad input)."""
+    line and return its exit code (3 no stabilization, 2 bad input), or
+    return 141, silently, when stdout's pipe is closed."""
     try:
-        return func(*args)
+        code = func(*args)
+        # flush here, so that a closed pipe shows as a BrokenPipeError below
+        # and not at the interpreter's final flush, when stdout is buffered
+        sys.stdout.flush()
+        return code
     except algebra.NonStabilizationError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
@@ -501,15 +518,42 @@ def run_with_exit_codes(func, *args):
         msg = e.args[0] if e.args else str(e)
         print("error: %s" % msg, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone, which is not bad input: exit as a
+        # shell reports a command ended by SIGPIPE.  Every other write that
+        # can break a pipe (--out) reports its own error instead.
+        _stdout_to_devnull()
+        return 141
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 
 
+def _stdout_to_devnull():
+    """Point stdout's descriptor at devnull, so that what is still buffered
+    goes there at the final flush; a stdout with no descriptor of its own
+    (a StringIO under redirect_stdout) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def _run(args):
     for dest, env in _ENV_OPTIONS.items():
         if getattr(args, dest, 0) is None:  # declared, and left unset
-            setattr(args, dest, _env(*env))
+            value = _env(*env)
+            choices = _CHOICES.get((args.command, dest))
+            if choices and value not in choices:
+                raise ValueError(
+                    "environment variable SURFALG_%s=%r is not one of %s"
+                    % (env[0], value, ", ".join(choices)))
+            setattr(args, dest, value)
     return args.func(args)
 
 

@@ -245,7 +245,8 @@ def build_quiver(t):
     Triangle i with sides (a, b, c) contributes arrows
     x{i}_0: a -> b, x{i}_1: b -> c, x{i}_2: c -> a.
     Requires a valid triangulation with no self-folded triangles and all
-    valencies >= 3; under that hypothesis no 2-cycles occur.
+    valencies >= 3.  A genuine ideal triangulation then gives no 2-cycles;
+    one that does has a wrong gluing, and is refused with the two arcs.
     """
     _check_build_preconditions(t)
     vertices = tuple(a.id for a in t.arcs)
@@ -253,6 +254,14 @@ def build_quiver(t):
     for i, tri in enumerate(t.triangles):
         for s in range(3):
             arrows.append(Arrow(_arrow_id(i, s), tri[s], tri[(s + 1) % 3]))
+    ends = {(a.source, a.target): a.id for a in arrows}
+    for a in arrows:
+        back = ends.get((a.target, a.source))
+        if back:
+            raise ValueError(
+                "quiver has a 2-cycle between arcs %r and %r (arrows %s and "
+                "%s): the triangles are not glued as an ideal triangulation"
+                % (a.source, a.target, a.id, back))
     return Quiver(vertices, tuple(arrows))
 
 

@@ -21,12 +21,16 @@ longest effective forbidden word.  Bands are canonicalized to the
 lexicographically least rotation; a band and its inverse are kept distinct.
 
 Each presentation precomputes one W2 window table: for each length, the
-letter tuples that spell an effective forbidden word or its inverse.  The
-string check, the seam analysis of composed bands and the band enumeration
-all scan factors by looking windows up in it.  The enumeration builds Lyndon
-words whose junctions and inner factors are legal by construction, so a
-collected word is a band once the windows crossing its closing seam are
-clear; it never runs the full band check.
+letter tuples that spell an effective forbidden word or its inverse.  Three
+private functions answer every question the checks ask: _windows_ending
+scans the table for the windows that end at one position, _junction_faults
+names the W3, W1 and incomparability faults of a letter pair, and
+_seam_windows finds the windows that run from one word into the next.  The
+string check and the junction records of composed bands use them, and so do
+the band enumeration's transition table, its per-node prune and its leaf
+check.  The enumeration builds Lyndon words whose junctions and inner
+factors are legal by construction, so a collected word is a band once no
+window crosses its closing seam; it never runs the full band check.
 """
 
 import collections
@@ -390,22 +394,49 @@ def string_quotient(q, maps, name=None):
         sorted(q.vertices), arrows, (), forbidden, ())
 
 
-def _w2_window_violations(p, w, j):
-    """Effective forbidden factors ending at 0-based position j."""
+def _windows_ending(p, w, j, shortest=1):
+    """The window table entries (index, inverse?, arrows), in report order,
+    of the effective forbidden windows of w that end at position j and have
+    at least shortest letters."""
     hits = []
-    for L, table in p._w2_windows:
-        if L > j + 1:
+    for n, table in p._w2_windows:
+        if n > j + 1:
             break
-        hits.extend(table.get(w[j - L + 1 : j + 1], ()))
-    out = []
-    for _, inv, arrows in sorted(hits):
-        s = j - len(arrows) + 1
-        out.append(Incompatibility(
-            "W2", s + 1,
-            "letters %d-%d spell %sforbidden word %s"
-            % (s + 1, j + 1, "the inverse of " if inv else "",
-               ".".join(arrows))))
-    return out
+        if n >= shortest:
+            hits += table.get(tuple(w[j - n + 1 : j + 1]), ())
+    if len(hits) > 1:
+        hits.sort()
+    return hits
+
+
+def _junction_faults(p, x, y):
+    """The kinds among W3, W1 and incomparability that the pair x, y breaks."""
+    xi = invert_letter(x)
+    return tuple(kind for kind, broken in (
+        ("W3", p.end(x) != p.start(y)),
+        ("W1", y == xi),
+        ("incomparability", p.comparable(xi, y))) if broken)
+
+
+def _seam_windows(p, left, right, shortest=1):
+    """(end, entry) of each window of left + right that starts in left and
+    ends in right, by end; one ending at j starts in left when it has at
+    least j - len(left) + 2 letters."""
+    w = tuple(left) + tuple(right)
+    k = len(left)
+    return [(j, e)
+            for j in range(k, min(len(w), k + p.max_effective_forbidden - 1))
+            for e in _windows_ending(p, w, j, max(shortest, j - k + 2))]
+
+
+def _w2_violation(j, entry):
+    """The W2 Incompatibility of a window table entry ending at j."""
+    _, inv, arrows = entry
+    s = j - len(arrows) + 1
+    return Incompatibility(
+        "W2", s + 1,
+        "letters %d-%d spell %sforbidden word %s"
+        % (s + 1, j + 1, "the inverse of " if inv else "", ".".join(arrows)))
 
 
 def is_string(p, w):
@@ -421,21 +452,23 @@ def is_string(p, w):
         raise ValueError("empty word")
     for l in w:
         p.validate_letter(l)
-    viols = list(_w2_window_violations(p, w, 0))
+    viols = [_w2_violation(0, e) for e in _windows_ending(p, w, 0)]
     for i in range(len(w) - 1):
         x, y = w[i], w[i + 1]
-        if p.end(x) != p.start(y):
+        faults = _junction_faults(p, x, y)
+        if "W3" in faults:
             viols.append(Incompatibility(
                 "W3", i + 1,
                 "letters %d and %d do not compose (%s ends at %s, %s starts at %s)"
                 % (i + 1, i + 2, format_word([x]), p.end(x),
                    format_word([y]), p.start(y))))
-        if y == invert_letter(x):
+        if "W1" in faults:
             viols.append(Incompatibility(
                 "W1", i + 1,
                 "letter %d is the inverse of letter %d" % (i + 2, i + 1)))
-        viols.extend(_w2_window_violations(p, w, i + 1))
-        if p.comparable(invert_letter(x), y):
+        viols.extend(_w2_violation(i + 1, e)
+                     for e in _windows_ending(p, w, i + 1))
+        if "incomparability" in faults:
             viols.append(Incompatibility(
                 "incomparability", i + 1,
                 "junction pair (%s, %s) is comparable"
@@ -569,35 +602,15 @@ def _lyndon_words(alphabet, maxlen):
     return out
 
 
-def _cross_seam_w2(p, left, right):
-    """Effective forbidden factors of left+right that straddle the seam."""
-    w = left + right
-    out = []
-    hi = min(len(w), len(left) + max(p.max_effective_forbidden, 1) - 1)
-    for j in range(len(left), hi):
-        for v in _w2_window_violations(p, w, j):
-            if v.position <= len(left):
-                out.append(v.detail)
-    return tuple(out)
-
-
 def _junction_record(p, label, left, right):
     x, y = left[-1], right[0]
-    viols = []
-    if p.end(x) != p.start(y):
-        viols.append("W3")
-    if y == invert_letter(x):
-        viols.append("W1")
-    if p.comparable(invert_letter(x), y):
-        viols.append("incomparability")
-    seam = _cross_seam_w2(p, left, right)
-    if seam:
-        viols.append("W2")
+    seam = tuple(_w2_violation(j, e).detail
+                 for j, e in _seam_windows(p, left, right))
     return {
         "blocks": label,
         "last": format_word([x]),
         "first": format_word([y]),
-        "violations": tuple(viols),
+        "violations": _junction_faults(p, x, y) + (("W2",) if seam else ()),
         "seam_factors": seam,
     }
 
@@ -770,40 +783,26 @@ def enumerate_bands(p, max_len):
         raise ValueError("max_len must be >= 1")
     letters = p.letters()
     L = len(letters)
-    windows = dict(p._w2_windows)
-    single = windows.get(1, {})
-    pair = windows.get(2, {})
-    long_windows = [(n, table) for n, table in p._w2_windows if n >= 3]
+    # The transition table, over composable pairs only: W3 rules out every
+    # other pair, and a letter that is itself a window has no transitions.
+    legal = [i for i, x in enumerate(letters) if not _windows_ending(p, (x,), 0)]
+    starting = collections.defaultdict(list)
+    for j in legal:
+        starting[p.start(letters[j])].append(j)
     allowed = [[False] * L for _ in range(L)]
-    for i, x in enumerate(letters):
-        if (x,) in single:
-            continue
-        for j, y in enumerate(letters):
-            if (y,) in single:
-                continue
-            if p.end(x) != p.start(y):
-                continue
-            if y == invert_letter(x):
-                continue
-            if (x, y) in pair:
-                continue
-            if p.comparable(invert_letter(x), y):
-                continue
-            allowed[i][j] = True
+    for i in legal:
+        for j in starting[p.end(letters[i])]:
+            xy = (letters[i], letters[j])
+            allowed[i][j] = not (_junction_faults(p, *xy) or
+                                 _windows_ending(p, xy, 1))
     succ = [[j for j in range(L) if allowed[i][j]] for i in range(L)]
     pred = [[i for i in range(L) if allowed[i][j]] for j in range(L)]
-
-    def seam_clear(u):
-        t = len(u)
-        uu = u * _band_power(p, t)
-        return not any(uu[s : s + n] in table
-                       for n, table in long_windows
-                       for s in range(max(0, t - n + 1), t))
+    # Only windows of 3 or more letters are left to scan for; a string
+    # quotient has none, and skips the prune and the leaf check.
+    scan = p.max_effective_forbidden >= 3
 
     found = []
     for s0 in range(L):
-        if (letters[s0],) in single:
-            continue
         dist = [None] * L
         frontier = [i for i in range(L) if allowed[i][s0]]
         for i in frontier:
@@ -826,7 +825,8 @@ def enumerate_bands(p, max_len):
         def rec(t, per):
             if per == t and allowed[widx[-1]][s0]:
                 u = tuple(w)
-                if seam_clear(u):
+                if not (scan and _seam_windows(
+                        p, u, u * (_band_power(p, t) - 1), 3)):
                     found.append(u)
             if t == max_len:
                 return
@@ -838,11 +838,10 @@ def enumerate_bands(p, max_len):
                     continue
                 if dist[c] is None or t + 1 + dist[c] > max_len:
                     continue
-                x = letters[c]
-                if any(n <= t + 1 and tuple(w[t + 1 - n :]) + (x,) in table
-                       for n, table in long_windows):
+                w.append(letters[c])
+                if scan and _windows_ending(p, w, t, 3):
+                    w.pop()
                     continue
-                w.append(x)
                 widx.append(c)
                 rec(t + 1, per if ck == bkey else t + 1)
                 w.pop()

@@ -575,3 +575,154 @@ def test_algebra_rejects_huge_field_without_hanging():
     assert proc.stdout == ""
     assert proc.stderr.startswith(
         "error: field modulus 2305843009213693951 is too large")
+
+
+@pytest.mark.parametrize("value,argv", [
+    ("xml", ("build", "--builtin", "torus")),
+    ("dot", ("algebra", "--builtin", "kx2")),
+], ids=["build-xml", "algebra-dot"])
+def test_env_format_checked_against_the_command_choices(capsys, monkeypatch,
+                                                        value, argv):
+    monkeypatch.setenv("SURFALG_FORMAT", value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: environment variable SURFALG_FORMAT=%r"
+                          % value)
+
+
+def test_env_format_dot_builds_the_quiver(capsys, monkeypatch):
+    monkeypatch.setenv("SURFALG_FORMAT", "dot")
+    assert run(capsys, "build", "--builtin", "torus") == \
+        (0, run(capsys, "build", "--builtin", "torus", "--format", "dot")[1],
+         "")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # the read end is closed before the command starts.  Unbuffered, the
+    # first print fails with EPIPE; buffered (the default for a pipe), the
+    # short output first reaches the pipe when stdout is flushed.  Either
+    # way the interpreter's final flush must not print an "Exception
+    # ignored" line.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from surfalg.cli import main; sys.exit(main())",
+             "algebra", "--builtin", "kx2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_broken_pipe_without_a_stdout_descriptor_returns_141(capsys):
+    # in-process callers capture stdout in an object with no descriptor
+    def closed():
+        raise BrokenPipeError(32, "Broken pipe")
+    assert cli.run_with_exit_codes(closed) == 141
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_fifo_with_no_reader_exits_two(capsys, tmp_path, monkeypatch):
+    # a broken pipe on --out is an unwritable --out, not a closed stdout
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+
+    def open_then_drop_reader(*a, **k):
+        fh = open(*a, **k)
+        os.close(reader)
+        return fh
+    monkeypatch.setattr(cli, "open", open_then_drop_reader, raising=False)
+    code, out, err = run(capsys, "algebra", "--builtin", "kx2",
+                         "--out", str(fifo))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write %s: " % fifo)
+
+
+def test_unwritable_out_still_exits_two(capsys, tmp_path):
+    # a directory as --out: an OSError that is not a closed pipe
+    code, out, err = run(capsys, "algebra", "--builtin", "kx2",
+                         "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Triangles [1,2,3] and [3,2,1] pass the count checks, but their quiver has
+# 2-cycles: this is not an ideal triangulation of the torus.
+_TWO_CYCLE_TORUS = {
+    "genus": 1, "punctures": ["p"],
+    "arcs": [{"id": a, "endpoints": ["p", "p"]} for a in "123"],
+    "triangles": [["1", "2", "3"], ["3", "2", "1"]],
+}
+
+
+def test_two_cycles_are_refused(capsys, tmp_path):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(_TWO_CYCLE_TORUS))
+    code, out, err = run(capsys, "algebra", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: quiver has a 2-cycle between arcs '1' and '2' "
+                   "(arrows x0_0 and x1_1): the triangles are not glued as "
+                   "an ideal triangulation\n")
+    code, out, err = run(capsys, "build", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert "validation: ok\n" in out
+    assert "quiver: not built (quiver has a 2-cycle between arcs '1' and " \
+        "'2'" in out
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def tamper(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return tamper
+
+
+@pytest.mark.parametrize("kind,tamper,field", [
+    ("growth", _set("depth", "3"), "'depth'"),
+    ("growth", _set("depth", None), "'depth'"),
+    ("growth", _set("junctions", 5), "'junctions'"),
+    ("growth", _set("necklaces", {}), "'necklaces'"),
+    ("growth", _set("junctions", 0, "violations", "W2"), "'violations'"),
+    ("periodicity", _set("period", "4"), "'period'"),
+    ("periodicity", _set("trials", None), "'trials'"),
+    ("periodicity", _set("seed", "x"), "'seed'"),
+    ("periodicity", _set("dim_chain", 3), "'dim_chain'"),
+    ("periodicity", _set("dim_chain", [1, 1]), "'dim_chain'"),
+    ("periodicity", _set("witness", 5), "'witness'"),
+    ("periodicity", _set("algebra", "field", None), "'field'"),
+    ("periodicity", _set("algebra", "max_deg", [40]), "'max_deg'"),
+], ids=["depth-str", "depth-null", "junctions-int", "necklaces-object",
+        "violations-str", "period-str", "trials-null", "seed-str",
+        "dim_chain-int", "dim_chain-ints", "witness-int", "field-null",
+        "max_deg-list"])
+def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
+                                       field):
+    cert = tmp_path / "cert.json"
+    if kind == "growth":
+        argv = ("certify-growth", "--builtin", "sphere5", "--depth", "3",
+                "--max-len", "4")
+    else:
+        argv = ("periodicity", "--builtin", "kx2", "--simple", "1")
+    assert run(capsys, *argv, "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    tamper(doc)
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err

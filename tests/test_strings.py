@@ -619,6 +619,53 @@ def test_free_composability_short_block_fails_at_12():
     assert {v.kind for v in res.check.violations} == {"W2"}
 
 
+# Junction records with non-empty seam factors or several violations, as the
+# growth certificate stores them.  A window that crosses a seam contains the
+# junction pair, and every window is composable and of one letter kind, so W2
+# never comes with W3 or W1; incomparability can come with any of the three.
+_LOOPS = {"a0": ("u", "u"), "a1": ("u", "u")}
+_STACKED = WordPresentation(
+    "stacked", ("u",), _LOOPS, (),
+    [ForbiddenWord(("a0", "a1", "a1")), ForbiddenWord(("a1", "a1"))])
+_COMPARABLE = WordPresentation(
+    "comparable", ("u",), _LOOPS, (), [ForbiddenWord(("a0", "a1"))],
+    ((inverse("a0"), direct("a1")),))
+
+JUNCTION_GOLDEN = [
+    # the seam crosses c2.a3.a1.b2, directly, inverted, at another split
+    ("sphere5", "c1'.eps1*.b1'.b2.eps2*.c2.a3", "a1.b2.eps2*.c2.c3'.eps3*.b3'",
+     ("W2",), ("letters 6-9 spell forbidden word c2.a3.a1.b2",)),
+    ("sphere5", "b3.eps3*.c3.c2'.eps2*.b2'.a1'", "a3'.c2'.eps2*.b2'.b1.eps1*.c1",
+     ("W2",),
+     ("letters 6-9 spell the inverse of forbidden word c2.a3.a1.b2",)),
+    ("sphere5", "c1'.eps1*.b1'.b2.eps2*.c2", "a3.a1.b2.eps2*.c2.c3'.eps3*.b3'",
+     ("W2",), ("letters 6-9 spell forbidden word c2.a3.a1.b2",)),
+    # two windows end at letter 3, reported in forbidden-list order
+    ("stacked", "a0.a1", "a1.a0", ("W2",),
+     ("letters 1-3 spell forbidden word a0.a1.a1",
+      "letters 2-3 spell forbidden word a1.a1")),
+    ("comparable", "a1.a0", "a1.a1", ("incomparability", "W2"),
+     ("letters 2-3 spell forbidden word a0.a1",)),
+    ("comparable", "a1.a0", "a0'.a1", ("W1", "incomparability"), ()),
+    ("sphere5", "a1'", "b1'", ("W3", "incomparability"), ()),
+]
+
+
+@pytest.mark.parametrize("case", JUNCTION_GOLDEN, ids=lambda c: c[1] + "|" + c[2])
+def test_junction_record_golden(case, sphere5_pres):
+    name, left, right, violations, seam = case
+    pres = {"sphere5": sphere5_pres, "stacked": _STACKED,
+            "comparable": _COMPARABLE}[name]
+    left, right = parse_word(left), parse_word(right)
+    assert strings._junction_record(pres, "12", left, right) == {
+        "blocks": "12",
+        "last": format_word(left[-1:]),
+        "first": format_word(right[:1]),
+        "violations": violations,
+        "seam_factors": seam,
+    }
+
+
 # ---------------------------------------------------------------------------
 # randomized agreement with the condition-by-condition checker
 

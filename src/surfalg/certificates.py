@@ -19,7 +19,9 @@ document, kx2 or sphere5 -- is resolved here, by the spec readers
 triangulation_from_spec, quotient_from_spec and algebra_from_spec; the
 command line and the scripts build their objects through them too.
 
-All document readers are strict: unknown fields are rejected by name.
+Every document is read through its field table below, by the one
+reader surface.read_fields: a missing, unknown or mistyped field is
+rejected by name.
 """
 
 import json
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures, qp, strings, algebra, homology
-from .surface import triangulation_from_json
+from .surface import Optional, read_fields, triangulation_from_json
 
 __all__ = [
     "GrowthCertificate",
@@ -41,6 +43,7 @@ __all__ = [
     "presentation_from_spec",
     "algebra_from_spec",
     "module_from_spec",
+    "module_file_specs",
     "make_growth_certificate",
     "make_periodicity_certificate",
     "certificate_to_json",
@@ -49,27 +52,19 @@ __all__ = [
 ]
 
 
-def _check_fields(doc, where, required, optional=()):
-    if not isinstance(doc, dict):
-        raise ValueError("%s must be an object" % where)
-    keys = set(doc)
-    missing = sorted(set(required) - keys)
-    if missing:
-        raise ValueError("%s is missing field %r" % (where, missing[0]))
-    unknown = sorted(keys - set(required) - set(optional))
-    if unknown:
-        raise ValueError("%s has unknown field %r" % (where, unknown[0]))
-
-
-def _typed(doc, key, kind, where):
-    """doc[key], refused by name unless it is a kind: an int (not a bool)
-    or a list."""
-    value = doc[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError("%s field %r must be %s, not %s" % (
-            where, key, "an integer" if kind is int else "a list",
-            json.dumps(value)))
-    return value
+# The field tables of the specs and the module file (the certificate
+# tables follow their dataclasses).  A spec embedded in a certificate or a
+# module file is an object there, read by its own table when it is used.
+_PRESENTATION_SPEC = {"source": str, "builtin": Optional(str),
+                      "triangulation": Optional(dict)}
+_ALGEBRA_SPEC = {"builtin": Optional(str), "triangulation": Optional(dict),
+                 "field": Optional(int), "max_deg": Optional(int),
+                 "path_budget": Optional(int)}
+_MATRICES = {str: [[int]]}
+_MODULE_SPEC = {"simple": Optional(str), "dims": Optional({str: int}),
+                "matrices": Optional(_MATRICES)}
+_MODULE_FILE = {"algebra": dict, "dims": {str: int},
+                "matrices": Optional(_MATRICES)}
 
 
 def source_label(spec):
@@ -104,8 +99,7 @@ def quotient_from_spec(spec):
 
     The maps are None for sphere5, whose presentation is shipped as data.
     """
-    _check_fields(spec, "presentation spec", ("source",),
-                  ("builtin", "triangulation"))
+    read_fields(spec, "presentation spec", _PRESENTATION_SPEC)
     source = spec["source"]
     if source == "sphere5":
         if "builtin" in spec or "triangulation" in spec:
@@ -126,26 +120,16 @@ def presentation_from_spec(spec):
     return quotient_from_spec(spec)[0]
 
 
-def _int_field(spec, key, default):
-    try:
-        return int(spec.get(key, default))
-    except (TypeError, ValueError):
-        raise ValueError("algebra spec field %r must be an integer, not %s"
-                         % (key, json.dumps(spec[key])))
-
-
 def algebra_from_spec(spec):
     """Rebuild the finite-dimensional algebra from its serializable spec.
 
     Besides triangulation sources, the builtin "kx2" gives the one-vertex
     algebra k[x]/(x^2), a minimal self-injective reference point.
     """
-    _check_fields(spec, "algebra spec", (),
-                  ("builtin", "triangulation", "field", "max_deg",
-                   "path_budget"))
-    p = _int_field(spec, "field", algebra.DEFAULT_PRIME)
-    max_deg = _int_field(spec, "max_deg", algebra.DEFAULT_MAX_DEG)
-    budget = _int_field(spec, "path_budget", algebra.DEFAULT_PATH_BUDGET)
+    read_fields(spec, "algebra spec", _ALGEBRA_SPEC)
+    p = spec.get("field", algebra.DEFAULT_PRIME)
+    max_deg = spec.get("max_deg", algebra.DEFAULT_MAX_DEG)
+    budget = spec.get("path_budget", algebra.DEFAULT_PATH_BUDGET)
     if spec.get("builtin") == "kx2":
         if "triangulation" in spec:
             raise ValueError(
@@ -162,7 +146,7 @@ def algebra_from_spec(spec):
 
 def module_from_spec(a, spec):
     """Build and validate a module over a from its serializable spec."""
-    _check_fields(spec, "module spec", (), ("simple", "dims", "matrices"))
+    spec = read_fields(spec, "module spec", _MODULE_SPEC)
     if "simple" in spec:
         if "dims" in spec or "matrices" in spec:
             raise ValueError(
@@ -170,14 +154,21 @@ def module_from_spec(a, spec):
         return homology.simple_module(a, spec["simple"])
     if "dims" not in spec:
         raise ValueError("module spec is missing field 'dims'")
-    dims = {}
-    for v, d in spec["dims"].items():
-        if not isinstance(d, int) or d < 0:
-            raise ValueError("module dims for %r must be a nonnegative int" % v)
-        dims[v] = d
+    dims = spec["dims"]
+    negative = sorted(v for v, d in dims.items() if d < 0)
+    if negative:
+        raise ValueError(
+            "module dims for %r must be a nonnegative int" % negative[0])
     mats = {}
     for aid, rows in spec.get("matrices", {}).items():
-        mats[aid] = np.array(rows, dtype=np.int64)
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("matrix for %s has rows of different lengths"
+                             % aid)
+        try:
+            mats[aid] = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("matrix for %s has entries outside 0..%d"
+                             % (aid, a.field - 1))
     m = homology.FDModule(
         {v: dims.get(v, 0) for v in a.quiver.vertices},
         {
@@ -194,6 +185,15 @@ def module_from_spec(a, spec):
     return m
 
 
+def module_file_specs(text):
+    """The (algebra spec, module spec) pair of a module file's JSON text:
+    an algebra spec, dims and optional matrices (missing ones are zero)."""
+    doc = json.loads(text)
+    read_fields(doc, "module file", _MODULE_FILE)
+    return doc["algebra"], {"dims": doc["dims"],
+                            "matrices": doc.get("matrices", {})}
+
+
 # What a free-composability certificate does and does not establish.
 GROWTH_SCOPE = (
     "exponential band growth is certified for the word presentation named "
@@ -201,8 +201,10 @@ GROWTH_SCOPE = (
     "inherits the growth")
 
 
-# The fields of one block-junction record, in document order.
-_JUNCTION_FIELDS = ("blocks", "last", "first", "violations", "seam_factors")
+# The field tables of both certificate kinds, with their nested records.
+_JUNCTION = {"blocks": str, "last": str, "first": str, "violations": [str],
+             "seam_factors": [str]}
+_NECKLACE = {"symbols": str, "length": int, "band": bool}
 
 
 @dataclass(frozen=True)
@@ -214,34 +216,14 @@ class GrowthCertificate:
     depth: int
     max_forbidden: int
     junctions: tuple
-    necklaces: tuple
+    necklaces: tuple  # (symbols, length, band) triples
     scope: str = GROWTH_SCOPE
 
-    def to_doc(self):
-        return {
-            "kind": "free-composability",
-            "presentation": dict(self.presentation),
-            "word1": self.word1,
-            "word2": self.word2,
-            "basepoint": self.basepoint,
-            "depth": self.depth,
-            "max_forbidden": self.max_forbidden,
-            "scope": self.scope,
-            "junctions": [
-                {
-                    "blocks": j["blocks"],
-                    "last": j["last"],
-                    "first": j["first"],
-                    "violations": list(j["violations"]),
-                    "seam_factors": list(j["seam_factors"]),
-                }
-                for j in self.junctions
-            ],
-            "necklaces": [
-                {"symbols": s, "length": n, "band": ok}
-                for s, n, ok in self.necklaces
-            ],
-        }
+    KIND = "free-composability"
+    FIELDS = {"kind": str, "presentation": dict, "word1": str, "word2": str,
+              "basepoint": str, "depth": int, "max_forbidden": int,
+              "junctions": [_JUNCTION], "necklaces": [_NECKLACE],
+              "scope": Optional(str)}
 
 
 @dataclass(frozen=True)
@@ -256,19 +238,14 @@ class PeriodicityCertificate:
     hom_dim: int
     witness: tuple
 
-    def to_doc(self):
-        return {
-            "kind": "periodicity",
-            "algebra": dict(self.algebra),
-            "module": dict(self.module),
-            "period": self.period,
-            "trials": self.trials,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "dim_chain": [list(dv) for dv in self.dim_chain],
-            "hom_dim": self.hom_dim,
-            "witness": list(self.witness),
-        }
+    KIND = "periodicity"
+    FIELDS = {"kind": str, "algebra": dict, "module": dict, "period": int,
+              "trials": int, "seed": int, "verdict": str,
+              "dim_chain": [[int]], "hom_dim": int, "witness": [int]}
+
+
+_CERTIFICATES = {cls.KIND: cls
+                 for cls in (GrowthCertificate, PeriodicityCertificate)}
 
 
 @dataclass(frozen=True)
@@ -315,73 +292,25 @@ def make_periodicity_certificate(alg_spec, mod_spec, res):
 
 
 def certificate_to_json(cert, indent=2):
-    return json.dumps(cert.to_doc(), indent=indent, sort_keys=True)
+    doc = dict(vars(cert), kind=cert.KIND)
+    if isinstance(cert, GrowthCertificate):
+        doc["necklaces"] = [dict(zip(_NECKLACE, n)) for n in cert.necklaces]
+    return json.dumps(doc, indent=indent, sort_keys=True)
 
 
 def certificate_from_json(text):
     doc = json.loads(text) if isinstance(text, str) else text
-    _check_fields(doc, "certificate",
-                  ("kind",),
-                  ("presentation", "word1", "word2", "basepoint", "depth",
-                   "max_forbidden", "junctions", "necklaces", "scope",
-                   "algebra", "module", "period", "trials", "seed",
-                   "verdict", "dim_chain", "hom_dim", "witness"))
-    kind = doc["kind"]
-    if kind == "free-composability":
-        _check_fields(doc, "free-composability certificate",
-                      ("kind", "presentation", "word1", "word2", "basepoint",
-                       "depth", "max_forbidden", "junctions", "necklaces"),
-                      ("scope",))
-        where = "free-composability certificate"
-        junctions = []
-        for j in _typed(doc, "junctions", list, where):
-            _check_fields(j, "junction record", _JUNCTION_FIELDS)
-            junctions.append({
-                "blocks": j["blocks"],
-                "last": j["last"],
-                "first": j["first"],
-                "violations": tuple(
-                    _typed(j, "violations", list, "junction record")),
-                "seam_factors": tuple(
-                    _typed(j, "seam_factors", list, "junction record")),
-            })
-        necklaces = []
-        for nd in _typed(doc, "necklaces", list, where):
-            _check_fields(nd, "necklace record",
-                          ("symbols", "length", "band"))
-            necklaces.append((nd["symbols"], nd["length"], nd["band"]))
-        return GrowthCertificate(
-            presentation=doc["presentation"],
-            word1=doc["word1"],
-            word2=doc["word2"],
-            basepoint=doc["basepoint"],
-            depth=_typed(doc, "depth", int, where),
-            max_forbidden=doc["max_forbidden"],
-            junctions=tuple(junctions),
-            necklaces=tuple(necklaces),
-            scope=doc.get("scope", GROWTH_SCOPE),
-        )
-    if kind == "periodicity":
-        _check_fields(doc, "periodicity certificate",
-                      ("kind", "algebra", "module", "period", "trials",
-                       "seed", "verdict", "dim_chain", "hom_dim", "witness"))
-        where = "periodicity certificate"
-        chain = _typed(doc, "dim_chain", list, where)
-        if not all(isinstance(dv, list) for dv in chain):
-            raise ValueError("%s field 'dim_chain' must be a list of lists"
-                             % where)
-        return PeriodicityCertificate(
-            algebra=doc["algebra"],
-            module=doc["module"],
-            period=_typed(doc, "period", int, where),
-            trials=_typed(doc, "trials", int, where),
-            seed=_typed(doc, "seed", int, where),
-            verdict=doc["verdict"],
-            dim_chain=tuple(tuple(dv) for dv in chain),
-            hom_dim=doc["hom_dim"],
-            witness=tuple(_typed(doc, "witness", list, where)),
-        )
-    raise ValueError("unknown certificate kind %r" % (kind,))
+    kind = read_fields(doc, "certificate", {"kind": str}, rest=True)["kind"]
+    if kind not in _CERTIFICATES:
+        raise ValueError("certificate field 'kind' must be %s, not %s" % (
+            " or ".join(map(json.dumps, _CERTIFICATES)), json.dumps(kind)))
+    cls = _CERTIFICATES[kind]
+    fields = read_fields(doc, "%s certificate" % kind, cls.FIELDS)
+    del fields["kind"]
+    if cls is GrowthCertificate:  # records, read in _NECKLACE's order
+        fields["necklaces"] = tuple(tuple(n.values())
+                                    for n in fields["necklaces"])
+    return cls(**fields)
 
 
 def _verify_growth(cert):
@@ -394,8 +323,7 @@ def _verify_growth(cert):
         messages.append(
             "replay found a counterexample at pattern %s: %s"
             % (fc.symbols, fc.reason))
-        return VerificationResult(False, "free-composability",
-                                  tuple(messages))
+        return VerificationResult(False, cert.KIND, tuple(messages))
     ok = True
     if strings.format_word(fc.word1) != cert.word1 or \
             strings.format_word(fc.word2) != cert.word2:
@@ -430,7 +358,7 @@ def _verify_growth(cert):
             % (len(cert.junctions), len(fc.junctions)))
     else:
         for got, want in zip(fc.junctions, cert.junctions):
-            differ = [k for k in _JUNCTION_FIELDS if got[k] != want[k]]
+            differ = [k for k in _JUNCTION if got[k] != want[k]]
             if differ:
                 ok = False
                 messages.append(
@@ -439,7 +367,7 @@ def _verify_growth(cert):
     if cert.scope != GROWTH_SCOPE:
         ok = False
         messages.append("scope differs from the certified claim")
-    return VerificationResult(ok, "free-composability", tuple(messages))
+    return VerificationResult(ok, cert.KIND, tuple(messages))
 
 
 def _verify_periodicity(cert):
@@ -474,7 +402,7 @@ def _verify_periodicity(cert):
     if cert.verdict != "periodic":
         ok = False
         messages.append("certificate does not claim periodicity")
-    return VerificationResult(ok, "periodicity", tuple(messages))
+    return VerificationResult(ok, cert.KIND, tuple(messages))
 
 
 def verify_certificate(cert):

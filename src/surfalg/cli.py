@@ -306,6 +306,8 @@ def cmd_certify_growth(args):
 
 
 def cmd_xi(args):
+    if args.all and args.arrow:
+        raise ValueError("give either --arrow or --all, not both")
     pres, maps = certificates.quotient_from_spec(
         dict(_one_source_spec(args), source="string-quotient"))
     rule = args.companion_rule
@@ -339,16 +341,15 @@ def cmd_xi(args):
 def _module_targets(args):
     """Resolve (algebra, algebra spec, [(label, module spec, module)])."""
     if args.module:
-        if args.builtin or args.input:
-            raise ValueError("give either --module or %s, not both" % (
-                "--builtin" if args.builtin else "--input"))
-        doc = json.loads(_read_file(args.module))
-        certificates._check_fields(
-            doc, "module file", ("algebra", "dims"), ("matrices",))
-        a = certificates.algebra_from_spec(doc["algebra"])
-        mspec = {"dims": doc["dims"], "matrices": doc.get("matrices", {})}
+        for flag in ("--builtin", "--input", "--simple"):
+            if getattr(args, flag[2:]):
+                raise ValueError(
+                    "give either --module or %s, not both" % flag)
+        aspec, mspec = certificates.module_file_specs(
+            _read_file(args.module))
+        a = certificates.algebra_from_spec(aspec)
         m = certificates.module_from_spec(a, mspec)
-        return a, doc["algebra"], [(args.module, mspec, m)]
+        return a, aspec, [(args.module, mspec, m)]
     aspec = dict(_one_source_spec(args), field=args.field,
                  max_deg=args.max_deg)
     a = certificates.algebra_from_spec(aspec)

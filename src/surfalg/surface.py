@@ -11,6 +11,10 @@ with p punctures:
     #arcs      = 6 g - 6 + 3 p
     #triangles = (2/3) #arcs
     sum of valencies = 2 #arcs   (a loop counts twice at its puncture)
+
+Every JSON document the program reads (this triangulation format, the
+specs, module files and certificates) is checked against its field table
+by one reader, read_fields.
 """
 
 import json
@@ -28,6 +32,8 @@ __all__ = [
     "excluded_for_certificates",
     "triangulation_to_json",
     "triangulation_from_json",
+    "Optional",
+    "read_fields",
 ]
 
 
@@ -177,10 +183,6 @@ def excluded_for_certificates(surface):
     return surface.genus == 0 and len(surface.punctures) <= 4
 
 
-_TOP_FIELDS = {"genus", "punctures", "arcs", "triangles"}
-_ARC_FIELDS = {"id", "endpoints"}
-
-
 def triangulation_to_json(t, indent=2):
     doc = {
         "genus": t.surface.genus,
@@ -193,69 +195,85 @@ def triangulation_to_json(t, indent=2):
     return json.dumps(doc, indent=indent)
 
 
+class Optional:
+    """A table entry for a field that a document may leave out."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+
+# How an error names the kind it expected.
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
+               list: "a list", dict: "an object"}
+
+
+def _read(value, kind, where, step, key):
+    """value read as kind; where + step % key names it in an error, and
+    is only formatted off the common path."""
+    if type(value) is kind:  # int never matches a bool
+        return value
+    where += step % (key,)
+    if isinstance(kind, dict) and str not in kind:  # a nested record
+        return read_fields(value, where, kind)
+    if isinstance(kind, list) and isinstance(value, (list, tuple)):
+        return tuple(_read(v, kind[0], where, "[%d]", i)
+                     for i, v in enumerate(value))
+    if isinstance(kind, dict) and isinstance(value, dict):
+        return {k: _read(v, kind[str], where, "[%r]", k)
+                for k, v in value.items()}
+    raise ValueError("%s must be %s, not %s" % (
+        where, _KIND_NAMES[kind if isinstance(kind, type) else type(kind)],
+        json.dumps(value, default=repr)))
+
+
+def read_fields(doc, where, table, rest=False):
+    """The fields of doc, read by a field table; where names doc in errors.
+
+    A table maps each field to its kind: int (never a bool), str, bool,
+    dict (any object), [kind] (a list of that kind, read as a tuple),
+    {str: kind} (an object mapping names to that kind) or another table
+    (a nested record).  Optional(kind) marks a field that may be left out.
+    A document that is not an object, a missing or unknown field and a
+    value of the wrong kind raise ValueError naming the field, down to the
+    list item or entry.  With rest, fields outside the table are left for
+    a later read.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("%s must be an object, not %s"
+                         % (where, json.dumps(doc, default=repr)))
+    unknown = doc.keys() - table.keys()
+    if unknown and not rest:
+        raise ValueError("%s has unknown field %r" % (where, min(unknown)))
+    fields = {}
+    for key, kind in table.items():
+        if key in doc:
+            fields[key] = _read(
+                doc[key], kind.kind if isinstance(kind, Optional) else kind,
+                where, " field %r", key)
+        elif not isinstance(kind, Optional):
+            raise ValueError("%s is missing field %r" % (where, key))
+    return fields
+
+
+_ARC_FIELDS = {"id": str, "endpoints": [str]}
+_TRIANGULATION_FIELDS = {"genus": int, "punctures": [str],
+                         "arcs": [_ARC_FIELDS], "triangles": [[str]]}
+
+
 def triangulation_from_json(text):
     """Parse the triangulation file format; unknown fields are rejected.
 
     Accepts either the JSON text or an already-decoded document object.
     """
-    doc = json.loads(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise ValueError("triangulation document must be a JSON object")
-    unknown = set(doc) - _TOP_FIELDS
-    if unknown:
-        raise ValueError(
-            "unknown field(s) in triangulation document: %s"
-            % ", ".join(sorted(unknown))
-        )
-    missing = _TOP_FIELDS - set(doc)
-    if missing:
-        raise ValueError(
-            "missing field(s) in triangulation document: %s"
-            % ", ".join(sorted(missing))
-        )
-    if not isinstance(doc["genus"], int):
-        raise ValueError("field 'genus' must be an integer")
-    if not isinstance(doc["punctures"], list) or not all(
-        isinstance(p, str) for p in doc["punctures"]
-    ):
-        raise ValueError("field 'punctures' must be a list of strings")
-    arcs = []
-    if not isinstance(doc["arcs"], list):
-        raise ValueError("field 'arcs' must be a list")
-    for rec in doc["arcs"]:
-        if not isinstance(rec, dict):
-            raise ValueError("each arc must be an object")
-        unknown = set(rec) - _ARC_FIELDS
-        if unknown:
+    doc = read_fields(json.loads(text) if isinstance(text, str) else text,
+                      "triangulation document", _TRIANGULATION_FIELDS)
+    for arc in doc["arcs"]:
+        if len(arc["endpoints"]) != 2:
             raise ValueError(
-                "unknown field(s) in arc record: %s" % ", ".join(sorted(unknown))
-            )
-        if "id" not in rec or "endpoints" not in rec:
-            raise ValueError("arc record needs fields 'id' and 'endpoints'")
-        if not isinstance(rec["id"], str):
-            raise ValueError("arc field 'id' must be a string")
-        ep = rec["endpoints"]
-        if (
-            not isinstance(ep, list)
-            or len(ep) != 2
-            or not all(isinstance(q, str) for q in ep)
-        ):
-            raise ValueError(
-                "arc field 'endpoints' must be a list of two puncture ids"
-            )
-        arcs.append(Arc(rec["id"], tuple(ep)))
-    if not isinstance(doc["triangles"], list):
-        raise ValueError("field 'triangles' must be a list")
-    triangles = []
+                "arc %r must have exactly two endpoints" % arc["id"])
     for tri in doc["triangles"]:
-        if (
-            not isinstance(tri, list)
-            or len(tri) != 3
-            or not all(isinstance(x, str) for x in tri)
-        ):
-            raise ValueError(
-                "each triangle must be a list of three arc ids"
-            )
-        triangles.append(tuple(tri))
-    surface = MarkedSurface(doc["genus"], tuple(doc["punctures"]))
-    return Triangulation(surface, tuple(arcs), tuple(triangles))
+        if len(tri) != 3:
+            raise ValueError("triangle %r does not have three sides" % (tri,))
+    return Triangulation(MarkedSurface(doc["genus"], doc["punctures"]),
+                         tuple(Arc(**arc) for arc in doc["arcs"]),
+                         doc["triangles"])

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from surfalg import algebra, cli, fixtures, homology, strings
+from surfalg import algebra, certificates, cli, fixtures, homology, strings
 from surfalg.surface import triangulation_to_json
 
 
@@ -391,10 +391,13 @@ def test_module_commands_take_exactly_one_source(capsys, command):
     code, out, err = run(capsys, command)
     assert (code, out) == (2, "")
     assert "one of --input or --builtin is required" in err
-    # --module is a source too: it refuses either of the others
+    # --module is a source too: it refuses either of the others, and a
+    # --simple that it would ignore
     builtin, genus2 = ("--builtin", "kx2"), ("--input", "fixtures/genus2.json")
+    simple = ("--simple", "2")
     for extra, flag in [(builtin, "--builtin"), (genus2, "--input"),
-                        (builtin + genus2, "--builtin")]:
+                        (builtin + genus2, "--builtin"), (simple, "--simple"),
+                        (genus2 + simple, "--input")]:
         got = run(capsys, command, "--module", "fixtures/torus_simple1.json",
                   *extra)
         assert got == (
@@ -497,6 +500,11 @@ def test_xi_all_arrows(capsys):
     code, out, err = run(capsys, "xi", "--builtin", "torus", "--all")
     assert code == 0
     assert out.count("band: yes") == 6
+
+
+def test_xi_refuses_an_arrow_with_all(capsys):
+    got = run(capsys, "xi", "--builtin", "torus", "--all", "--arrow", "x0_1")
+    assert got == (2, "", "error: give either --arrow or --all, not both\n")
 
 
 def test_env_override(capsys, monkeypatch):
@@ -706,10 +714,22 @@ def _set(*path_and_value):
     ("periodicity", _set("witness", 5), "'witness'"),
     ("periodicity", _set("algebra", "field", None), "'field'"),
     ("periodicity", _set("algebra", "max_deg", [40]), "'max_deg'"),
+    ("growth", _set("word1", 5), "'word1'"),
+    ("growth", _set("scope", 5), "'scope'"),
+    ("growth", _set("basepoint", [1]), "'basepoint'"),
+    ("growth", _set("max_forbidden", "4"), "'max_forbidden'"),
+    ("growth", _set("necklaces", 0, "symbols", [1]), "'symbols'"),
+    ("periodicity", _set("module", {"dims": {"1": 1}, "matrices": 5}),
+     "'matrices'"),
+    ("periodicity", _set("module", {"dims": 5}), "'dims'"),
+    ("periodicity", _set("algebra", "field", "32003"), "'field'"),
+    ("periodicity", _set("algebra", "max_deg", 40.9), "'max_deg'"),
 ], ids=["depth-str", "depth-null", "junctions-int", "necklaces-object",
         "violations-str", "period-str", "trials-null", "seed-str",
         "dim_chain-int", "dim_chain-ints", "witness-int", "field-null",
-        "max_deg-list"])
+        "max_deg-list", "word1-int", "scope-int", "basepoint-list",
+        "max_forbidden-str", "symbols-list", "matrices-int", "dims-int",
+        "field-str", "max_deg-float"])
 def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
                                        field):
     cert = tmp_path / "cert.json"
@@ -726,3 +746,94 @@ def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"dims": {"1": True}}, "'1'"),
+    ({"matrices": [1]}, "'matrices'"),
+    ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": [[0.5]]}},
+     "'x0_0'"),
+    ({"dims": {"1": 2, "2": 2, "3": 0}, "matrices": {"x0_0": [[0], [0, 0]]}},
+     "matrix for x0_0 has rows of different lengths"),
+    ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": [[2 ** 64]]}},
+     "matrix for x0_0 has entries outside 0..32002"),
+], ids=["dims-bool", "matrices-list", "entry-float", "ragged", "entry-huge"])
+def test_module_file_names_a_bad_dims_or_matrix(capsys, tmp_path, doc, field):
+    path = tmp_path / "mod.json"
+    base = json.loads(pathlib.Path("fixtures/torus_simple1.json").read_text())
+    path.write_text(json.dumps(dict(base, **doc)))
+    code, out, err = run(capsys, "periodicity", "--module", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
+# A JSON value of each kind; a field is replaced by each value of a kind
+# other than its own.
+_KINDS = (None, True, 1, "x", [], {})
+
+
+def _kind(value):
+    return type(value) if value is not None else None
+
+
+def _replacements(doc, path=()):
+    """(path, value) for every field of doc and of its nested records (the
+    first item of a list stands for all), replaced by each JSON value of
+    another kind."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc[:1]) if isinstance(doc, list) else ())
+    for key, value in items:
+        for other in _KINDS:
+            if _kind(other) is not _kind(value):
+                yield path + (key,), other
+        yield from _replacements(value, path + (key,))
+
+
+def _written_documents():
+    """The documents the program writes, with the command that reads each."""
+    docs = [("build-" + name, ("build", "--input"),
+             json.loads(triangulation_to_json(
+                 fixtures.builtin_triangulation(name))))
+            for name in fixtures.BUILTIN_NAMES]
+    spec = certificates.presentation_spec({"builtin": "torus"})
+    pres, maps = certificates.quotient_from_spec(spec)
+    growth = certificates.make_growth_certificate(
+        spec, pres, strings.build_xi(maps, "x0_0"),
+        strings.build_eta(maps, "x0_0"), depth=2)
+    aspec = {"builtin": "kx2", "field": 32003, "max_deg": 40}
+    a = certificates.algebra_from_spec(aspec)
+    res = homology.check_periodicity(a, homology.simple_module(a, "1"))
+    periodicity = certificates.make_periodicity_certificate(
+        aspec, {"simple": "1"}, res)
+    for name, cert in (("growth", growth), ("periodicity", periodicity)):
+        docs.append(("verify-" + name, ("verify", "--input"),
+                     json.loads(certificates.certificate_to_json(cert))))
+    docs.append(("module-file", ("periodicity", "--module"), json.loads(
+        pathlib.Path("fixtures/torus_simple1.json").read_text())))
+    return docs
+
+
+_FIELD_CASES = [
+    pytest.param(argv, doc, path, value,
+                 id="%s:%s=%s" % (name, ".".join(map(str, path)),
+                                  json.dumps(value)))
+    for name, argv, doc in _written_documents()
+    for path, value in _replacements(doc)]
+
+
+@pytest.mark.parametrize("argv,doc,path,value", _FIELD_CASES)
+def test_every_field_of_every_document_is_typed(capsys, tmp_path, argv, doc,
+                                                path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    field = [step for step in path if isinstance(step, str)][-1]
+    path_ = tmp_path / "doc.json"
+    path_.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path_))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(field) in err

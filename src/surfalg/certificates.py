@@ -109,7 +109,7 @@ def quotient_from_spec(spec):
     if source == "string-quotient":
         t = triangulation_from_spec(spec, "presentation spec")
         q = qp.build_quiver(t)
-        maps = qp.arrow_maps(t, q)
+        maps = qp.arrow_maps(t)
         name = "string-quotient(%s)" % source_label(spec)
         return strings.string_quotient(q, maps, name=name), maps
     raise ValueError("unknown presentation source %r" % (source,))
@@ -139,7 +139,7 @@ def algebra_from_spec(spec):
     else:
         t = triangulation_from_spec(spec, "algebra spec")
         q = qp.build_quiver(t)
-        rels = qp.jacobian_relations(qp.build_potential(t, q))
+        rels = qp.jacobian_relations(qp.build_potential(qp.arrow_maps(t)))
     return algebra.compute_basis(q, rels, p=p, max_deg=max_deg,
                                  path_budget=budget)
 

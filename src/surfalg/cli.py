@@ -104,8 +104,8 @@ def cmd_build(args):
     if report.ok:
         try:
             quiver = qp.build_quiver(t)
-            maps = qp.arrow_maps(t, quiver)
-            potential = qp.build_potential(t, quiver)
+            maps = qp.arrow_maps(t)
+            potential = qp.build_potential(maps)
         except ValueError as e:
             note = str(e)
     if args.format == "dot":

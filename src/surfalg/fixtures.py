@@ -97,7 +97,7 @@ def sphere5_triangulation():
         ("A2", "A2", "L2"),
         ("A3", "A3", "L3"),
         ("M1", "L1", "M2"),
-        ("M2", "L2", "M3"),
+        ("M3", "L2", "M2"),
         ("M3", "L3", "M1"),
     )
     return Triangulation(surface, arcs, triangles)

@@ -12,7 +12,9 @@ For a triangulation with no self-folded triangles and all valencies >= 3:
 * g sends an arrow x to the arrow out of target(x) that belongs to the
   other triangle containing the arc target(x); the orbit
   (x)(g x)(g^2 x)... is a composable cycle surrounding one puncture, and
-  its length equals the valency of that puncture.
+  its length equals the valency of that puncture.  The g-orbits are the
+  corner cycles of surface.validate_triangulation (x{i}_s sits at corner
+  (i, s)), read with their punctures; qp never reads arc endpoints.
 
 The potential is the sum of the triangle 3-cycles (coefficient +1) minus,
 for each puncture q, lambda_q times the cycle surrounding q (lambda_q = 1
@@ -226,13 +228,14 @@ def _check_build_preconditions(t):
         raise ValueError(
             "triangulation has self-folded triangle(s): %s" % (bad,)
         )
+    valency = {p: len(corners) for p, corners in report.cycles}
     for p in t.surface.punctures:
-        val = _surface.valency(t, p)
-        if val < 3:
+        if valency[p] < 3:
             raise ValueError(
                 "puncture %r has valency %d < 3; quiver construction needs "
-                "all valencies >= 3" % (p, val)
+                "all valencies >= 3" % (p, valency[p])
             )
+    return report
 
 
 def _arrow_id(tri_index, slot):
@@ -245,8 +248,8 @@ def build_quiver(t):
     Triangle i with sides (a, b, c) contributes arrows
     x{i}_0: a -> b, x{i}_1: b -> c, x{i}_2: c -> a.
     Requires a valid triangulation with no self-folded triangles and all
-    valencies >= 3.  A genuine ideal triangulation then gives no 2-cycles;
-    one that does has a wrong gluing, and is refused with the two arcs.
+    valencies >= 3.  It has no 2-cycles: arrows a -> b and b -> a would
+    form a g-orbit of length 2, the corner cycle of a valency-2 puncture.
     """
     _check_build_preconditions(t)
     vertices = tuple(a.id for a in t.arcs)
@@ -254,105 +257,50 @@ def build_quiver(t):
     for i, tri in enumerate(t.triangles):
         for s in range(3):
             arrows.append(Arrow(_arrow_id(i, s), tri[s], tri[(s + 1) % 3]))
-    ends = {(a.source, a.target): a.id for a in arrows}
-    for a in arrows:
-        back = ends.get((a.target, a.source))
-        if back:
-            raise ValueError(
-                "quiver has a 2-cycle between arcs %r and %r (arrows %s and "
-                "%s): the triangles are not glued as an ideal triangulation"
-                % (a.source, a.target, a.id, back))
     return Quiver(vertices, tuple(arrows))
 
 
-def arrow_maps(t, q):
+def arrow_maps(t):
     """Compute f and g for the quiver of a triangulation.
 
-    f(x{i}_s) = x{i}_{s+1 mod 3} rotates each triangle's 3-cycle.  g(x) is
-    the arrow out of target(x) in the other triangle containing the arc
-    target(x); equivalently, the continuation of x in the cycle around the
-    puncture sitting at the corner of x's triangle between source(x) and
-    target(x).
+    f(x{i}_s) = x{i}_{s+1 mod 3} rotates each triangle's 3-cycle.  Arrow
+    x{i}_s sits at corner (i, s) of triangle i, and g walks the corners
+    around each puncture as surface.validate_triangulation reports them:
+    g(x) is the arrow out of target(x) in the other triangle containing the
+    arc target(x), and each g-orbit surrounds the puncture of its cycle.
     """
-    _check_build_preconditions(t)
-    # occurrences of each arc in triangle slots: exactly two by validity
-    occ = {}
-    for i, tri in enumerate(t.triangles):
-        for s in range(3):
-            occ.setdefault(tri[s], []).append((i, s))
-
-    f = {}
-    g = {}
-    corner_candidates = {}
-    for i, tri in enumerate(t.triangles):
-        for s in range(3):
-            aid = _arrow_id(i, s)
-            f[aid] = _arrow_id(i, (s + 1) % 3)
-            target_arc = tri[(s + 1) % 3]
-            others = [o for o in occ[target_arc] if o != (i, (s + 1) % 3)]
-            if len(others) != 1:
-                raise ValueError(
-                    "no unique continuation for arrow %r at arc %r" % (aid, target_arc)
-                )
-            oi, os_ = others[0]
-            g[aid] = _arrow_id(oi, os_)
-            # the corner between the two arcs of this arrow is a puncture
-            # shared by both arcs
-            e1 = set(t.arc_by_id(tri[s]).endpoints)
-            e2 = set(t.arc_by_id(target_arc).endpoints)
-            corner_candidates[aid] = e1 & e2
-
-    maps = ArrowMaps(f, g, {})
-    orbit_puncture = {}
-    valencies = {p: 0 for p in t.surface.punctures}
-    from . import surface as _surface
-
-    for p in valencies:
-        valencies[p] = _surface.valency(t, p)
-    for orb in maps.g_orbits():
-        shared = None
-        for aid in orb:
-            c = corner_candidates[aid]
-            shared = c if shared is None else (shared & c)
-        if shared is None or len(shared) == 0:
-            raise ValueError(
-                "cannot determine the puncture surrounded by g-orbit %s" % (orb,)
-            )
-        if len(shared) > 1:
-            # disambiguate by matching the orbit length to the valency
-            shared = {p for p in shared if valencies.get(p) == len(orb)}
-        if len(shared) != 1:
-            raise ValueError(
-                "ambiguous surrounding puncture for g-orbit %s" % (orb,)
-            )
-        orbit_puncture[min(orb)] = next(iter(shared))
+    report = _check_build_preconditions(t)
+    f = {_arrow_id(i, s): _arrow_id(i, (s + 1) % 3)
+         for i in range(len(t.triangles)) for s in range(3)}
+    g, orbit_puncture = {}, {}
+    for p, corners in report.cycles:
+        orb = [_arrow_id(*divmod(c, 3)) for c in corners]
+        g.update(zip(orb, orb[1:] + orb[:1]))
+        orbit_puncture[min(orb)] = p
     return ArrowMaps(f, g, orbit_puncture)
 
 
-def build_potential(t, q, puncture_scalars=None):
+def build_potential(maps, puncture_scalars=None):
     """Triangle 3-cycles plus scaled puncture cycles.
 
-    One term per triangle (its 3-cycle, coefficient +1) and one term per
-    puncture (the surrounding g-cycle, coefficient -lambda_q; lambda_q
-    defaults to 1 for punctures missing from puncture_scalars, and
+    One term per triangle (its f-orbit, coefficient +1) and one term per
+    puncture of maps (the surrounding g-cycle, coefficient -lambda_q;
+    lambda_q defaults to 1 for punctures missing from puncture_scalars, and
     puncture_scalars=None enables that default for all of them).
     """
-    maps = arrow_maps(t, q)
     scalars = dict(puncture_scalars or {})
     for p in scalars:
-        if p not in set(t.surface.punctures):
+        if p not in set(maps.orbit_puncture.values()):
             raise KeyError("scalar for unknown puncture %r" % (p,))
         if scalars[p] == 0:
             raise ValueError("puncture scalar for %r must be nonzero" % (p,))
     terms = {}
-    for i in range(len(t.triangles)):
-        cyc = canonical_rotation(tuple(_arrow_id(i, s) for s in range(3)))
-        terms[cyc] = terms.get(cyc, 0) + 1
-    for orb in maps.g_orbits():
-        p = maps.orbit_puncture[min(orb)]
-        lam = scalars.get(p, 1)
+    for orb in maps.f_orbits():
         cyc = canonical_rotation(orb)
-        terms[cyc] = terms.get(cyc, 0) - lam
+        terms[cyc] = terms.get(cyc, 0) + 1
+    for key, p in maps.orbit_puncture.items():
+        cyc = canonical_rotation(maps.g_orbit(key))
+        terms[cyc] = terms.get(cyc, 0) - scalars.get(p, 1)
     return Potential(terms)
 
 

@@ -12,6 +12,14 @@ with p punctures:
     #triangles = (2/3) #arcs
     sum of valencies = 2 #arcs   (a loop counts twice at its puncture)
 
+The two slots of an arc are glued with reversed orientation, so corner
+(i, s), between sides s and s+1 of triangle i, is followed around its
+puncture by corner (j, u), where (j, u) is the other slot of side s+1.  Only
+this module maps corners to punctures: a cycle's puncture ends both sides at
+each of its corners and has the cycle length as valency.  A valid
+triangulation has one cycle per puncture, arc endpoints where the cycles put
+them, #cycles - #arcs + #triangles = 2 - 2 g, and one connected piece.
+
 Every JSON document the program reads (this triangulation format, the
 specs, module files and certificates) is checked against its field table
 by one reader, read_fields.
@@ -56,9 +64,6 @@ class Arc:
     def __post_init__(self):
         object.__setattr__(self, "endpoints", tuple(self.endpoints))
 
-    def is_loop(self):
-        return self.endpoints[0] == self.endpoints[1]
-
 
 @dataclass(frozen=True)
 class Triangulation:
@@ -72,16 +77,11 @@ class Triangulation:
             self, "triangles", tuple(tuple(t) for t in self.triangles)
         )
 
-    def arc_by_id(self, arc_id):
-        for a in self.arcs:
-            if a.id == arc_id:
-                return a
-        raise KeyError("unknown arc id %r" % (arc_id,))
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple
+    cycles: tuple = ()  # (puncture or None, corners 3i+s) per corner cycle
 
     @property
     def ok(self):
@@ -152,17 +152,68 @@ def validate_triangulation(t):
             v.append(
                 "arc %r appears in %d triangle slots, expected 2" % (arc_id, c)
             )
-    return ValidationReport(tuple(v))
+    cycles = () if v else _corner_cycles(t, v)
+    return ValidationReport(tuple(v), cycles)
+
+
+def _corner_cycles(t, v):
+    """Walk the corners around each puncture; append gluing violations to v."""
+    flat = [arc for tri in t.triangles for arc in tri]
+    after, last = [0] * len(flat), {}
+    for c, arc in enumerate(flat):
+        if arc in last:  # the corners before slots c and d come to d and c
+            d = last[arc]
+            after[c - 1 if c % 3 else c + 2] = d
+            after[d - 1 if d % 3 else d + 2] = c
+        last[arc] = c
+    ends = {a.id: a.endpoints for a in t.arcs}
+    cycles, at = [], [-1] * len(flat)  # the cycle of each corner
+    for start in range(len(flat)):
+        corners, c = [], start
+        while at[c] < 0:
+            at[c] = len(cycles)
+            corners.append(c)
+            c = after[c]
+        if not corners:
+            continue
+        # the sides at a cycle's corners are the sides of its slots
+        names = [p for p in set(ends[flat[start]]) if all(
+            p in ends[flat[c]] for c in corners)
+            and valency(t, p) == len(corners)]
+        cycles.append((names[0] if len(names) == 1 else None,
+                       tuple(corners)))
+        if len(names) != 1:
+            v.append("corner cycle %s: no puncture of valency %d ends both "
+                     "sides at each corner" % (
+                         [divmod(c, 3) for c in corners], len(corners)))
+    named = [p for p, _ in cycles]
+    v += ["puncture %r has %d corner cycles, expected 1" % (p, named.count(p))
+          for p in t.surface.punctures if named.count(p) != 1]
+    for arc, c in last.items():  # the side of slot c ends at corners c-1, c
+        lie = (named[at[c - 1 if c % 3 else c + 2]], named[at[c]])
+        if None not in lie and ends[arc] not in (lie, lie[::-1]):
+            v.append("arc %r has endpoints %s, but its ends lie at %s"
+                     % (arc, list(ends[arc]), list(lie)))
+    chi = len(cycles) - len(t.arcs) + len(t.triangles)
+    if chi != 2 - 2 * t.surface.genus:
+        v.append("Euler characteristic #cycles - #arcs + #triangles = %d "
+                 "!= 2 - 2*genus = %d" % (chi, 2 - 2 * t.surface.genus))
+    piece = edge = {0} if flat else set()
+    while edge:  # the triangles next to those found last, until none is new
+        edge = {after[c] // 3 for i in edge for c in range(3 * i, 3 * i + 3)}
+        edge -= piece
+        piece |= edge
+    if len(piece) < len(t.triangles):
+        v.append("triangles fall into more than one connected piece: "
+                 "%d of %d reach triangle 0" % (len(piece), len(t.triangles)))
+    return tuple(cycles)
 
 
 def valency(t, p):
     """Number of arc-endpoint incidences at puncture p; a loop counts twice."""
     if p not in set(t.surface.punctures):
         raise KeyError("unknown puncture id %r" % (p,))
-    total = 0
-    for a in t.arcs:
-        total += list(a.endpoints).count(p)
-    return total
+    return sum(a.endpoints.count(p) for a in t.arcs)
 
 
 def min_valency(t):

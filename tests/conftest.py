@@ -14,13 +14,13 @@ def torus_quiver(torus_tri):
 
 
 @pytest.fixture(scope="session")
-def torus_maps(torus_tri, torus_quiver):
-    return qp.arrow_maps(torus_tri, torus_quiver)
+def torus_maps(torus_tri):
+    return qp.arrow_maps(torus_tri)
 
 
 @pytest.fixture(scope="session")
-def torus_relations(torus_tri, torus_quiver):
-    return qp.jacobian_relations(qp.build_potential(torus_tri, torus_quiver))
+def torus_relations(torus_maps):
+    return qp.jacobian_relations(qp.build_potential(torus_maps))
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +34,7 @@ def tetra_algebra():
     t = fixtures.tetra()
     q = qp.build_quiver(t)
     w = qp.build_potential(
-        t, q, puncture_scalars={p: 2 for p in t.surface.punctures})
+        qp.arrow_maps(t), puncture_scalars={p: 2 for p in t.surface.punctures})
     return algebra.compute_basis(q, qp.jacobian_relations(w), p=32003,
                                  max_deg=40)
 
@@ -54,6 +54,6 @@ def torus_quotient(torus_quiver, torus_maps):
 def genus2_setup():
     t = fixtures.genus2()
     q = qp.build_quiver(t)
-    maps = qp.arrow_maps(t, q)
+    maps = qp.arrow_maps(t)
     pres = strings.string_quotient(q, maps, name="string-quotient(genus2)")
     return t, q, maps, pres

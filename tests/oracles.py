@@ -375,6 +375,74 @@ def naive_free_composability(pres, w1, w2, depth):
 
 
 # ---------------------------------------------------------------------------
+# gluing of triangles: vertex classes by union-find, not by a corner walk
+
+
+def _root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def glued_vertex_classes(triangles):
+    """Vertex classes and connected pieces of triangles glued along arcs.
+
+    Point (i, k) is vertex k of triangle i, and side k runs from point k to
+    point k+1.  The two sides that carry one arc id are glued with reversed
+    orientation: the start of each is identified with the end of the other.
+    Union-find over the 3T points gives the classes, numbered in point
+    order; union-find over the triangles gives the pieces.  Returns
+    (class of each point, number of classes, number of pieces).
+    """
+    points = [(i, k) for i in range(len(triangles)) for k in range(3)]
+    parent = {x: x for x in points}
+    tparent = list(range(len(triangles)))
+    sides = {}
+    for i, tri in enumerate(triangles):
+        for k, arc in enumerate(tri):
+            sides.setdefault(arc, []).append((i, k))
+    for (i, k), (j, m) in sides.values():
+        for x, y in (((i, k), (j, (m + 1) % 3)), ((i, (k + 1) % 3), (j, m))):
+            parent[_root(parent, x)] = _root(parent, y)
+        tparent[_root(tparent, i)] = _root(tparent, j)
+    number = {}
+    cls = {x: number.setdefault(_root(parent, x), len(number))
+           for x in points}
+    pieces = {_root(tparent, i) for i in range(len(triangles))}
+    return cls, len(number), len(pieces)
+
+
+def gluing_labellings(genus, punctures, arcs, triangles):
+    """Every naming of the glued vertex classes by the punctures, one to
+    one, under which each arc's endpoints are the classes of its two ends.
+
+    arcs maps each arc id to its endpoint pair, and every arc fills two
+    triangle sides.  The list is empty unless the triangles form one
+    connected surface with Euler characteristic 2 - 2 genus.  Each naming
+    is a dict class -> puncture.
+    """
+    cls, n, pieces = glued_vertex_classes(triangles)
+    if pieces != 1 or n != len(punctures) \
+            or n - len(arcs) + len(triangles) != 2 - 2 * genus:
+        return []
+    ends = {}
+    for i, tri in enumerate(triangles):
+        for k, arc in enumerate(tri):
+            ends[arc] = (cls[i, k], cls[i, (k + 1) % 3])
+    candidates = [set(punctures) for _ in range(n)]
+    for arc, (a, b) in ends.items():
+        candidates[a] &= set(arcs[arc])
+        candidates[b] &= set(arcs[arc])
+    out = []
+    for names in itertools.product(*(sorted(c) for c in candidates)):
+        if len(set(names)) == n and all(
+                sorted((names[a], names[b])) == sorted(arcs[arc])
+                for arc, (a, b) in ends.items()):
+            out.append(dict(enumerate(names)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # exact rational determinant for cross-checking integer determinants
 
 

@@ -75,7 +75,7 @@ def _lyndon_patterns(maxlen):
 def _quotient(name):
     t = fixtures.builtin_triangulation(name)
     q = build_quiver(t)
-    maps = arrow_maps(t, q)
+    maps = arrow_maps(t)
     return t, q, maps, string_quotient(q, maps)
 
 
@@ -168,7 +168,7 @@ def test_arrow_permutation_structure():
         for name in ("torus", "genus2"):
             t = fixtures.builtin_triangulation(name)
             q = build_quiver(t)
-            maps = arrow_maps(t, q)
+            maps = arrow_maps(t)
             for x in maps.f:
                 assert maps.f[maps.f[maps.f[x]]] == x
             orbits = {frozenset(o) for o in maps.f_orbits()}
@@ -191,7 +191,7 @@ def test_torus_algebra_facts():
     with criterion("torus-algebra"):
         t = fixtures.torus()
         q = build_quiver(t)
-        rels = jacobian_relations(build_potential(t, q))
+        rels = jacobian_relations(build_potential(arrow_maps(t)))
         a = compute_basis(q, rels, p=PRIME, max_deg=40)
         assert a.graded_dims == (3, 6, 6, 6, 6, 6, 3)
         assert a.dim == 36
@@ -216,7 +216,7 @@ def test_torus_omega_periodicity():
     with criterion("omega4-periodicity", budget=60.0):
         t = fixtures.torus()
         q = build_quiver(t)
-        rels = jacobian_relations(build_potential(t, q))
+        rels = jacobian_relations(build_potential(arrow_maps(t)))
         a = compute_basis(q, rels, p=PRIME, max_deg=40)
         for v in sorted(q.vertices):
             s = simple_module(a, v)
@@ -238,15 +238,16 @@ def test_engine_oracle_agreement():
 
         t = fixtures.torus()
         q = build_quiver(t)
-        cases.append((q, jacobian_relations(build_potential(t, q))))
+        cases.append((q, jacobian_relations(build_potential(arrow_maps(t)))))
 
         t2 = fixtures.genus2()
         q2 = build_quiver(t2)
-        cases.append((q2, jacobian_relations(build_potential(t2, q2))))
+        cases.append((q2, jacobian_relations(
+            build_potential(arrow_maps(t2)))))
 
         t4 = fixtures.tetra()
         q4 = build_quiver(t4)
-        w4 = build_potential(t4, q4, puncture_scalars={
+        w4 = build_potential(arrow_maps(t4), puncture_scalars={
             p: 2 for p in t4.surface.punctures})
         cases.append((q4, jacobian_relations(w4)))
 

@@ -42,7 +42,7 @@ def test_torus_against_dense_oracle(torus_quiver, torus_relations):
 def test_genus2_partials_and_oracle():
     t = fixtures.genus2()
     q = qp.build_quiver(t)
-    rels = qp.jacobian_relations(qp.build_potential(t, q))
+    rels = qp.jacobian_relations(qp.build_potential(qp.arrow_maps(t)))
     dims, stab = algebra.graded_dimensions(q, rels, p=32003, max_deg=6)
     assert not stab
     assert dims == [9, 18, 18, 18, 18, 18, 18]
@@ -60,7 +60,7 @@ def test_sphere5_quotient_grows():
 def test_budget_exhaustion_raises():
     t = fixtures.genus2()
     q = qp.build_quiver(t)
-    rels = qp.jacobian_relations(qp.build_potential(t, q))
+    rels = qp.jacobian_relations(qp.build_potential(qp.arrow_maps(t)))
     with pytest.raises(algebra.NonStabilizationError) as exc:
         algebra.graded_dimensions(q, rels, p=32003, max_deg=40,
                                   path_budget=2000)
@@ -122,7 +122,7 @@ def test_nonpositive_bounds_rejected(torus_quiver, torus_relations, fn,
 def _genus2_data():
     t = fixtures.genus2()
     q = qp.build_quiver(t)
-    return q, qp.jacobian_relations(qp.build_potential(t, q))
+    return q, qp.jacobian_relations(qp.build_potential(qp.arrow_maps(t)))
 
 
 @pytest.mark.parametrize("name", ["torus", "genus2"])

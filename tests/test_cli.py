@@ -666,28 +666,59 @@ def test_unwritable_out_still_exits_two(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# Triangles [1,2,3] and [3,2,1] pass the count checks, but their quiver has
-# 2-cycles: this is not an ideal triangulation of the torus.
+# Triangles [1,2,3] and [3,2,1] pass the count checks, but they glue into
+# a sphere with three punctures, not a torus; their quiver has 2-cycles.
 _TWO_CYCLE_TORUS = {
     "genus": 1, "punctures": ["p"],
     "arcs": [{"id": a, "endpoints": ["p", "p"]} for a in "123"],
     "triangles": [["1", "2", "3"], ["3", "2", "1"]],
 }
+# Two once-punctured tori in one document pass the counts and have
+# Euler characteristic 0, but the triangles fall into two pieces.
+_TWO_TORI = {
+    "genus": 1, "punctures": ["p", "q"],
+    "arcs": [{"id": a, "endpoints": [p, p]} for a, p in zip("123456",
+                                                            "pppqqq")],
+    "triangles": [["1", "2", "3"]] * 2 + [["4", "5", "6"]] * 2,
+}
 
 
 def test_two_cycles_are_refused(capsys, tmp_path):
+    # each wrong gluing fails validation, naming the invariant it breaks
+    for doc, reason in [
+        (_TWO_CYCLE_TORUS, "Euler characteristic #cycles - #arcs + "
+                           "#triangles = 2 != 2 - 2*genus = 0"),
+        (_TWO_TORI, "triangles fall into more than one connected piece: "
+                    "2 of 4 reach triangle 0"),
+    ]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "algebra", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid triangulation: ")
+        assert err.endswith(reason + "\n") and err.count("\n") == 1
+        code, out, err = run(capsys, "build", "--input", str(path))
+        assert (code, err) == (1, "")
+        assert "validation: ok" not in out and "  - %s\n" % reason in out
+
+
+def test_wrong_gluing_violations_are_listed(capsys, tmp_path):
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(_TWO_CYCLE_TORUS))
-    code, out, err = run(capsys, "algebra", "--input", str(path))
-    assert (code, out) == (2, "")
-    assert err == ("error: quiver has a 2-cycle between arcs '1' and '2' "
-                   "(arrows x0_0 and x1_1): the triangles are not glued as "
-                   "an ideal triangulation\n")
-    code, out, err = run(capsys, "build", "--input", str(path))
-    assert (code, err) == (0, "")
-    assert "validation: ok\n" in out
-    assert "quiver: not built (quiver has a 2-cycle between arcs '1' and " \
-        "'2'" in out
+    code, out, _ = run(capsys, "build", "--input", str(path))
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "validation: 5 violation(s)",
+        "  - corner cycle [(0, 0), (1, 1)]: no puncture of valency 2 ends "
+        "both sides at each corner",
+        "  - corner cycle [(0, 1), (1, 0)]: no puncture of valency 2 ends "
+        "both sides at each corner",
+        "  - corner cycle [(0, 2), (1, 2)]: no puncture of valency 2 ends "
+        "both sides at each corner",
+        "  - puncture 'p' has 0 corner cycles, expected 1",
+        "  - Euler characteristic #cycles - #arcs + #triangles = 2 != "
+        "2 - 2*genus = 0",
+    ]
 
 
 def _set(*path_and_value):

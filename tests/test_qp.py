@@ -22,7 +22,7 @@ from surfalg.qp import (
 def _setup(name):
     t = fixtures.builtin_triangulation(name)
     q = build_quiver(t)
-    return t, q, arrow_maps(t, q)
+    return t, q, arrow_maps(t)
 
 
 def test_build_quiver_counts():
@@ -95,7 +95,7 @@ def test_g_starts_where_f_squared_ends():
 
 def test_potential_terms():
     t, q, maps = _setup("torus")
-    w = build_potential(t, q)
+    w = build_potential(maps)
     # one 3-cycle per triangle (+1) and one cycle per puncture (-1)
     plus = [k for k, v in w.terms.items() if v == 1]
     minus = [k for k, v in w.terms.items() if v == -1]
@@ -107,8 +107,8 @@ def test_potential_terms():
 
 def test_potential_puncture_scalars():
     t, q, maps = _setup("tetra")
-    w = build_potential(t, q, puncture_scalars={p: 7 for p in
-                                                t.surface.punctures})
+    w = build_potential(maps, puncture_scalars={p: 7 for p in
+                                               t.surface.punctures})
     minus = [v for k, v in w.terms.items() if len(k) == 3 and v != 1]
     # every cycle term carries -7; triangle terms keep +1
     assert sorted(set(w.terms.values())) == [-7, 1]
@@ -179,7 +179,7 @@ def test_quiver_json_round_trip():
 
 
 def test_potential_json():
-    t, q, _ = _setup("torus")
-    w = build_potential(t, q)
+    _, _, maps = _setup("torus")
+    w = build_potential(maps)
     doc = json.loads(potential_to_json(w))
     assert len(doc["terms"]) == 3

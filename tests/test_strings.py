@@ -198,7 +198,7 @@ def test_quotient_forbidden_counts(torus_quotient, genus2_setup):
 def test_quotient_requires_long_orbits():
     t = fixtures.tetra()
     q = qp.build_quiver(t)
-    maps = qp.arrow_maps(t, q)
+    maps = qp.arrow_maps(t)
     with pytest.raises(ValueError, match="length 3 < 4"):
         string_quotient(q, maps)
 

@@ -75,8 +75,8 @@ def source_label(spec):
 def triangulation_from_spec(spec, where="source spec"):
     """The triangulation of {"builtin": name} or {"triangulation": document}.
 
-    It is not validated here: qp.build_quiver validates every triangulation
-    that reaches a quiver.
+    It is not validated here: qp.arrow_maps validates every triangulation
+    that reaches a quiver, once.
     """
     if ("builtin" in spec) == ("triangulation" in spec):
         raise ValueError(
@@ -107,11 +107,10 @@ def quotient_from_spec(spec):
                 "presentation spec for sphere5 takes no surface fields")
         return strings.sphere5_presentation(), None
     if source == "string-quotient":
-        t = triangulation_from_spec(spec, "presentation spec")
-        q = qp.build_quiver(t)
-        maps = qp.arrow_maps(t)
+        maps = qp.arrow_maps(
+            triangulation_from_spec(spec, "presentation spec"))
         name = "string-quotient(%s)" % source_label(spec)
-        return strings.string_quotient(q, maps, name=name), maps
+        return strings.string_quotient(maps, name=name), maps
     raise ValueError("unknown presentation source %r" % (source,))
 
 
@@ -137,9 +136,9 @@ def algebra_from_spec(spec):
                 "'triangulation'")
         q, rels = fixtures.kx2_algebra_data()
     else:
-        t = triangulation_from_spec(spec, "algebra spec")
-        q = qp.build_quiver(t)
-        rels = qp.jacobian_relations(qp.build_potential(qp.arrow_maps(t)))
+        maps = qp.arrow_maps(triangulation_from_spec(spec, "algebra spec"))
+        q = maps.quiver
+        rels = qp.jacobian_relations(qp.build_potential(maps))
     return algebra.compute_basis(q, rels, p=p, max_deg=max_deg,
                                  path_budget=budget)
 
@@ -169,17 +168,19 @@ def module_from_spec(a, spec):
         except OverflowError:
             raise ValueError("matrix for %s has entries outside 0..%d"
                              % (aid, a.field - 1))
-    m = homology.FDModule(
-        {v: dims.get(v, 0) for v in a.quiver.vertices},
-        {
-            x.id: mats.get(
-                x.id,
-                np.zeros((dims.get(x.source, 0), dims.get(x.target, 0)),
-                         dtype=np.int64))
-            for x in a.quiver.arrows
-        },
-    )
-    problems = homology.validate_module(a, m)
+    try:
+        m = homology.FDModule(
+            {v: dims.get(v, 0) for v in a.quiver.vertices},
+            {x.id: mats[x.id] if x.id in mats else np.zeros(
+                (dims.get(x.source, 0), dims.get(x.target, 0)),
+                dtype=np.int64) for x in a.quiver.arrows})
+        problems = homology.validate_module(a, m)
+    except (MemoryError, ValueError):
+        # numpy cannot allocate a zero matrix or a relation's path matrix,
+        # or refuses a dimension beyond its maximum
+        big = max(dims, key=dims.get)
+        raise ValueError("module dims for %r are too large to allocate: %d"
+                         % (big, dims[big]))
     if problems:
         raise ValueError("invalid module: %s" % problems[0])
     return m

@@ -99,21 +99,20 @@ def cmd_build(args):
     t = certificates.triangulation_from_spec(spec)
     label = certificates.source_label(spec)
     report = validate_triangulation(t)
-    quiver = maps = potential = None
+    maps = potential = None
     note = None
     if report.ok:
         try:
-            quiver = qp.build_quiver(t)
             maps = qp.arrow_maps(t)
             potential = qp.build_potential(maps)
         except ValueError as e:
             note = str(e)
     if args.format == "dot":
-        if quiver is None:
+        if maps is None:
             raise ValueError(
                 "dot output needs a quiver; %s"
                 % (note or "triangulation is invalid: %s" % report))
-        _write_output(qp.quiver_to_dot(quiver), args.out)
+        _write_output(qp.quiver_to_dot(maps.quiver), args.out)
         return 0
     if args.format == "json":
         doc = {
@@ -122,8 +121,8 @@ def cmd_build(args):
             "valid": report.ok,
             "violations": list(report.violations),
             "note": note,
-            "quiver": json.loads(qp.quiver_to_json(quiver))
-            if quiver else None,
+            "quiver": json.loads(qp.quiver_to_json(maps.quiver))
+            if maps else None,
             "potential": json.loads(qp.potential_to_json(potential))
             if potential else None,
             "f_orbits": [list(o) for o in maps.f_orbits()] if maps else None,
@@ -149,10 +148,10 @@ def cmd_build(args):
         lines.append("validation: %d violation(s)" % len(report.violations))
         for v in report.violations:
             lines.append("  - " + v)
-    if quiver is not None:
+    if maps is not None:
         lines.append(
             "quiver: %d vertices, %d arrows"
-            % (len(quiver.vertices), len(quiver.arrows)))
+            % (len(maps.quiver.vertices), len(maps.quiver.arrows)))
         for orb in maps.f_orbits():
             lines.append("  triangle cycle: " + " -> ".join(orb))
         for orb in maps.g_orbits():
@@ -272,9 +271,8 @@ def cmd_certify_growth(args):
         aid = args.arrow or min(maps.f)
         if aid not in maps.f:
             raise ValueError("unknown arrow %r" % (aid,))
-        rule = args.companion_rule
-        w1 = strings.build_xi(maps, aid, companion_rule=rule)
-        w2 = strings.build_eta(maps, aid, companion_rule=rule)
+        w1 = strings.build_xi(maps, aid)
+        w2 = strings.build_eta(maps, aid)
     cert = certificates.make_growth_certificate(spec, pres, w1, w2,
                                                 depth=args.depth)
     if isinstance(cert, strings.CounterExample):
@@ -310,7 +308,6 @@ def cmd_xi(args):
         raise ValueError("give either --arrow or --all, not both")
     pres, maps = certificates.quotient_from_spec(
         dict(_one_source_spec(args), source="string-quotient"))
-    rule = args.companion_rule
     if args.all:
         arrows = sorted(maps.f)
     else:
@@ -319,7 +316,7 @@ def cmd_xi(args):
     for aid in arrows:
         if aid not in maps.f:
             raise ValueError("unknown arrow %r" % (aid,))
-        word = strings.build_xi(maps, aid, companion_rule=rule)
+        word = strings.build_xi(maps, aid)
         bc = strings.is_band(pres, word)
         ok = ok and bc.ok
         print("xi(%s) = %s" % (aid, strings.format_word(word)))
@@ -327,9 +324,9 @@ def cmd_xi(args):
         for v in bc.violations:
             print("  %s" % v)
         if not args.all:
-            print("  rho1 = %s" % ".".join(strings.rho1(maps, aid, rule)))
-            print("  rho2 = %s" % ".".join(strings.rho2(maps, aid, rule)))
-            eta = strings.build_eta(maps, aid, companion_rule=rule)
+            print("  rho1 = %s" % ".".join(strings.rho1(maps, aid)))
+            print("  rho2 = %s" % ".".join(strings.rho2(maps, aid)))
+            eta = strings.build_eta(maps, aid)
             be = strings.is_band(pres, eta)
             ok = ok and be.ok
             print("  eta  = %s" % strings.format_word(eta))
@@ -426,8 +423,6 @@ OPTIONS = {
     "--word2": ({"help": "override the second band"}, None),
     "--arrow": ({}, None),
     "--all": ({"action": "store_true", "help": "check every arrow"}, None),
-    "--companion-rule": ({"choices": ("figure", "swapped"),
-                          "default": "figure"}, None),
     "--depth": ({"type": int}, ("DEPTH", int, 6)),
     "--module": ({"metavar": "PATH"}, None),
     "--simple": ({"metavar": "VERTEX"}, None),
@@ -459,12 +454,12 @@ _COMMANDS = (
      cmd_certify_growth,
      ("--builtin", "--input", "--word1", "--word2",
       ("--arrow", {"help": "arrow for the cycle-flank construction"}),
-      "--companion-rule", "--depth",
+      "--depth",
       ("--max-len",
        {"help": "length bound for the reported band-count table"}),
       "--out")),
     ("xi", "cycle-flank word of an arrow", cmd_xi,
-     ("--builtin", "--input", "--arrow", "--all", "--companion-rule")),
+     ("--builtin", "--input", "--arrow", "--all")),
     ("periodicity", "syzygy periodicity of modules", cmd_periodicity,
      (("--builtin", _KX2), "--input", "--field", "--max-deg",
       ("--module", {"help": "module file (algebra spec, dims, matrices)"}),

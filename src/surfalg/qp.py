@@ -16,6 +16,10 @@ For a triangulation with no self-folded triangles and all valencies >= 3:
   corner cycles of surface.validate_triangulation (x{i}_s sits at corner
   (i, s)), read with their punctures; qp never reads arc endpoints.
 
+arrow_maps(t) is the one constructor: it validates t once and returns the
+quiver together with f, g and the orbit punctures, which build_potential
+reads.
+
 The potential is the sum of the triangle 3-cycles (coefficient +1) minus,
 for each puncture q, lambda_q times the cycle surrounding q (lambda_q = 1
 by default).  Its cyclic derivatives generate the relation ideal of the
@@ -164,13 +168,15 @@ class RelationSet:
 
 @dataclass(frozen=True)
 class ArrowMaps:
-    """The triangle rotation f and the puncture rotation g.
+    """The quiver of a triangulation, its triangle rotation f and its
+    puncture rotation g.
 
-    f and g are permutations of arrow ids.  orbit_puncture maps the id of
-    one representative arrow per g-orbit to the puncture its orbit
+    f and g are permutations of the quiver's arrow ids.  orbit_puncture maps
+    the id of one representative arrow per g-orbit to the puncture its orbit
     surrounds (keys are the minimal arrow id of each orbit).
     """
 
+    quiver: Quiver
     f: dict
     g: dict
     orbit_puncture: dict = field(default_factory=dict)
@@ -217,7 +223,26 @@ class ArrowMaps:
         return self.orbit_puncture.get(key)
 
 
-def _check_build_preconditions(t):
+def _arrow_id(tri_index, slot):
+    return "x%d_%d" % (tri_index, slot)
+
+
+def arrow_maps(t):
+    """The quiver of a triangulation, with its arrow permutations f and g.
+
+    The quiver has one vertex per arc, and triangle i with sides (a, b, c)
+    contributes arrows x{i}_0: a -> b, x{i}_1: b -> c, x{i}_2: c -> a.
+    f(x{i}_s) = x{i}_{s+1 mod 3} rotates each triangle's 3-cycle.  Arrow
+    x{i}_s sits at corner (i, s) of triangle i, and g walks the corners
+    around each puncture as surface.validate_triangulation reports them:
+    g(x) is the arrow out of target(x) in the other triangle containing the
+    arc target(x), and each g-orbit surrounds the puncture of its cycle.
+
+    t is validated once, here.  It must be valid, with no self-folded
+    triangles and all valencies >= 3.  The quiver then has no 2-cycles:
+    arrows a -> b and b -> a would form a g-orbit of length 2, the corner
+    cycle of a valency-2 puncture.
+    """
     from . import surface as _surface
 
     report = _surface.validate_triangulation(t)
@@ -235,49 +260,23 @@ def _check_build_preconditions(t):
                 "puncture %r has valency %d < 3; quiver construction needs "
                 "all valencies >= 3" % (p, valency[p])
             )
-    return report
-
-
-def _arrow_id(tri_index, slot):
-    return "x%d_%d" % (tri_index, slot)
-
-
-def build_quiver(t):
-    """Quiver of a triangulation: one vertex per arc, a 3-cycle per triangle.
-
-    Triangle i with sides (a, b, c) contributes arrows
-    x{i}_0: a -> b, x{i}_1: b -> c, x{i}_2: c -> a.
-    Requires a valid triangulation with no self-folded triangles and all
-    valencies >= 3.  It has no 2-cycles: arrows a -> b and b -> a would
-    form a g-orbit of length 2, the corner cycle of a valency-2 puncture.
-    """
-    _check_build_preconditions(t)
-    vertices = tuple(a.id for a in t.arcs)
-    arrows = []
+    arrows, f = [], {}
     for i, tri in enumerate(t.triangles):
         for s in range(3):
             arrows.append(Arrow(_arrow_id(i, s), tri[s], tri[(s + 1) % 3]))
-    return Quiver(vertices, tuple(arrows))
-
-
-def arrow_maps(t):
-    """Compute f and g for the quiver of a triangulation.
-
-    f(x{i}_s) = x{i}_{s+1 mod 3} rotates each triangle's 3-cycle.  Arrow
-    x{i}_s sits at corner (i, s) of triangle i, and g walks the corners
-    around each puncture as surface.validate_triangulation reports them:
-    g(x) is the arrow out of target(x) in the other triangle containing the
-    arc target(x), and each g-orbit surrounds the puncture of its cycle.
-    """
-    report = _check_build_preconditions(t)
-    f = {_arrow_id(i, s): _arrow_id(i, (s + 1) % 3)
-         for i in range(len(t.triangles)) for s in range(3)}
+            f[_arrow_id(i, s)] = _arrow_id(i, (s + 1) % 3)
     g, orbit_puncture = {}, {}
     for p, corners in report.cycles:
         orb = [_arrow_id(*divmod(c, 3)) for c in corners]
         g.update(zip(orb, orb[1:] + orb[:1]))
         orbit_puncture[min(orb)] = p
-    return ArrowMaps(f, g, orbit_puncture)
+    quiver = Quiver(tuple(a.id for a in t.arcs), tuple(arrows))
+    return ArrowMaps(quiver, f, g, orbit_puncture)
+
+
+def build_quiver(t):
+    """The quiver of arrow_maps(t)."""
+    return arrow_maps(t).quiver
 
 
 def build_potential(maps, puncture_scalars=None):

@@ -373,7 +373,7 @@ def sphere5_presentation():
         forbidden, comparability)
 
 
-def string_quotient(q, maps, name=None):
+def string_quotient(maps, name=None):
     """String presentation obtained by killing every composition x f(x).
 
     The forbidden words are exactly the two-arrow paths {x f(x)}, one per
@@ -385,13 +385,13 @@ def string_quotient(q, maps, name=None):
         raise ValueError(
             "cycle orbit of arrow %r has length %d < 4"
             % (short[0], len(maps.g_orbit(short[0]))))
-    arrows = {a.id: (a.source, a.target) for a in q.arrows}
+    arrows = {a.id: (a.source, a.target) for a in maps.quiver.arrows}
     forbidden = []
     for aid in sorted(arrows):
         forbidden.append(ForbiddenWord((aid, maps.f[aid])))
     return WordPresentation(
         name or "string-quotient",
-        sorted(q.vertices), arrows, (), forbidden, ())
+        sorted(maps.quiver.vertices), arrows, (), forbidden, ())
 
 
 def _windows_ending(p, w, j, shortest=1):
@@ -682,43 +682,28 @@ def free_composability(p, w1, w2, depth=6):
     )
 
 
-def rho1(maps, alpha, companion_rule="figure"):
-    """First flank of the cycle construction, as a tuple of arrow ids."""
-    gamma, beta = _companions(maps, alpha, companion_rule)
-    orbit = maps.g_orbit(gamma)
-    n = len(orbit)
-    return tuple(orbit[k] for k in range(2, n))
+def rho1(maps, alpha):
+    """First flank of the cycle construction, as a tuple of arrow ids: the
+    g-orbit of gamma = f(alpha) from its third arrow on."""
+    return maps.g_orbit(maps.f[alpha])[2:]
 
 
-def rho2(maps, alpha, companion_rule="figure"):
-    """Second flank of the cycle construction, as a tuple of arrow ids."""
-    gamma, beta = _companions(maps, alpha, companion_rule)
-    orbit = maps.g_orbit(beta)
-    n = len(orbit)
-    return tuple(orbit[k] for k in range(1, n - 1))
+def rho2(maps, alpha):
+    """Second flank of the cycle construction, as a tuple of arrow ids: the
+    g-orbit of beta = f(f(alpha)) without its first and last arrows."""
+    return maps.g_orbit(maps.f[maps.f[alpha]])[1:-1]
 
 
-def _companions(maps, alpha, companion_rule):
-    if companion_rule == "figure":
-        gamma = maps.f[alpha]
-        beta = maps.f[gamma]
-    elif companion_rule == "swapped":
-        beta = maps.f[alpha]
-        gamma = maps.f[beta]
-    else:
-        raise ValueError("unknown companion rule %r" % (companion_rule,))
-    return gamma, beta
-
-
-def build_xi(maps, alpha, companion_rule="figure"):
+def build_xi(maps, alpha):
     """The closed word (alpha)(rho1)^-1(delta)(rho2)^-1 around two cycles.
 
-    alpha is an arrow id; gamma and beta are the other two arrows of its
-    triangle, delta = f(g(gamma)) is the matching arrow of the neighboring
-    triangle.  Requires both cycle orbits to have length at least 3
-    (puncture valency at least 4 guarantees this with room to spare).
+    alpha is an arrow id; gamma = f(alpha) and beta = f(gamma) are the other
+    two arrows of its triangle, delta = f(g(gamma)) is the matching arrow of
+    the neighboring triangle.  Requires both cycle orbits to have length at
+    least 3 (puncture valency at least 4 guarantees this with room to spare).
     """
-    gamma, beta = _companions(maps, alpha, companion_rule)
+    gamma = maps.f[alpha]
+    beta = maps.f[gamma]
     n_gamma = maps.orbit_length(gamma)
     n_beta = maps.orbit_length(beta)
     if n_gamma < 3 or n_beta < 3:
@@ -727,18 +712,16 @@ def build_xi(maps, alpha, companion_rule="figure"):
             % (n_gamma, n_beta))
     delta = maps.f[maps.g[gamma]]
     word = [direct(alpha)]
-    word.extend(inverse(a) for a in reversed(rho1(maps, alpha, companion_rule)))
+    word.extend(inverse(a) for a in reversed(rho1(maps, alpha)))
     word.append(direct(delta))
-    word.extend(inverse(a) for a in reversed(rho2(maps, alpha, companion_rule)))
+    word.extend(inverse(a) for a in reversed(rho2(maps, alpha)))
     return tuple(word)
 
 
-def build_eta(maps, alpha, companion_rule="figure"):
-    """The word eta paired with xi(alpha): xi(g(beta)) inverted, where beta
-    is alpha's companion under companion_rule."""
-    _, beta = _companions(maps, alpha, companion_rule)
-    return invert_word(
-        build_xi(maps, maps.g[beta], companion_rule=companion_rule))
+def build_eta(maps, alpha):
+    """The word eta paired with xi(alpha): xi(g(beta)) inverted, where
+    beta = f(f(alpha)) is the third arrow of alpha's triangle."""
+    return invert_word(build_xi(maps, maps.g[maps.f[maps.f[alpha]]]))
 
 
 @dataclass(frozen=True)

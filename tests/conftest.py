@@ -9,13 +9,13 @@ def torus_tri():
 
 
 @pytest.fixture(scope="session")
-def torus_quiver(torus_tri):
-    return qp.build_quiver(torus_tri)
+def torus_maps(torus_tri):
+    return qp.arrow_maps(torus_tri)
 
 
 @pytest.fixture(scope="session")
-def torus_maps(torus_tri):
-    return qp.arrow_maps(torus_tri)
+def torus_quiver(torus_maps):
+    return torus_maps.quiver
 
 
 @pytest.fixture(scope="session")
@@ -31,12 +31,12 @@ def torus_algebra(torus_quiver, torus_relations):
 
 @pytest.fixture(scope="session")
 def tetra_algebra():
-    t = fixtures.tetra()
-    q = qp.build_quiver(t)
+    t = fixtures.builtin_triangulation("tetra")
+    maps = qp.arrow_maps(t)
     w = qp.build_potential(
-        qp.arrow_maps(t), puncture_scalars={p: 2 for p in t.surface.punctures})
-    return algebra.compute_basis(q, qp.jacobian_relations(w), p=32003,
-                                 max_deg=40)
+        maps, puncture_scalars={p: 2 for p in t.surface.punctures})
+    return algebra.compute_basis(maps.quiver, qp.jacobian_relations(w),
+                                 p=32003, max_deg=40)
 
 
 @pytest.fixture(scope="session")
@@ -45,15 +45,13 @@ def sphere5_pres():
 
 
 @pytest.fixture(scope="session")
-def torus_quotient(torus_quiver, torus_maps):
-    return strings.string_quotient(torus_quiver, torus_maps,
-                                   name="string-quotient(torus)")
+def torus_quotient(torus_maps):
+    return strings.string_quotient(torus_maps, name="string-quotient(torus)")
 
 
 @pytest.fixture(scope="session")
 def genus2_setup():
-    t = fixtures.genus2()
-    q = qp.build_quiver(t)
+    t = fixtures.builtin_triangulation("genus2")
     maps = qp.arrow_maps(t)
-    pres = strings.string_quotient(q, maps, name="string-quotient(genus2)")
-    return t, q, maps, pres
+    pres = strings.string_quotient(maps, name="string-quotient(genus2)")
+    return t, maps.quiver, maps, pres

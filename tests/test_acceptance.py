@@ -74,9 +74,8 @@ def _lyndon_patterns(maxlen):
 
 def _quotient(name):
     t = fixtures.builtin_triangulation(name)
-    q = build_quiver(t)
     maps = arrow_maps(t)
-    return t, q, maps, string_quotient(q, maps)
+    return t, maps.quiver, maps, string_quotient(maps)
 
 
 def test_sphere5_growth_certificate():
@@ -167,8 +166,8 @@ def test_arrow_permutation_structure():
     with criterion("arrow-permutations"):
         for name in ("torus", "genus2"):
             t = fixtures.builtin_triangulation(name)
-            q = build_quiver(t)
             maps = arrow_maps(t)
+            q = maps.quiver
             for x in maps.f:
                 assert maps.f[maps.f[maps.f[x]]] == x
             orbits = {frozenset(o) for o in maps.f_orbits()}
@@ -190,8 +189,9 @@ def test_arrow_permutation_structure():
 def test_torus_algebra_facts():
     with criterion("torus-algebra"):
         t = fixtures.torus()
-        q = build_quiver(t)
-        rels = jacobian_relations(build_potential(arrow_maps(t)))
+        maps = arrow_maps(t)
+        q = maps.quiver
+        rels = jacobian_relations(build_potential(maps))
         a = compute_basis(q, rels, p=PRIME, max_deg=40)
         assert a.graded_dims == (3, 6, 6, 6, 6, 6, 3)
         assert a.dim == 36
@@ -208,15 +208,16 @@ def test_torus_algebra_facts():
         # simple modules are indexed by vertices, i.e. by arcs; the count
         # matches 6(g - 1) + 3p on both built-in closed surfaces
         assert len(q.vertices) == 3 == 6 * (1 - 1) + 3 * 1
-        t2 = fixtures.genus2()
+        t2 = fixtures.builtin_triangulation("genus2")
         assert len(build_quiver(t2).vertices) == 9 == 6 * (2 - 1) + 3 * 1
 
 
 def test_torus_omega_periodicity():
     with criterion("omega4-periodicity", budget=60.0):
         t = fixtures.torus()
-        q = build_quiver(t)
-        rels = jacobian_relations(build_potential(arrow_maps(t)))
+        maps = arrow_maps(t)
+        q = maps.quiver
+        rels = jacobian_relations(build_potential(maps))
         a = compute_basis(q, rels, p=PRIME, max_deg=40)
         for v in sorted(q.vertices):
             s = simple_module(a, v)
@@ -236,20 +237,16 @@ def test_engine_oracle_agreement():
     with criterion("engine-vs-oracle"):
         cases = []
 
-        t = fixtures.torus()
-        q = build_quiver(t)
-        cases.append((q, jacobian_relations(build_potential(arrow_maps(t)))))
+        for name in ("torus", "genus2"):
+            maps = arrow_maps(fixtures.builtin_triangulation(name))
+            cases.append((maps.quiver,
+                          jacobian_relations(build_potential(maps))))
 
-        t2 = fixtures.genus2()
-        q2 = build_quiver(t2)
-        cases.append((q2, jacobian_relations(
-            build_potential(arrow_maps(t2)))))
-
-        t4 = fixtures.tetra()
-        q4 = build_quiver(t4)
-        w4 = build_potential(arrow_maps(t4), puncture_scalars={
+        t4 = fixtures.builtin_triangulation("tetra")
+        maps4 = arrow_maps(t4)
+        w4 = build_potential(maps4, puncture_scalars={
             p: 2 for p in t4.surface.punctures})
-        cases.append((q4, jacobian_relations(w4)))
+        cases.append((maps4.quiver, jacobian_relations(w4)))
 
         q5 = fixtures.sphere5_quiver()
         cases.append((q5, jacobian_relations(fixtures.sphere5_wprime())))
@@ -283,9 +280,8 @@ def test_engine_oracle_agreement():
                 assert is_string(pres, w).ok == oracles.naive_is_string(
                     pres, w)
 
-        for quiver, rels, max_deg in (
-                (q, cases[0][1], 40), (q4, cases[2][1], 40)):
-            a = compute_basis(quiver, rels, p=PRIME, max_deg=max_deg)
+        for quiver, rels in (cases[0], cases[2]):
+            a = compute_basis(quiver, rels, p=PRIME, max_deg=40)
             assert a.dim <= 200
             _assoc_exhaustive(a)
 

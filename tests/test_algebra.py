@@ -40,9 +40,10 @@ def test_torus_against_dense_oracle(torus_quiver, torus_relations):
 
 
 def test_genus2_partials_and_oracle():
-    t = fixtures.genus2()
-    q = qp.build_quiver(t)
-    rels = qp.jacobian_relations(qp.build_potential(qp.arrow_maps(t)))
+    t = fixtures.builtin_triangulation("genus2")
+    maps = qp.arrow_maps(t)
+    q = maps.quiver
+    rels = qp.jacobian_relations(qp.build_potential(maps))
     dims, stab = algebra.graded_dimensions(q, rels, p=32003, max_deg=6)
     assert not stab
     assert dims == [9, 18, 18, 18, 18, 18, 18]
@@ -58,9 +59,10 @@ def test_sphere5_quotient_grows():
 
 
 def test_budget_exhaustion_raises():
-    t = fixtures.genus2()
-    q = qp.build_quiver(t)
-    rels = qp.jacobian_relations(qp.build_potential(qp.arrow_maps(t)))
+    t = fixtures.builtin_triangulation("genus2")
+    maps = qp.arrow_maps(t)
+    q = maps.quiver
+    rels = qp.jacobian_relations(qp.build_potential(maps))
     with pytest.raises(algebra.NonStabilizationError) as exc:
         algebra.graded_dimensions(q, rels, p=32003, max_deg=40,
                                   path_budget=2000)
@@ -120,9 +122,8 @@ def test_nonpositive_bounds_rejected(torus_quiver, torus_relations, fn,
 
 
 def _genus2_data():
-    t = fixtures.genus2()
-    q = qp.build_quiver(t)
-    return q, qp.jacobian_relations(qp.build_potential(qp.arrow_maps(t)))
+    maps = qp.arrow_maps(fixtures.builtin_triangulation("genus2"))
+    return maps.quiver, qp.jacobian_relations(qp.build_potential(maps))
 
 
 @pytest.mark.parametrize("name", ["torus", "genus2"])

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from surfalg import algebra, certificates, cli, fixtures, homology, strings
+from surfalg import algebra, certificates, cli, fixtures, homology, strings, \
+    surface
 from surfalg.surface import triangulation_to_json
 
 
@@ -324,10 +325,41 @@ def test_certify_growth_checks_patterns_by_primitivity(capsys, monkeypatch):
     assert calls == {"free_composability": 1, "is_band": 2}
 
 
+@pytest.mark.parametrize("argv,allowed", [
+    (("algebra", "--builtin", "torus"), (1,)),
+    (("bands", "--builtin", "torus", "--max-len", "4"), (1,)),
+    (("certify-growth", "--input", "src/surfalg/builtins/genus2.json",
+      "--depth", "2", "--max-len", "4"), (1,)),
+    (("syzygy", "--builtin", "torus"), (1,)),
+    (("build", "--builtin", "torus"), (1, 2)),
+], ids=["algebra", "bands", "certify-growth", "syzygy", "build"])
+def test_each_quiver_validates_its_triangulation_once(capsys, monkeypatch,
+                                                      argv, allowed):
+    # qp.arrow_maps validates the triangulation of the quiver it builds;
+    # build may validate once more, for the report it prints
+    calls = []
+
+    def counted(t, _fn=surface.validate_triangulation):
+        calls.append(t)
+        return _fn(t)
+
+    monkeypatch.setattr(surface, "validate_triangulation", counted)
+    monkeypatch.setattr(cli, "validate_triangulation", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) in allowed
+
+
 @pytest.mark.parametrize("args,err", [
-    (("--builtin", "torus", "--companion-rule", "swapped"),
+    # a triangle's 3-cycle is closed, but each x f(x) in it is forbidden; the
+    # second word is xi(x0_0), a band
+    (("--builtin", "torus", "--word1", "x0_0.x0_1.x0_2", "--word2",
+      "x0_0.x1_0'.x0_2'.x1_1'.x0_0'.x1_0.x0_0'.x1_2'.x0_1'.x1_0'"),
      "error: first word is not a band: "
-     "closed at 10: word ends at 3 but starts at 1\n"),
+     "W2 at 1: letters 1-2 spell forbidden word x0_0.x0_1; "
+     "W2 at 2: letters 2-3 spell forbidden word x0_1.x0_2; "
+     "W2 at 3: letters 3-4 spell forbidden word x0_2.x0_0; "
+     "W2 at 4: letters 4-5 spell forbidden word x0_0.x0_1; "
+     "W2 at 5: letters 5-6 spell forbidden word x0_1.x0_2\n"),
     (("--builtin", "sphere5", "--word1", "a1.a2'.a3", "--word2", "a1.a1"),
      "error: second word is not a band: "
      "closed at 2: word ends at 2 but starts at 1; "
@@ -385,7 +417,7 @@ def test_verify_rejects_zero_trials_certificate(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["periodicity", "syzygy"])
 def test_module_commands_take_exactly_one_source(capsys, command):
     code, out, err = run(capsys, command, "--builtin", "kx2",
-                         "--input", "fixtures/torus.json")
+                         "--input", "src/surfalg/builtins/torus.json")
     assert (code, out) == (2, "")
     assert "give either --input or --builtin, not both" in err
     code, out, err = run(capsys, command)
@@ -393,7 +425,8 @@ def test_module_commands_take_exactly_one_source(capsys, command):
     assert "one of --input or --builtin is required" in err
     # --module is a source too: it refuses either of the others, and a
     # --simple that it would ignore
-    builtin, genus2 = ("--builtin", "kx2"), ("--input", "fixtures/genus2.json")
+    builtin = ("--builtin", "kx2")
+    genus2 = ("--input", "src/surfalg/builtins/genus2.json")
     simple = ("--simple", "2")
     for extra, flag in [(builtin, "--builtin"), (genus2, "--input"),
                         (builtin + genus2, "--builtin"), (simple, "--simple"),
@@ -788,7 +821,16 @@ def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
      "matrix for x0_0 has rows of different lengths"),
     ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": [[2 ** 64]]}},
      "matrix for x0_0 has entries outside 0..32002"),
-], ids=["dims-bool", "matrices-list", "entry-float", "ragged", "entry-huge"])
+    # zero matrices of 8 * 10**16 bytes, beyond any 48-bit address space
+    ({"dims": {"1": 10 ** 8, "2": 10 ** 8, "3": 0}},
+     "module dims for '1' are too large to allocate"),
+    # no zero matrix is large, but the identity at vertex 1 is
+    ({"dims": {"1": 10 ** 8, "2": 0, "3": 0}},
+     "module dims for '1' are too large to allocate"),
+    ({"dims": {"1": 10 ** 30, "2": 10 ** 30, "3": 10 ** 30}},
+     "module dims for '1' are too large to allocate"),
+], ids=["dims-bool", "matrices-list", "entry-float", "ragged", "entry-huge",
+        "dims-unallocatable", "dims-identity-unallocatable", "dims-1e30"])
 def test_module_file_names_a_bad_dims_or_matrix(capsys, tmp_path, doc, field):
     path = tmp_path / "mod.json"
     base = json.loads(pathlib.Path("fixtures/torus_simple1.json").read_text())

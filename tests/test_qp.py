@@ -21,13 +21,14 @@ from surfalg.qp import (
 
 def _setup(name):
     t = fixtures.builtin_triangulation(name)
-    q = build_quiver(t)
-    return t, q, arrow_maps(t)
+    maps = arrow_maps(t)
+    return t, maps.quiver, maps
 
 
 def test_build_quiver_counts():
     for name, arrows in (("torus", 6), ("genus2", 18), ("tetra", 12)):
         t, q, _ = _setup(name)
+        assert build_quiver(t) == q
         assert len(q.vertices) == len(t.arcs)
         assert len(q.arrows) == arrows
         assert 3 * len(t.triangles) == len(q.arrows)
@@ -35,7 +36,7 @@ def test_build_quiver_counts():
 
 def test_build_quiver_rejects_self_folded():
     with pytest.raises(ValueError, match="self-folded"):
-        build_quiver(fixtures.sphere5_triangulation())
+        build_quiver(fixtures.builtin_triangulation("sphere5"))
 
 
 def test_arrows_follow_triangle_sides():

@@ -196,11 +196,9 @@ def test_quotient_forbidden_counts(torus_quotient, genus2_setup):
 
 
 def test_quotient_requires_long_orbits():
-    t = fixtures.tetra()
-    q = qp.build_quiver(t)
-    maps = qp.arrow_maps(t)
+    maps = qp.arrow_maps(fixtures.builtin_triangulation("tetra"))
     with pytest.raises(ValueError, match="length 3 < 4"):
-        string_quotient(q, maps)
+        string_quotient(maps)
 
 
 def test_quotient_is_string_algebra(torus_quotient, genus2_setup):
@@ -227,19 +225,27 @@ def test_xi_words(torus_maps, torus_quotient, genus2_setup):
         assert is_band(pres2, xi2).ok
 
 
-def test_xi_companion_rules(torus_maps):
-    fig = strings.build_xi(torus_maps, "x0_0", companion_rule="figure")
-    swp = strings.build_xi(torus_maps, "x0_0", companion_rule="swapped")
-    assert fig != swp
-    with pytest.raises(ValueError):
-        strings.build_xi(torus_maps, "x0_0", companion_rule="upside-down")
+def test_xi_companion_rules(torus_maps, torus_quotient):
+    # the companions of alpha are gamma = f(alpha) and beta = f(gamma): rho1
+    # runs along gamma's g-orbit, rho2 along beta's, and delta = f(g(gamma))
+    # sits between the two flanks of xi
+    f, g = torus_maps.f, torus_maps.g
+    for aid in sorted(f):
+        gamma, beta = f[aid], f[f[aid]]
+        around_gamma = torus_maps.g_orbit(gamma)
+        assert strings.rho1(torus_maps, aid) == around_gamma[2:]
+        assert strings.rho2(torus_maps, aid) == torus_maps.g_orbit(beta)[1:-1]
+        xi = strings.build_xi(torus_maps, aid)
+        assert xi[0] == direct(aid)
+        assert xi[len(around_gamma) - 1] == direct(f[g[gamma]])
+        assert is_band(torus_quotient, xi).ok
 
 
 def test_rho_identities(torus_maps, genus2_setup):
     # rho2 of the follower arrow retraces the g-orbit of the start arrow
     for maps in (torus_maps, genus2_setup[2]):
         for aid in sorted(maps.f):
-            beta = maps.f[maps.f[aid]]  # the figure rule's companion
+            beta = maps.f[maps.f[aid]]  # the third arrow of its triangle
             n_a = maps.orbit_length(aid)
             expected = [aid]
             for _ in range(n_a - 3):
@@ -248,15 +254,11 @@ def test_rho_identities(torus_maps, genus2_setup):
 
 
 def test_eta_is_inverted_xi(torus_maps, torus_quotient):
-    # companions of x0_0: beta = f(f(x0_0)) under the figure rule and
-    # f(x0_0) under the swapped one
+    # the companion of x0_0 is beta = f(f(x0_0))
     f, g = torus_maps.f, torus_maps.g
-    for rule, beta in (("figure", f[f["x0_0"]]), ("swapped", f["x0_0"])):
-        eta = strings.build_eta(torus_maps, "x0_0", companion_rule=rule)
-        assert eta == invert_word(
-            strings.build_xi(torus_maps, g[beta], companion_rule=rule))
-    assert is_band(torus_quotient,
-                   strings.build_eta(torus_maps, "x0_0")).ok
+    eta = strings.build_eta(torus_maps, "x0_0")
+    assert eta == invert_word(strings.build_xi(torus_maps, g[f[f["x0_0"]]]))
+    assert is_band(torus_quotient, eta).ok
 
 
 # ---------------------------------------------------------------------------

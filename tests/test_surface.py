@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import glued_vertex_classes, gluing_labellings
 from surfalg import fixtures
-from surfalg.qp import arrow_maps, build_quiver
+from surfalg.qp import arrow_maps
 from surfalg.surface import (
     Arc,
     MarkedSurface,
@@ -21,7 +21,7 @@ from surfalg.surface import (
     validate_triangulation,
 )
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+BUILTINS = pathlib.Path(fixtures.__file__).with_name("builtins")
 
 
 def test_builtin_fixtures_are_valid():
@@ -31,11 +31,19 @@ def test_builtin_fixtures_are_valid():
         assert report.ok, "%s: %s" % (name, report.violations)
 
 
+def test_each_builtin_is_one_document_of_the_package():
+    assert sorted(p.stem for p in BUILTINS.glob("*.json")) == sorted(
+        fixtures.BUILTIN_NAMES)
+
+
 @pytest.mark.parametrize("name", fixtures.BUILTIN_NAMES)
 def test_fixture_files_are_the_builtins(name):
-    path = ROOT / "fixtures" / ("%s.json" % name)
-    t = triangulation_from_json(path.read_text())
+    # the document reads as the builtin, and is written as
+    # triangulation_to_json writes it
+    text = (BUILTINS / ("%s.json" % name)).read_text()
+    t = triangulation_from_json(text)
     assert t == fixtures.builtin_triangulation(name)
+    assert json.loads(text) == json.loads(triangulation_to_json(t))
     assert validate_triangulation(t).ok
 
 
@@ -73,9 +81,9 @@ def test_valency_unknown_puncture():
 
 def test_self_folded_detection():
     assert not has_self_folded(fixtures.torus())
-    assert not has_self_folded(fixtures.genus2())
-    assert has_self_folded(fixtures.sphere5_triangulation())
-    assert not has_self_folded(fixtures.tetra())
+    assert not has_self_folded(fixtures.builtin_triangulation("genus2"))
+    assert has_self_folded(fixtures.builtin_triangulation("sphere5"))
+    assert not has_self_folded(fixtures.builtin_triangulation("tetra"))
 
 
 def test_excluded_surfaces():
@@ -152,15 +160,16 @@ def _cycle_lengths(t):
 
 def test_corner_cycles_name_the_punctures():
     assert _cycle_lengths(fixtures.torus()) == [("p", 6)]
-    assert _cycle_lengths(fixtures.genus2()) == [("p", 18)]
-    assert _cycle_lengths(fixtures.sphere5_triangulation()) == [
+    assert _cycle_lengths(fixtures.builtin_triangulation("genus2")) == [
+        ("p", 18)]
+    assert _cycle_lengths(fixtures.builtin_triangulation("sphere5")) == [
         ("p1", 1), ("p2", 1), ("p3", 1), ("p4", 9), ("p5", 6)]
-    assert _cycle_lengths(fixtures.tetra()) == [
+    assert _cycle_lengths(fixtures.builtin_triangulation("tetra")) == [
         ("q1", 3), ("q2", 3), ("q3", 3), ("q4", 3)]
 
 
 def test_sphere5_with_m2_and_m3_the_wrong_way_round_is_refused():
-    t = fixtures.sphere5_triangulation()
+    t = fixtures.builtin_triangulation("sphere5")
     bad = Triangulation(t.surface, t.arcs, [
         ("M2", "L2", "M3") if tri == ("M3", "L2", "M2") else tri
         for tri in t.triangles])
@@ -175,7 +184,7 @@ def test_arc_endpoints_must_agree_with_the_corners():
     # sphere5 with the loops L1 (at p4) and L2 (at p5) written as p4-p5
     # arcs: every corner still sees its puncture on both sides, and every
     # valency is unchanged, but the ends of L1 both lie at p4
-    t = fixtures.sphere5_triangulation()
+    t = fixtures.builtin_triangulation("sphere5")
     arcs = tuple(Arc(a.id, ("p4", "p5")) if a.id in ("L1", "L2") else a
                  for a in t.arcs)
     report = validate_triangulation(Triangulation(t.surface, arcs,
@@ -274,11 +283,11 @@ def test_valid_gluings_give_quivers_without_2_cycles(doc):
     if not validate_triangulation(t).ok or min_valency(t) < 3 \
             or has_self_folded(t):
         return
-    q = build_quiver(t)
+    maps = arrow_maps(t)
+    q = maps.quiver
     ends = {(x.source, x.target) for x in q.arrows}
     assert not any((b, a) in ends for a, b in ends)
     # g walks around the puncture that names each corner's vertex class
-    maps = arrow_maps(t)
     named = _corner_classes(t)
     cls, _, _ = glued_vertex_classes(t.triangles)
     for x in q.arrows:

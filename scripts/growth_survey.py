@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Survey band growth across the bundled word presentations.
 
-For each presentation the script enumerates all bands up to a length
-bound and prints the count table with the per-length growth rates
-count^(1/length).  The sphere-5 presentation is the skewed-gentle one
-with special loops; torus and genus2 are the string quotients by the
-compositions x f(x).
+For each presentation the script counts the bands up to a length bound,
+exactly and without listing them (strings.band_counts), and prints the
+count table with the per-length growth rates count^(1/length).  The
+sphere-5 presentation is the skewed-gentle one with special loops; torus
+and genus2 are the string quotients by the compositions x f(x).
 """
 
 import argparse
@@ -20,8 +20,8 @@ def survey(names, max_len):
     for name in names:
         pres = certificates.presentation_from_spec(
             certificates.presentation_spec({"builtin": name}))
-        census = strings.enumerate_bands(pres, max_len)
-        out.append((name, strings.growth_report(census)))
+        out.append((name, strings.growth_report(
+            strings.band_counts(pres, max_len))))
     return out
 
 

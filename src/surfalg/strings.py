@@ -26,15 +26,23 @@ private functions answer every question the checks ask: _windows_ending
 scans the table for the windows that end at one position, _junction_faults
 names the W3, W1 and incomparability faults of a letter pair, and
 _seam_windows finds the windows that run from one word into the next.  The
-string check and the junction records of composed bands use them, and so do
-the band enumeration's transition table, its per-node prune and its leaf
-check.  The enumeration builds Lyndon words whose junctions and inner
+string check, the junction records of composed bands, the band enumeration
+and the band count all use them.
+
+Bands are counted, not listed: band_counts walks a transfer matrix whose
+states are legal words, each one letter or a proper prefix of a window, and
+Moebius inversion of the traces of its powers gives the number of bands of
+each length.  The enumerator, enumerate_bands, lists every band and is kept
+as the counts' oracle.  It builds Lyndon words whose junctions and inner
 factors are legal by construction, so a collected word is a band once no
 window crosses its closing seam; it never runs the full band check.
 """
 
 import collections
+import math
 from dataclasses import dataclass, field as dc_field
+
+import numpy as np
 
 __all__ = [
     "Letter",
@@ -66,6 +74,7 @@ __all__ = [
     "rho1",
     "rho2",
     "enumerate_bands",
+    "band_counts",
     "growth_report",
     "growth_table",
 ]
@@ -258,6 +267,11 @@ class WordPresentation:
                     (tuple(inverse(a) for a in reversed(f.arrows)), True)):
                 table[key] = table.get(key, ()) + ((i, inv, f.arrows),)
         self._w2_windows = tuple(sorted(windows.items()))
+        # The proper prefixes of the windows: all that band_counts needs to
+        # remember of the letters read so far, besides the last one.
+        self._w2_prefixes = frozenset(
+            key[:i] for _, table in self._w2_windows for key in table
+            for i in range(1, len(key)))
         greater = collections.defaultdict(set)
         for x, y in self.comparability:
             greater[x].add(y)
@@ -503,7 +517,8 @@ def is_band(p, w):
     The cyclic conditions are checked on the power w^m with
     m = max(2, ceil(maxF / |w|) + 1) where maxF is the longest effective
     forbidden word; this exposes every cyclic junction and every cyclic
-    factor of length up to maxF.
+    factor of length up to maxF.  Each cyclic violation is reported once,
+    at its position in 1..len(w).
     """
     w = tuple(w)
     if not w:
@@ -524,7 +539,10 @@ def is_band(p, w):
         return BandCheck(w, False, tuple(viols), 0)
     m = _band_power(p, len(w))
     sc = is_string(p, w * m)
-    return BandCheck(w, sc.ok, sc.violations, m)
+    # w^m repeats every violation len(w) letters later, and holds each
+    # junction and window that starts in its first copy.
+    return BandCheck(w, sc.ok, tuple(
+        v for v in sc.violations if v.position <= len(w)), m)
 
 
 def _band_power(p, n):
@@ -726,16 +744,20 @@ def build_eta(maps, alpha):
 
 @dataclass(frozen=True)
 class BandCensus:
-    """All bands up to a length bound, in canonical rotation.
+    """The bands up to a length bound: how many, and with enumerate_bands
+    which.
 
-    words holds every band found, sorted by length then letter order;
-    counts[d-1] is the number of bands of length d.
+    counts[d-1] is the number of bands of length d, and self_inverse the
+    number of bands that are a rotation of their own inverse.  words is
+    None in a census from band_counts; from enumerate_bands it holds every
+    band in canonical rotation, sorted by length then letter order.
     """
 
     presentation_name: str
     max_len: int
-    words: tuple
     counts: tuple
+    self_inverse: int
+    words: tuple = None
     _index: frozenset = dc_field(repr=False, default=frozenset())
 
     def count(self, d):
@@ -746,6 +768,8 @@ class BandCensus:
         return sum(self.counts)
 
     def __contains__(self, w):
+        if self.words is None:
+            raise ValueError("a counted census holds no words")
         return canonical_band(w) in self._index
 
 
@@ -760,7 +784,8 @@ def enumerate_bands(p, max_len):
     are never produced twice, and a legal transition from its last letter
     back to its first closes it.  The only condition left is the seam check:
     no forbidden window of length >= 3 that starts inside w and ends past
-    it matches w^m, with m as in is_band.
+    it matches w^m, with m as in is_band.  It is the oracle of band_counts,
+    which counts the same bands without building them.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -838,10 +863,149 @@ def enumerate_bands(p, max_len):
     return BandCensus(
         presentation_name=p.name,
         max_len=max_len,
-        words=tuple(found),
         counts=tuple(counts),
+        self_inverse=sum(canonical_band(invert_word(u)) == u for u in found),
+        words=tuple(found),
         _index=frozenset(found),
     )
+
+
+def _read(p, follow, c, word):
+    """The context after reading word from context c, or None at the first
+    junction fault or window; follow[x] lists the letters that the junction
+    rule lets follow x.
+
+    The context of a legal text is its longest suffix that is one letter or
+    a proper prefix of a window, and () before the first letter.  A window
+    ending at the next letter starts inside the context, so _windows_ending
+    on the context and that letter finds it, and the new context is a
+    suffix of the two.
+    """
+    for y in word:
+        u = c + (y,)
+        if c and y not in follow[c[-1]] or _windows_ending(p, u, len(c)):
+            return None
+        c = next((u[i:] for i in range(len(u) - 1)
+                  if u[i:] in p._w2_prefixes), u[-1:])
+    return c
+
+
+def _moebius(n):
+    m, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            m = -m
+        q += 1
+    return -m if n > 1 else m
+
+
+def _primitive_part(seq, d):
+    """The sum over e | d of mu(d/e) seq[e-1]."""
+    return sum(_moebius(d // e) * seq[e - 1]
+               for e in range(1, d + 1) if d % e == 0)
+
+
+def band_counts(p, max_len):
+    """The census of bands of length <= max_len, counted without listing a
+    band: counts per length and self_inverse, but no words.
+
+    Transfer matrix: the states are the contexts of _read that a legal word
+    reaches, and an edge reads one letter.  A word w with every cyclic
+    reading legal labels exactly one closed walk, from the context of
+    w^m for m large; so tr(A^d) is the sum over e | d of e times the number
+    of bands of length e, and Moebius inversion gives the counts.
+
+    A band that is a rotation of its inverse is symmetric about two letters
+    per period, each a special letter: between them the word would put a
+    letter next to its inverse, or a special letter next to itself, which
+    W1 forbids.  So odd lengths have none, and a band of length 2m reads
+    s0.u.s1.u^-1 with s0, s1 special.  Let k be maxF - 1, at least 1,
+    rounded up to an odd number, so that every window has at most k + 1
+    letters, and call a legal word of length k fixed when it is its own
+    inverse.  W(m), the number of legal words of length k + m that begin
+    and end with a fixed word, counts each self-inverse band of length 2e,
+    e | m, twice (once from each centre); so there are the sum over e | m
+    of mu(m/e) W(e) / 2 of length 2m.  For m >= k such a word is S.y.T,
+    and the walks of length m - k from the context of S count the y.
+
+    The arithmetic is exact: int64 while n r^max_len < 2^62, with n the
+    contexts and fixed words and r the largest out-degree bounding every
+    walk count, Python ints otherwise.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    letters = p.letters()
+    starting = collections.defaultdict(list)
+    for y in letters:
+        starting[p.start(y)].append(y)
+    # W3 rules out every pair that does not compose
+    follow = {x: [y for y in starting[p.end(x)]
+                  if not _junction_faults(p, x, y)] for x in letters}
+    states = [(x,) for x in letters if _read(p, follow, (), (x,)) is not None]
+    index, edges = {c: i for i, c in enumerate(states)}, []
+    for i, c in enumerate(states):  # grows while it is walked
+        for y in follow[c[-1]]:
+            t = _read(p, follow, c, (y,))
+            if t is not None:
+                if t not in index:
+                    index[t] = len(states)
+                    states.append(t)
+                edges.append((i, index[t]))
+    k = max(1, p.max_effective_forbidden - 1) | 1
+    halves = [(x,) for x in letters if x.kind == SPECIAL]
+    for _ in range(k // 2):
+        halves = [h + (y,) for h in halves for y in follow[h[-1]]
+                  if _read(p, follow, (), h + (y,)) is not None]
+    fixed = {}  # each fixed word, with its context
+    for h in halves:
+        w = invert_word(h[1:]) + h
+        c = _read(p, follow, (), w)
+        if c is not None:
+            fixed[w] = c
+    n = len(states)
+    r = max(collections.Counter(i for i, _ in edges).values(), default=0)
+    dtype = np.int64 if (n + len(fixed)) * r ** max_len < 2 ** 62 else object
+    a = np.zeros((n, n), dtype=dtype)
+    for i, j in edges:
+        a[i, j] += 1
+    start, end = np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype)
+    if k <= max_len // 2:  # W(m) for some m >= k is wanted
+        for c in fixed.values():
+            start[index[c]] += 1
+        end[:] = [sum(_read(p, follow, c, w) is not None for w in fixed)
+                  for c in states]
+    # W(m) for m < k: S and T overlap in k - m letters
+    walks = [sum(_read(p, follow, c, t[k - m:]) is not None
+                 for s, c in fixed.items() for t in fixed
+                 if s[m:] == t[:k - m])
+             for m in range(1, min(k, max_len // 2 + 1))]
+    power = np.identity(n, dtype=dtype)
+    traces = []
+    for d in range(max_len + 1):
+        if d:
+            power = power @ a
+            traces.append(int(power.trace()))
+        if d + k <= max_len // 2:
+            walks.append(int(start @ power @ end))
+    return BandCensus(
+        presentation_name=p.name,
+        max_len=max_len,
+        counts=tuple(_primitive_part(traces, d) // d
+                     for d in range(1, max_len + 1)),
+        self_inverse=sum(_primitive_part(walks, m) // 2
+                         for m in range(1, max_len // 2 + 1)),
+    )
+
+
+def _rate(b, d):
+    """b^(1/d); through logarithms only for a count too large for a float."""
+    try:
+        return b ** (1.0 / d)
+    except OverflowError:
+        return math.exp(math.log(b) / d)
 
 
 def growth_report(census):
@@ -852,14 +1016,10 @@ def growth_report(census):
     for d in range(1, census.max_len + 1):
         b = census.count(d)
         if b > 0:
-            r = b ** (1.0 / d)
+            r = _rate(b, d)
             rates[d] = r
             if r > best:
                 best, best_d = r, d
-    self_inv = 0
-    for u in census.words:
-        if canonical_band(invert_word(u)) == u:
-            self_inv += 1
     return {
         "presentation": census.presentation_name,
         "max_len": census.max_len,
@@ -868,8 +1028,8 @@ def growth_report(census):
         "max_rate": best,
         "argmax_length": best_d,
         "total": census.total,
-        "self_inverse": self_inv,
-        "up_to_inversion": (census.total + self_inv) // 2,
+        "self_inverse": census.self_inverse,
+        "up_to_inversion": (census.total + census.self_inverse) // 2,
     }
 
 

@@ -341,6 +341,62 @@ def naive_enumerate_bands(pres, max_len):
     return found
 
 
+def _naive_moebius(n):
+    primes = [q for q in range(2, n + 1)
+              if n % q == 0 and all(q % r for r in range(2, q))]
+    if any(n % (q * q) == 0 for q in primes):
+        return 0
+    return (-1) ** len(primes)
+
+
+def naive_band_counts(pres, max_len):
+    """(counts by length, self-inverse count) of the bands up to max_len.
+
+    Plain Python ints over the de Bruijn graph of order k = maxF - 1, at
+    least 1 and made odd: its states are the strings of length k, its edges
+    the strings of length k + 1.  The closed walks of length d spell the
+    words w of length d with w^m a string for every m, so the bands of
+    length d number the Moebius sum of closed walks over the divisors of d,
+    divided by d.  A self-inverse band of length 2m is s0.u.s1.u^-1 with
+    two special centres; it is counted twice among the walks of length m
+    between states that are their own inverse.
+    """
+    letters = [Letter(a, kind) for a in sorted(pres.arrows)
+               for kind in ((SPECIAL,) if a in pres.special_ids
+                            else (DIRECT, INVERSE))]
+    k = max(1, naive_max_forbidden(pres) - 1)
+    k += 1 - k % 2
+    states = [w for w in itertools.product(letters, repeat=k)
+              if naive_is_string(pres, w)]
+    succ = {s: [s[1:] + (l,) for l in letters
+                if naive_is_string(pres, s + (l,))] for s in states}
+    inv = {DIRECT: INVERSE, INVERSE: DIRECT, SPECIAL: SPECIAL}
+    fixed = {s for s in states
+             if tuple(Letter(l.arrow, inv[l.kind]) for l in reversed(s)) == s}
+    closed = [0] * (max_len + 1)
+    between = [0] * (max_len + 1)
+    for s in states:
+        walks = {s: 1}
+        for d in range(1, max_len + 1):
+            nxt = {}
+            for t, c in walks.items():
+                for u in succ[t]:
+                    nxt[u] = nxt.get(u, 0) + c
+            walks = nxt
+            closed[d] += walks.get(s, 0)
+            if s in fixed:
+                between[d] += sum(c for t, c in walks.items() if t in fixed)
+
+    def primitive(seq, d):
+        return sum(_naive_moebius(d // e) * seq[e]
+                   for e in range(1, d + 1) if d % e == 0)
+
+    counts = [primitive(closed, d) // d for d in range(1, max_len + 1)]
+    self_inverse = sum(primitive(between, m) // 2
+                       for m in range(1, max_len // 2 + 1))
+    return counts, self_inverse
+
+
 def naive_free_composability(pres, w1, w2, depth):
     """The free-composability verdict from naive_is_band on every pattern.
 

@@ -181,6 +181,31 @@ def test_bands_json_with_words(capsys):
     assert "a1.a2'.a3" in doc["words"]
 
 
+def test_bands_counts_past_the_float_range(capsys):
+    # the count at length 1100 is about 2^1100 / 1100, too large for a float
+    code, out, err = run(capsys, "bands", "--builtin", "torus",
+                         "--max-len", "1100", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["counts"]["1100"] > 2 ** 1000
+    assert 1.98 < doc["rates"]["1100"] < 2
+
+
+def test_bands_words_must_match_the_counts(capsys, monkeypatch):
+    counted = strings.band_counts
+
+    def off_by_one(p, max_len):
+        census = counted(p, max_len)
+        counts = census.counts[:-1] + (census.counts[-1] + 1,)
+        return strings.BandCensus(census.presentation_name, max_len, counts,
+                                  census.self_inverse)
+
+    monkeypatch.setattr(strings, "band_counts", off_by_one)
+    with pytest.raises(RuntimeError, match="internal error"):
+        cli.main(["bands", "--builtin", "sphere5", "--max-len", "5",
+                  "--words"])
+
+
 def test_bands_requires_presentation(capsys):
     code = cli.main(["bands", "--max-len", "4"])
     assert code == 2
@@ -350,16 +375,14 @@ def test_each_quiver_validates_its_triangulation_once(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("args,err", [
-    # a triangle's 3-cycle is closed, but each x f(x) in it is forbidden; the
-    # second word is xi(x0_0), a band
+    # a triangle's 3-cycle is closed, but each x f(x) in it is forbidden,
+    # and each is named once; the second word is xi(x0_0), a band
     (("--builtin", "torus", "--word1", "x0_0.x0_1.x0_2", "--word2",
       "x0_0.x1_0'.x0_2'.x1_1'.x0_0'.x1_0.x0_0'.x1_2'.x0_1'.x1_0'"),
      "error: first word is not a band: "
      "W2 at 1: letters 1-2 spell forbidden word x0_0.x0_1; "
      "W2 at 2: letters 2-3 spell forbidden word x0_1.x0_2; "
-     "W2 at 3: letters 3-4 spell forbidden word x0_2.x0_0; "
-     "W2 at 4: letters 4-5 spell forbidden word x0_0.x0_1; "
-     "W2 at 5: letters 5-6 spell forbidden word x0_1.x0_2\n"),
+     "W2 at 3: letters 3-4 spell forbidden word x0_2.x0_0\n"),
     (("--builtin", "sphere5", "--word1", "a1.a2'.a3", "--word2", "a1.a1"),
      "error: second word is not a band: "
      "closed at 2: word ends at 2 but starts at 1; "

@@ -57,6 +57,10 @@ CASES = [
     "bands --builtin sphere5 --input fixtures/torus.json --max-len 4",
     "bands --input {bad} --max-len 4",
     "bands --max-len 4",
+    # counted by transfer matrix; the outputs were recorded by the enumerator
+    "bands --builtin torus --max-len 20 --format json",
+    "bands --builtin sphere5 --max-len 20",
+    "bands --builtin genus2 --max-len 14",
     "certify-growth --builtin sphere5 --depth 3 --max-len 6 --out {out}",
     "certify-growth --input fixtures/torus.json --depth 3 --max-len 6 "
     "--out {out}",

@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from surfalg import fixtures, qp, strings
+from surfalg import certificates, fixtures, qp, strings
 from surfalg.strings import (
     BandCensus,
     CounterExample,
@@ -13,6 +13,7 @@ from surfalg.strings import (
     FreeComposability,
     Letter,
     WordPresentation,
+    band_counts,
     canonical_band,
     compose,
     direct,
@@ -358,6 +359,50 @@ def test_growth_report_shape(sphere5_pres):
     assert rep["up_to_inversion"] == 15
 
 
+def test_growth_report_rates_of_counts_past_the_float_range():
+    rep = growth_report(BandCensus("big", 3, (0, 6, 10 ** 400), 0))
+    assert rep["rates"][2] == 6 ** 0.5
+    assert rep["rates"][3] == pytest.approx(10 ** (400 / 3), rel=1e-12)
+    assert rep["max_rate"] == rep["rates"][3]
+
+
+def test_counted_census_has_no_words(sphere5_pres):
+    census = band_counts(sphere5_pres, 8)
+    assert census.words is None
+    assert (census.counts, census.self_inverse) == (
+        (0, 0, 2, 0, 4, 3, 6, 9), 6)
+    with pytest.raises(ValueError, match="holds no words"):
+        parse_word(ALPHA) in census
+
+
+def test_is_band_names_each_cyclic_violation_once(torus_quotient):
+    # each x f(x) of the triangle's 3-cycle is forbidden; the checked power
+    # w^2 repeats the windows at 1 and 2 from letter 4 on
+    res = is_band(torus_quotient, parse_word("x0_0.x0_1.x0_2"))
+    assert [str(v) for v in res.violations] == [
+        "W2 at 1: letters 1-2 spell forbidden word x0_0.x0_1",
+        "W2 at 2: letters 2-3 spell forbidden word x0_1.x0_2",
+        "W2 at 3: letters 3-4 spell forbidden word x0_2.x0_0",
+    ]
+
+
+@pytest.mark.parametrize("name,max_len", [
+    ("torus", 80), ("sphere5", 40),
+    # past L = 57, n r^L > 2^62 for sphere5, and its self-inverse walks
+    # are summed in Python ints as well
+    ("sphere5", 60),
+])
+def test_band_counts_match_big_int_oracle(name, max_len):
+    pres = certificates.presentation_from_spec(
+        certificates.presentation_spec({"builtin": name}))
+    census = band_counts(pres, max_len)
+    counts, self_inverse = oracles.naive_band_counts(pres, max_len)
+    assert list(census.counts) == counts
+    assert census.self_inverse == self_inverse
+    if name == "torus":
+        assert max(counts) > 2 ** 63
+
+
 # ---------------------------------------------------------------------------
 # W2 window table: exact violation reports, band seam check
 
@@ -573,6 +618,18 @@ def test_census_matches_oracle_random_presentations(pres, max_len):
     for w in census.words:
         got[len(w)].add(oracles.naive_canonical(w))
     assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(_presentations(), st.integers(1, 8))
+def test_band_counts_match_enumerator_random_presentations(pres, max_len):
+    counted = band_counts(pres, max_len)
+    listed = enumerate_bands(pres, max_len)
+    assert counted.counts == listed.counts
+    assert counted.self_inverse == listed.self_inverse
+    # a band of odd length is never a rotation of its inverse
+    assert all(len(u) % 2 == 0 for u in listed.words
+               if canonical_band(invert_word(u)) == u)
 
 
 @st.composite

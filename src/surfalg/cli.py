@@ -4,7 +4,8 @@ Subcommands:
 
   build           validate a triangulation and emit its quiver and potential
   algebra         compute the finite basis and invariants of the algebra
-  bands           enumerate bands of a presentation and report growth
+  bands           count bands of a presentation, report growth, and with
+                  --words list them
   certify-growth  produce a free-composability certificate for a band pair
   xi              build the cycle-flank word of an arrow and check it
   periodicity     check syzygy periodicity of modules, emit certificates
@@ -454,7 +455,7 @@ _COMMANDS = (
     ("algebra", "finite basis and invariants", cmd_algebra,
      (("--builtin", _KX2), "--input", "--field", "--max-deg",
       "--path-budget", "--format", "--out")),
-    ("bands", "enumerate bands, report growth", cmd_bands,
+    ("bands", "count bands, report growth; --words lists them", cmd_bands,
      ("--builtin", "--input", "--max-len", "--words", "--format", "--out")),
     ("certify-growth", "free-composability certificate for a band pair",
      cmd_certify_growth,

@@ -166,7 +166,6 @@ class _Cover:
     module: object
     summands: tuple
     phi: dict
-    basis: tuple
 
 
 def projective_cover(a, m):
@@ -175,9 +174,8 @@ def projective_cover(a, m):
     The top of m at each vertex is lifted by the standard basis vectors at
     the non-pivot columns of the reduced radical; each lift contributes one
     projective summand.  Returns the cover module, the summand multiset,
-    the per-vertex matrix of the covering map (rows indexed by the cover
-    basis at that vertex), and the cover basis (vertex, lift, algebra basis
-    index) in row order.
+    and the per-vertex matrix of the covering map (rows indexed by the
+    cover basis at that vertex).
     """
     p = a.field
     vertices = _vertices(a)
@@ -219,7 +217,6 @@ def projective_cover(a, m):
         module=cover,
         summands=tuple(sorted(summands.items())),
         phi=phi,
-        basis=tuple(basis),
     )
 
 

@@ -26,16 +26,16 @@ private functions answer every question the checks ask: _windows_ending
 scans the table for the windows that end at one position, _junction_faults
 names the W3, W1 and incomparability faults of a letter pair, and
 _seam_windows finds the windows that run from one word into the next.  The
-string check, the junction records of composed bands, the band enumeration
-and the band count all use them.
+string check and the junction records of composed bands use them, and so
+does _read, which reads a word letter by letter.
 
-Bands are counted, not listed: band_counts walks a transfer matrix whose
-states are legal words, each one letter or a proper prefix of a window, and
-Moebius inversion of the traces of its powers gives the number of bands of
-each length.  The enumerator, enumerate_bands, lists every band and is kept
-as the counts' oracle.  It builds Lyndon words whose junctions and inner
-factors are legal by construction, so a collected word is a band once no
-window crosses its closing seam; it never runs the full band check.
+One transfer graph, built by _context_graph, holds all that bands need of
+band legality: its states are the contexts of _read, legal words that are
+one letter or a proper prefix of a window, and its edges read one letter.
+A word whose cyclic readings are all legal labels exactly one closed walk.
+band_counts counts bands by Moebius inversion of the traces of the powers
+of its matrix; enumerate_bands lists them, as the Lyndon words that label
+a closed walk.  tests/oracles.py holds independent checks of both.
 """
 
 import collections
@@ -408,16 +408,14 @@ def string_quotient(maps, name=None):
         sorted(maps.quiver.vertices), arrows, (), forbidden, ())
 
 
-def _windows_ending(p, w, j, shortest=1):
+def _windows_ending(p, w, j):
     """The window table entries (index, inverse?, arrows), in report order,
-    of the effective forbidden windows of w that end at position j and have
-    at least shortest letters."""
+    of the effective forbidden windows of w that end at position j."""
     hits = []
     for n, table in p._w2_windows:
         if n > j + 1:
             break
-        if n >= shortest:
-            hits += table.get(tuple(w[j - n + 1 : j + 1]), ())
+        hits += table.get(tuple(w[j - n + 1 : j + 1]), ())
     if len(hits) > 1:
         hits.sort()
     return hits
@@ -432,7 +430,7 @@ def _junction_faults(p, x, y):
         ("incomparability", p.comparable(xi, y))) if broken)
 
 
-def _seam_windows(p, left, right, shortest=1):
+def _seam_windows(p, left, right):
     """(end, entry) of each window of left + right that starts in left and
     ends in right, by end; one ending at j starts in left when it has at
     least j - len(left) + 2 letters."""
@@ -440,17 +438,22 @@ def _seam_windows(p, left, right, shortest=1):
     k = len(left)
     return [(j, e)
             for j in range(k, min(len(w), k + p.max_effective_forbidden - 1))
-            for e in _windows_ending(p, w, j, max(shortest, j - k + 2))]
+            for e in _windows_ending(p, w, j) if len(e[2]) >= j - k + 2]
 
 
-def _w2_violation(j, entry):
-    """The W2 Incompatibility of a window table entry ending at j."""
+def _w2_violation(j, entry, n):
+    """The W2 Incompatibility of a window table entry ending at j, in a
+    word or the power of a closed word of n letters: a window that wraps
+    past letter n says how many letters it has."""
     _, inv, arrows = entry
     s = j - len(arrows) + 1
+    span = "%d-%d" % (s % n + 1, j % n + 1)
+    if j >= n:
+        span += " (%d letters, wrapping)" % len(arrows)
     return Incompatibility(
         "W2", s + 1,
-        "letters %d-%d spell %sforbidden word %s"
-        % (s + 1, j + 1, "the inverse of " if inv else "", ".".join(arrows)))
+        "letters %s spell %sforbidden word %s"
+        % (span, "the inverse of " if inv else "", ".".join(arrows)))
 
 
 def is_string(p, w):
@@ -466,7 +469,13 @@ def is_string(p, w):
         raise ValueError("empty word")
     for l in w:
         p.validate_letter(l)
-    viols = [_w2_violation(0, e) for e in _windows_ending(p, w, 0)]
+    viols = _string_violations(p, w, len(w))
+    return StringCheck(w, not viols, tuple(viols))
+
+
+def _string_violations(p, w, n):
+    """is_string's violations, naming letter i + 1 of w as i % n + 1."""
+    viols = [_w2_violation(0, e, n) for e in _windows_ending(p, w, 0)]
     for i in range(len(w) - 1):
         x, y = w[i], w[i + 1]
         faults = _junction_faults(p, x, y)
@@ -474,20 +483,21 @@ def is_string(p, w):
             viols.append(Incompatibility(
                 "W3", i + 1,
                 "letters %d and %d do not compose (%s ends at %s, %s starts at %s)"
-                % (i + 1, i + 2, format_word([x]), p.end(x),
+                % (i % n + 1, (i + 1) % n + 1, format_word([x]), p.end(x),
                    format_word([y]), p.start(y))))
         if "W1" in faults:
             viols.append(Incompatibility(
                 "W1", i + 1,
-                "letter %d is the inverse of letter %d" % (i + 2, i + 1)))
-        viols.extend(_w2_violation(i + 1, e)
+                "letter %d is the inverse of letter %d"
+                % ((i + 1) % n + 1, i % n + 1)))
+        viols.extend(_w2_violation(i + 1, e, n)
                      for e in _windows_ending(p, w, i + 1))
         if "incomparability" in faults:
             viols.append(Incompatibility(
                 "incomparability", i + 1,
                 "junction pair (%s, %s) is comparable"
                 % (format_word([invert_letter(x)]), format_word([y]))))
-    return StringCheck(w, not viols, tuple(viols))
+    return viols
 
 
 def _min_period(w):
@@ -518,7 +528,7 @@ def is_band(p, w):
     m = max(2, ceil(maxF / |w|) + 1) where maxF is the longest effective
     forbidden word; this exposes every cyclic junction and every cyclic
     factor of length up to maxF.  Each cyclic violation is reported once,
-    at its position in 1..len(w).
+    at its position in 1..len(w), with its letters numbered in 1..len(w).
     """
     w = tuple(w)
     if not w:
@@ -537,17 +547,12 @@ def is_band(p, w):
             "word is a proper power (least period %d)" % _min_period(w)))
     if viols:
         return BandCheck(w, False, tuple(viols), 0)
-    m = _band_power(p, len(w))
-    sc = is_string(p, w * m)
+    m = max(2, -(-p.max_effective_forbidden // len(w)) + 1)
     # w^m repeats every violation len(w) letters later, and holds each
     # junction and window that starts in its first copy.
-    return BandCheck(w, sc.ok, tuple(
-        v for v in sc.violations if v.position <= len(w)), m)
-
-
-def _band_power(p, n):
-    """The power m of a closed word of length n that is_band checks."""
-    return max(2, -(-p.max_effective_forbidden // n) + 1)
+    viols = tuple(v for v in _string_violations(p, w * m, len(w))
+                  if v.position <= len(w))
+    return BandCheck(w, not viols, viols, m)
 
 
 def canonical_band(w):
@@ -622,7 +627,7 @@ def _lyndon_words(alphabet, maxlen):
 
 def _junction_record(p, label, left, right):
     x, y = left[-1], right[0]
-    seam = tuple(_w2_violation(j, e).detail
+    seam = tuple(_w2_violation(j, e, len(left) + len(right)).detail
                  for j, e in _seam_windows(p, left, right))
     return {
         "blocks": label,
@@ -744,8 +749,8 @@ def build_eta(maps, alpha):
 
 @dataclass(frozen=True)
 class BandCensus:
-    """The bands up to a length bound: how many, and with enumerate_bands
-    which.
+    """The bands up to a length bound, from the closed walks of one context
+    graph: how many, and with enumerate_bands which.
 
     counts[d-1] is the number of bands of length d, and self_inverse the
     number of bands that are a rotation of their own inverse.  words is
@@ -773,103 +778,6 @@ class BandCensus:
         return canonical_band(w) in self._index
 
 
-def enumerate_bands(p, max_len):
-    """Every band of length <= max_len, each in canonical rotation.
-
-    Depth-first generation of prenecklaces over the letter order: a word is
-    extended only while it remains the prefix of some lexicographically
-    least rotation, junction transitions stay legal, no effective forbidden
-    factor appears, and the word can still close within the length bound.
-    Each collected word w is a Lyndon word, hence primitive, so rotations
-    are never produced twice, and a legal transition from its last letter
-    back to its first closes it.  The only condition left is the seam check:
-    no forbidden window of length >= 3 that starts inside w and ends past
-    it matches w^m, with m as in is_band.  It is the oracle of band_counts,
-    which counts the same bands without building them.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    letters = p.letters()
-    L = len(letters)
-    # The transition table, over composable pairs only: W3 rules out every
-    # other pair, and a letter that is itself a window has no transitions.
-    legal = [i for i, x in enumerate(letters) if not _windows_ending(p, (x,), 0)]
-    starting = collections.defaultdict(list)
-    for j in legal:
-        starting[p.start(letters[j])].append(j)
-    allowed = [[False] * L for _ in range(L)]
-    for i in legal:
-        for j in starting[p.end(letters[i])]:
-            xy = (letters[i], letters[j])
-            allowed[i][j] = not (_junction_faults(p, *xy) or
-                                 _windows_ending(p, xy, 1))
-    succ = [[j for j in range(L) if allowed[i][j]] for i in range(L)]
-    pred = [[i for i in range(L) if allowed[i][j]] for j in range(L)]
-    # Only windows of 3 or more letters are left to scan for; a string
-    # quotient has none, and skips the prune and the leaf check.
-    scan = p.max_effective_forbidden >= 3
-
-    found = []
-    for s0 in range(L):
-        dist = [None] * L
-        frontier = [i for i in range(L) if allowed[i][s0]]
-        for i in frontier:
-            dist[i] = 0
-        d = 0
-        while frontier:
-            nxt = []
-            for j in frontier:
-                for i in pred[j]:
-                    if dist[i] is None:
-                        dist[i] = d + 1
-                        nxt.append(i)
-            frontier = nxt
-            d += 1
-        if dist[s0] is None:
-            continue
-        w = [letters[s0]]
-        widx = [s0]
-
-        def rec(t, per):
-            if per == t and allowed[widx[-1]][s0]:
-                u = tuple(w)
-                if not (scan and _seam_windows(
-                        p, u, u * (_band_power(p, t) - 1), 3)):
-                    found.append(u)
-            if t == max_len:
-                return
-            base = widx[t - per]
-            bkey = letter_key(letters[base])
-            for c in succ[widx[-1]]:
-                ck = letter_key(letters[c])
-                if ck < bkey:
-                    continue
-                if dist[c] is None or t + 1 + dist[c] > max_len:
-                    continue
-                w.append(letters[c])
-                if scan and _windows_ending(p, w, t, 3):
-                    w.pop()
-                    continue
-                widx.append(c)
-                rec(t + 1, per if ck == bkey else t + 1)
-                w.pop()
-                widx.pop()
-
-        rec(1, 1)
-    found.sort(key=lambda u: (len(u), word_key(u)))
-    counts = [0] * max_len
-    for u in found:
-        counts[len(u) - 1] += 1
-    return BandCensus(
-        presentation_name=p.name,
-        max_len=max_len,
-        counts=tuple(counts),
-        self_inverse=sum(canonical_band(invert_word(u)) == u for u in found),
-        words=tuple(found),
-        _index=frozenset(found),
-    )
-
-
 def _read(p, follow, c, word):
     """The context after reading word from context c, or None at the first
     junction fault or window; follow[x] lists the letters that the junction
@@ -888,6 +796,87 @@ def _read(p, follow, c, word):
         c = next((u[i:] for i in range(len(u) - 1)
                   if u[i:] in p._w2_prefixes), u[-1:])
     return c
+
+
+def _context_graph(p):
+    """follow, the contexts and the edges (i, letter, j) of the transfer
+    graph: follow[x] lists the letters that the junction rule lets follow
+    x, the states are the contexts of _read that a legal word reaches, and
+    an edge reads one letter from context i to context j."""
+    letters = p.letters()
+    starting = collections.defaultdict(list)
+    for y in letters:
+        starting[p.start(y)].append(y)
+    # W3 rules out every pair that does not compose
+    follow = {x: [y for y in starting[p.end(x)]
+                  if not _junction_faults(p, x, y)] for x in letters}
+    states = [(x,) for x in letters if _read(p, follow, (), (x,)) is not None]
+    index, edges = {c: i for i, c in enumerate(states)}, []
+    for i, c in enumerate(states):  # grows while it is walked
+        for y in follow[c[-1]]:
+            t = _read(p, follow, c, (y,))
+            if t is not None:
+                if t not in index:
+                    index[t] = len(states)
+                    states.append(t)
+                edges.append((i, y, index[t]))
+    return follow, states, edges
+
+
+def enumerate_bands(p, max_len):
+    """Every band of length <= max_len, each in canonical rotation.
+
+    A band in canonical rotation w is a Lyndon word that labels exactly one
+    closed walk in the graph of _context_graph, the graph band_counts
+    counts in: the walk from the context s of w^m, m large, which ends with
+    the last letter of w.  A Lyndon word labelling a closed walk is a band.
+    From each s, a depth-first walk extends w while it stays a prenecklace
+    and can get back to s within max_len letters, and collects w back at s
+    when it is Lyndon.  A Lyndon word starts with its least letter, so w
+    starts with none greater than a letter of s, a suffix of w^m.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    _, states, edges = _context_graph(p)
+    out, into = [[] for _ in states], [[] for _ in states]
+    for i, y, j in edges:
+        out[i].append((letter_key(y), y, j))
+        into[j].append(i)
+    found = []
+    for s, c in enumerate(states):
+        dist, queue = {s: 0}, [s]  # the fewest letters from each back to s
+        for j in queue:  # grows while it is walked
+            for i in into[j]:
+                if i not in dist:
+                    dist[i] = dist[j] + 1
+                    queue.append(i)
+        first = min(map(letter_key, c))  # the greatest first letter
+        path = []  # the edges (key, letter, context) of w
+
+        def rec(i, per):  # at context i; per is the period of w
+            t = len(path)
+            if t and i == s and per == t:
+                found.append(tuple(y for _, y, _ in path))
+            for e in out[i]:
+                ck, _, j = e
+                if (ck < path[t - per][0] if t else ck > first) or \
+                        j not in dist or t + 1 + dist[j] > max_len:
+                    continue
+                path.append(e)
+                rec(j, per if t and ck == path[t - per][0] else t + 1)
+                path.pop()
+
+        rec(s, 0)
+    found.sort(key=lambda u: (len(u), word_key(u)))
+    lengths = collections.Counter(map(len, found))
+    return BandCensus(
+        presentation_name=p.name,
+        max_len=max_len,
+        counts=tuple(lengths[d] for d in range(1, max_len + 1)),
+        self_inverse=sum(canonical_band(invert_word(u)) == u for u in found),
+        words=tuple(found),
+        _index=frozenset(found),
+    )
 
 
 def _moebius(n):
@@ -912,11 +901,11 @@ def band_counts(p, max_len):
     """The census of bands of length <= max_len, counted without listing a
     band: counts per length and self_inverse, but no words.
 
-    Transfer matrix: the states are the contexts of _read that a legal word
-    reaches, and an edge reads one letter.  A word w with every cyclic
-    reading legal labels exactly one closed walk, from the context of
-    w^m for m large; so tr(A^d) is the sum over e | d of e times the number
-    of bands of length e, and Moebius inversion gives the counts.
+    Transfer matrix: A is the adjacency matrix of the context graph of
+    _context_graph, which enumerate_bands walks too.  A word w with every
+    cyclic reading legal labels exactly one closed walk, from the context
+    of w^m for m large; so tr(A^d) is the sum over e | d of e times the
+    number of bands of length e, and Moebius inversion gives the counts.
 
     A band that is a rotation of its inverse is symmetric about two letters
     per period, each a special letter: between them the word would put a
@@ -937,25 +926,9 @@ def band_counts(p, max_len):
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    letters = p.letters()
-    starting = collections.defaultdict(list)
-    for y in letters:
-        starting[p.start(y)].append(y)
-    # W3 rules out every pair that does not compose
-    follow = {x: [y for y in starting[p.end(x)]
-                  if not _junction_faults(p, x, y)] for x in letters}
-    states = [(x,) for x in letters if _read(p, follow, (), (x,)) is not None]
-    index, edges = {c: i for i, c in enumerate(states)}, []
-    for i, c in enumerate(states):  # grows while it is walked
-        for y in follow[c[-1]]:
-            t = _read(p, follow, c, (y,))
-            if t is not None:
-                if t not in index:
-                    index[t] = len(states)
-                    states.append(t)
-                edges.append((i, index[t]))
+    follow, states, edges = _context_graph(p)
     k = max(1, p.max_effective_forbidden - 1) | 1
-    halves = [(x,) for x in letters if x.kind == SPECIAL]
+    halves = [(x,) for x in follow if x.kind == SPECIAL]
     for _ in range(k // 2):
         halves = [h + (y,) for h in halves for y in follow[h[-1]]
                   if _read(p, follow, (), h + (y,)) is not None]
@@ -966,15 +939,15 @@ def band_counts(p, max_len):
         if c is not None:
             fixed[w] = c
     n = len(states)
-    r = max(collections.Counter(i for i, _ in edges).values(), default=0)
+    r = max(collections.Counter(i for i, _, _ in edges).values(), default=0)
     dtype = np.int64 if (n + len(fixed)) * r ** max_len < 2 ** 62 else object
     a = np.zeros((n, n), dtype=dtype)
-    for i, j in edges:
+    for i, _, j in edges:
         a[i, j] += 1
     start, end = np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype)
     if k <= max_len // 2:  # W(m) for some m >= k is wanted
         for c in fixed.values():
-            start[index[c]] += 1
+            start[states.index(c)] += 1
         end[:] = [sum(_read(p, follow, c, w) is not None for w in fixed)
                   for c in states]
     # W(m) for m < k: S and T overlap in k - m letters

@@ -382,7 +382,8 @@ def test_each_quiver_validates_its_triangulation_once(capsys, monkeypatch,
      "error: first word is not a band: "
      "W2 at 1: letters 1-2 spell forbidden word x0_0.x0_1; "
      "W2 at 2: letters 2-3 spell forbidden word x0_1.x0_2; "
-     "W2 at 3: letters 3-4 spell forbidden word x0_2.x0_0\n"),
+     "W2 at 3: letters 3-1 (2 letters, wrapping) spell forbidden word "
+     "x0_2.x0_0\n"),
     (("--builtin", "sphere5", "--word1", "a1.a2'.a3", "--word2", "a1.a1"),
      "error: second word is not a band: "
      "closed at 2: word ends at 2 but starts at 1; "

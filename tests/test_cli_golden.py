@@ -61,6 +61,10 @@ CASES = [
     "bands --builtin torus --max-len 20 --format json",
     "bands --builtin sphere5 --max-len 20",
     "bands --builtin genus2 --max-len 14",
+    # listed from the closed walks of the counts' context graph; the
+    # outputs were recorded before enumerate_bands came to walk that graph
+    "bands --builtin torus --max-len 10 --words --format json",
+    "bands --builtin genus2 --max-len 9 --words",
     "certify-growth --builtin sphere5 --depth 3 --max-len 6 --out {out}",
     "certify-growth --input fixtures/torus.json --depth 3 --max-len 6 "
     "--out {out}",

@@ -377,12 +377,32 @@ def test_counted_census_has_no_words(sphere5_pres):
 
 def test_is_band_names_each_cyclic_violation_once(torus_quotient):
     # each x f(x) of the triangle's 3-cycle is forbidden; the checked power
-    # w^2 repeats the windows at 1 and 2 from letter 4 on
+    # w^2 repeats the windows at 1 and 2 from letter 4 on, and the window
+    # at 3 wraps round to letter 1
     res = is_band(torus_quotient, parse_word("x0_0.x0_1.x0_2"))
     assert [str(v) for v in res.violations] == [
         "W2 at 1: letters 1-2 spell forbidden word x0_0.x0_1",
         "W2 at 2: letters 2-3 spell forbidden word x0_1.x0_2",
-        "W2 at 3: letters 3-4 spell forbidden word x0_2.x0_0",
+        "W2 at 3: letters 3-1 (2 letters, wrapping) spell forbidden word "
+        "x0_2.x0_0",
+    ]
+
+
+def test_is_band_numbers_letters_within_the_word(sphere5_pres):
+    # the closing junction of a1.a2'.a3.a1' is a1' then a1
+    res = is_band(sphere5_pres, parse_word("a1.a2'.a3.a1'"))
+    assert [str(v) for v in res.violations] == [
+        "W3 at 3: letters 3 and 4 do not compose "
+        "(a3 ends at 1, a1' starts at 2)",
+        "W1 at 4: letter 1 is the inverse of letter 4",
+        "incomparability at 4: junction pair (a1, a1) is comparable",
+    ]
+    # a window longer than the word wraps round it more than once
+    pres = WordPresentation("loop", ("v",), {"x": ("v", "v")}, (),
+                            [ForbiddenWord(("x", "x", "x"))])
+    assert [str(v) for v in is_band(pres, parse_word("x")).violations] == [
+        "W2 at 1: letters 1-1 (3 letters, wrapping) spell forbidden word "
+        "x.x.x",
     ]
 
 
@@ -627,6 +647,12 @@ def test_band_counts_match_enumerator_random_presentations(pres, max_len):
     listed = enumerate_bands(pres, max_len)
     assert counted.counts == listed.counts
     assert counted.self_inverse == listed.self_inverse
+    # both walk the same context graph; the de Bruijn oracle does not, and
+    # is cheap while its states, the legal words of length maxF - 1, are few
+    if pres.max_effective_forbidden <= 4:
+        counts, self_inverse = oracles.naive_band_counts(pres, max_len)
+        assert (counted.counts, counted.self_inverse) == (
+            tuple(counts), self_inverse)
     # a band of odd length is never a rotation of its inverse
     assert all(len(u) % 2 == 0 for u in listed.words
                if canonical_band(invert_word(u)) == u)

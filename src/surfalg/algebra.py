@@ -1,4 +1,4 @@
-"""Finite basis and multiplication table for the relation quotient.
+"""Finite basis and right action of the arrows for the relation quotient.
 
 The algebra is the quotient of the COMPLETE path algebra of a quiver by the
 closed two-sided ideal generated by a finite set of relations (each relation
@@ -29,7 +29,12 @@ layer vanishes up to there, the failure names the first degree past it.
 Normal forms come from the last elimination, whose cutoff may pass k; they
 are the same as at cutoff k, because every path of length >= k lies in the
 ideal and the normal form of a shorter path is the unique combination of
-surviving paths congruent to it modulo the ideal.
+surviving paths congruent to it modulo the ideal.  The algebra keeps one
+right action, the normal form of each basis path times each arrow leaving
+its end, and reads every product from it one arrow at a time.  The prefixes
+of a surviving path survive: the (length, lex) order respects
+concatenation, so a pivot followed by an arrow is the pivot of the same
+ideal element times that arrow.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -272,12 +277,12 @@ def graded_dimensions(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
 
 @dataclass(frozen=True)
 class FDAlgebra:
-    """Basis, normal forms and multiplication table of a stabilized quotient.
+    """Basis, normal forms and right action of a stabilized quotient.
 
     Basis elements are (source_vertex, arrow_id_tuple); the tuple is empty
-    for the trivial path at a vertex.  multTable maps a pair of basis
-    indices to a tuple of (basis_index, coefficient) pairs; absent keys
-    mean the product is zero.
+    for the trivial path at a vertex.  action maps (i, x), for each arrow x
+    leaving the end of path i, to the normal form of path i times x as a
+    tuple of (basis_index, coefficient) pairs, empty when it is zero.
     """
 
     quiver: object
@@ -285,8 +290,7 @@ class FDAlgebra:
     relations: object
     basis: tuple
     graded_dims: tuple
-    mult_table: dict = dc_field(repr=False)
-    arrow_nf: dict = dc_field(repr=False)
+    action: dict = dc_field(repr=False)
     _index: dict = dc_field(repr=False, default_factory=dict)
 
     @property
@@ -314,21 +318,32 @@ class FDAlgebra:
         """Index of the trivial path at a vertex."""
         return self._index[(v, ())]
 
+    @cached_property
+    def mult_table(self):
+        """Nonzero products (i, j) -> ((index, coeff), ...), found by
+        multiplying i by the arrows of path j one at a time."""
+        p = self.field
+        table = {}
+        for i in range(self.dim):
+            for j in self.indices_from(self.basis_target(i)):
+                prod = {i: 1}
+                for x in self.basis[j][1]:
+                    acc = {}
+                    for b, c in prod.items():
+                        for k, c2 in self.action[(b, x)]:
+                            acc[k] = (acc.get(k, 0) + c * c2) % p
+                    prod = {k: c for k, c in acc.items() if c}
+                if prod:
+                    table[(i, j)] = tuple(sorted(prod.items()))
+        return table
+
     def mul(self, i, j):
         """Product of two basis elements as ((index, coeff), ...)."""
         return self.mult_table.get((i, j), ())
 
     def right_multiply_arrow(self, i, arrow_id):
         """Normal form of basis element i times an arrow, as ((index, coeff), ...)."""
-        acc = {}
-        for k, c in self.arrow_nf[arrow_id]:
-            for b, c2 in self.mul(i, k):
-                nv = (acc.get(b, 0) + c * c2) % self.field
-                if nv:
-                    acc[b] = nv
-                else:
-                    acc.pop(b, None)
-        return tuple(sorted(acc.items()))
+        return self.action.get((i, arrow_id), ())
 
     def indices_from(self, v):
         return tuple(
@@ -364,8 +379,8 @@ def compute_basis(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
 
     Runs the degreewise elimination to the first length k at which no
     paths survive, then assembles the basis (trivial paths first, then
-    surviving paths by length and lexicographic order) and the full
-    multiplication table via back-substituted normal forms.
+    surviving paths by length and lexicographic order) and the right action
+    of the arrows on it from back-substituted normal forms.
 
     Raises:
         ValueError: if p is not prime or (p-1)^2 >= 2^63, or max_deg or
@@ -399,42 +414,23 @@ def compute_basis(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
                     acc.pop(b, None)
         nf[col] = acc
 
-    vertices = sorted(q.vertices)
-    basis = [(v, ()) for v in vertices]
+    basis = [(v, ()) for v in sorted(q.vertices)]
     basis_of_col = {}
     for col in range(limit):
         if col not in ech.pivots:
             basis_of_col[col] = len(basis)
             path = levels.paths[col]
             basis.append((q.path_source(path), path))
-    index = {el: i for i, el in enumerate(basis)}
 
-    def nf_indices(path):
-        return tuple((basis_of_col[b], c)
-                     for b, c in sorted(nf[levels.ids[path]].items()))
-
-    arrow_nf = {x.id: nf_indices((x.id,)) for x in q.arrows}
-
-    table = {}
-    for i, (vi, pi) in enumerate(basis):
-        ti = vi if not pi else q.arrow(pi[-1]).target
-        for j, (vj, pj) in enumerate(basis):
-            if vj != ti:
-                continue
-            if not pi and not pj:
-                prod = ((j, 1),)
-            elif not pi:
-                prod = ((j, 1),)
-            elif not pj:
-                prod = ((i, 1),)
-            else:
-                joint = pi + pj
-                if len(joint) >= stop:
-                    continue
-                prod = nf_indices(joint)
-                if not prod:
-                    continue
-            table[(i, j)] = prod
+    # a basis path has length < stop, so with one more arrow it is still
+    # a column of the elimination
+    action = {}
+    for i, (v, path) in enumerate(basis):
+        end = levels.target[path[-1]] if path else v
+        for x in levels.arrows_from.get(end, ()):
+            action[(i, x.id)] = tuple(
+                (basis_of_col[b], c)
+                for b, c in sorted(nf[levels.ids[path + (x.id,)]].items()))
 
     return FDAlgebra(
         quiver=q,
@@ -442,9 +438,8 @@ def compute_basis(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
         relations=rels,
         basis=tuple(basis),
         graded_dims=tuple(dims),
-        mult_table=table,
-        arrow_nf=arrow_nf,
-        _index=index,
+        action=action,
+        _index={el: i for i, el in enumerate(basis)},
     )
 
 
@@ -484,16 +479,12 @@ def check_weakly_symmetric(a):
     for v in sorted(a.quiver.vertices):
         rows_v = a.indices_from(v)
         loc = {bi: k for k, bi in enumerate(rows_v)}
-        blocks = []
-        for x in arrows:
-            m = np.zeros((len(rows_v), len(rows_v)), dtype=np.int64)
-            for k, bi in enumerate(rows_v):
-                if a.basis_target(bi) != x.source:
-                    continue
+        n = len(rows_v)
+        stacked = np.zeros((n, len(arrows) * n), dtype=np.int64)
+        for k, bi in enumerate(rows_v):
+            for t, x in enumerate(arrows):
                 for bj, c in a.right_multiply_arrow(bi, x.id):
-                    m[k, loc[bj]] = c
-            blocks.append(m)
-        stacked = np.hstack(blocks) if blocks else np.zeros((len(rows_v), 0), dtype=np.int64)
+                    stacked[k, t * n + loc[bj]] = c
         soc, _ = linalg.left_nullspace(stacked, p)
         support = set()
         for row in soc:

@@ -169,15 +169,11 @@ def module_from_spec(a, spec):
             raise ValueError("matrix for %s has entries outside 0..%d"
                              % (aid, a.field - 1))
     try:
-        m = homology.FDModule(
-            {v: dims.get(v, 0) for v in a.quiver.vertices},
-            {x.id: mats[x.id] if x.id in mats else np.zeros(
-                (dims.get(x.source, 0), dims.get(x.target, 0)),
-                dtype=np.int64) for x in a.quiver.arrows})
+        m = homology.FDModule(dict(dims), mats)
         problems = homology.validate_module(a, m)
     except (MemoryError, ValueError):
-        # numpy cannot allocate a zero matrix or a relation's path matrix,
-        # or refuses a dimension beyond its maximum
+        # numpy cannot allocate a relation's path matrix, or refuses a
+        # dimension beyond its maximum
         big = max(dims, key=dims.get)
         raise ValueError("module dims for %r are too large to allocate: %d"
                          % (big, dims[big]))

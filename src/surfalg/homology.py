@@ -2,17 +2,20 @@
 
 A module is given by a dimension per vertex and one matrix per arrow; the
 matrix of an arrow x: s -> t has shape (dims[s], dims[t]) and acts on row
-vectors.  Relations of the algebra must act as zero; validate_module checks
-this together with the shapes.
+vectors; an arrow without a matrix acts as zero.  Relations of the algebra
+must act as zero; validate_module checks this together with the shapes.
 
-syzygy computes the kernel of the projective cover; syzygy_chain, the one
-loop over it, returns (m, Om, ..., O^k m) up to the first zero module and is
-what the `syzygy` command prints.  check_periodicity keeps the chain it walks
-in its result, which `periodicity` and scripts/periodicity_table.py pass on
-to tube_rank: over a weakly symmetric algebra tau = O^2, so tube_rank reads
-O^2 m and O^4 m from that chain (extended only for periods below 4), reuses
-the result's isomorphism test at the step equal to the period (m against
-O^4 m by default), and checks weak symmetry once per call.
+projective_cover reads the top of m off the radical step that
+radical_series repeats, and sends a summand's basis path to its prefix's
+image times the matrix of its last arrow.  syzygy computes the kernel of
+the projective cover; syzygy_chain, the one loop over it, returns
+(m, Om, ..., O^k m) up to the first zero module and is what the `syzygy`
+command prints.  check_periodicity keeps the chain it walks in its result,
+which `periodicity` and scripts/periodicity_table.py pass on to tube_rank:
+over a weakly symmetric algebra tau = O^2, so tube_rank reads O^2 m and
+O^4 m from that chain (extended only for periods below 4), reuses the
+result's isomorphism test at the step equal to the period (m against O^4 m
+by default), and checks weak symmetry once per call.
 
 iso_check solves Hom(m, n) and tries seeded random combinations of its
 basis first; Hom(n, m) is solved only when no invertible one (a witness)
@@ -142,15 +145,12 @@ def _free_module(a, basis):
         w = a.basis_target(bi)
         local[(li, bi)] = dims[w]
         dims[w] += 1
-    mats = {}
-    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
-        mat = _zeros(dims[x.source], dims[x.target])
-        for li, bi in basis:
-            if a.basis_target(bi) != x.source:
-                continue
-            for bj, c in a.right_multiply_arrow(bi, x.id):
+    mats = {x.id: _zeros(dims[x.source], dims[x.target])
+            for x in sorted(a.quiver.arrows, key=lambda x: x.id)}
+    for li, bi in basis:
+        for x, mat in mats.items():
+            for bj, c in a.right_multiply_arrow(bi, x):
                 mat[local[(li, bi)], local[(li, bj)]] = c
-        mats[x.id] = mat
     return FDModule(dims, mats), local
 
 
@@ -173,27 +173,17 @@ def projective_cover(a, m):
 
     The top of m at each vertex is lifted by the standard basis vectors at
     the non-pivot columns of the reduced radical; each lift contributes one
-    projective summand.  Returns the cover module, the summand multiset,
-    and the per-vertex matrix of the covering map (rows indexed by the
-    cover basis at that vertex).
+    projective summand, each basis path of which goes to its prefix's
+    image times its last arrow's matrix.  Returns the cover module, the
+    summand multiset, and the per-vertex matrix of the covering map (rows
+    indexed by the cover basis at that vertex).
     """
     p = a.field
     vertices = _vertices(a)
-    lifts = []
-    for v in vertices:
-        dv = m.dims.get(v, 0)
-        if dv == 0:
-            continue
-        rows = [
-            _arrow_matrix(a, m, x.id)
-            for x in sorted(a.quiver.arrows, key=lambda x: x.id)
-            if x.target == v
-        ]
-        stacked = np.vstack([r for r in rows if r.shape[0]]) \
-            if any(r.shape[0] for r in rows) else _zeros(0, dv)
-        rad, piv = linalg.rref(stacked, p)
-        eye = np.eye(dv, dtype=np.int64)
-        lifts.extend((v, eye[j]) for j in range(dv) if j not in set(piv))
+    eye = {v: np.eye(m.dims.get(v, 0), dtype=np.int64) for v in vertices}
+    rad = _radical_step(a, m, eye)
+    lifts = [(v, eye[v][j]) for v in vertices
+             for j in range(m.dims.get(v, 0)) if j not in rad[v][1]]
     summands = collections.Counter(v for v, _ in lifts)
 
     basis = [(li, bi) for li, (v, _) in enumerate(lifts)
@@ -201,13 +191,20 @@ def projective_cover(a, m):
     cover, local = _free_module(a, basis)
     phi = {v: _zeros(cover.dims[v], m.dims.get(v, 0))
            for v in a.quiver.vertices}
+    # indices_from lists a path after its prefix, whose image is then in phi
     for li, bi in basis:
         v, path = a.basis[bi]
-        w = a.basis_target(bi)
-        u = lifts[li][1]
-        img = linalg.matmul(
-            u.reshape(1, -1), _path_matrix(a, m, v, path), p)
-        phi[w][local[(li, bi)]] = img[0]
+        if not path:
+            img = lifts[li][1]
+        else:
+            pre = a._index.get((v, path[:-1]))
+            if pre is None:
+                raise RuntimeError(
+                    "internal error: the prefix of basis path %s is not a "
+                    "basis path" % (path,))
+            img = linalg.matmul(phi[a.basis_target(pre)][local[(li, pre)]],
+                                _arrow_matrix(a, m, path[-1]), p)
+        phi[a.basis_target(bi)][local[(li, bi)]] = img
     for v in vertices:
         dv = m.dims.get(v, 0)
         if linalg.rank(phi[v], p) != dv:
@@ -255,9 +252,22 @@ def syzygy_chain(a, m, steps):
     return tuple(chain)
 
 
+def _radical_step(a, m, rows):
+    """Per vertex v, the rref (r, pivots) of the images of rows[s] under the
+    arrows s -> v: the radical of the submodule of m that the rows span."""
+    p = a.field
+    imgs = {v: [] for v in a.quiver.vertices}
+    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
+        img = linalg.matmul(rows[x.source], _arrow_matrix(a, m, x.id), p)
+        if img.shape[0]:
+            imgs[x.target].append(img)
+    return {v: linalg.rref(np.vstack(imgs[v]), p) if imgs[v]
+            else (_zeros(0, m.dims.get(v, 0)), [])
+            for v in a.quiver.vertices}
+
+
 def radical_series(a, m):
     """Per-vertex dimensions of the radical filtration, top layer first."""
-    p = a.field
     vertices = _vertices(a)
     bases = {
         v: np.eye(m.dims.get(v, 0), dtype=np.int64) for v in vertices
@@ -267,19 +277,7 @@ def radical_series(a, m):
         series.append(tuple(int(bases[v].shape[0]) for v in vertices))
         if series[-1] == tuple(0 for _ in vertices):
             break
-        nxt_rows = {v: [] for v in vertices}
-        for x in sorted(a.quiver.arrows, key=lambda x: x.id):
-            img = linalg.matmul(bases[x.source], _arrow_matrix(a, m, x.id), p)
-            if img.shape[0]:
-                nxt_rows[x.target].append(img)
-        nxt = {}
-        for v in vertices:
-            if nxt_rows[v]:
-                stacked = np.vstack(nxt_rows[v])
-                rows, _ = linalg.rref(stacked, p)
-                nxt[v] = rows
-            else:
-                nxt[v] = _zeros(0, m.dims.get(v, 0))
+        nxt = {v: r for v, (r, _) in _radical_step(a, m, bases).items()}
         if all(nxt[v].shape[0] == bases[v].shape[0] for v in vertices):
             raise RuntimeError("radical filtration does not descend")
         bases = nxt

@@ -40,6 +40,12 @@ def tetra_algebra():
 
 
 @pytest.fixture(scope="session")
+def kx2_algebra():
+    q, rels = fixtures.kx2_algebra_data()
+    return algebra.compute_basis(q, rels, p=32003, max_deg=40)
+
+
+@pytest.fixture(scope="session")
 def sphere5_pres():
     return strings.sphere5_presentation()
 

@@ -208,7 +208,10 @@ def test_tetra_scalar_two_basis(tetra_algebra):
 
 
 def _algebra_digest(a):
-    text = a.to_json() + repr(sorted(a.arrow_nf.items()))
+    arrow_nf = sorted(
+        (x.id, a.right_multiply_arrow(a.vertex_unit(x.source), x.id))
+        for x in a.quiver.arrows)
+    text = a.to_json() + repr(arrow_nf)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -232,6 +235,20 @@ def test_torus_mult_table_golden(torus_quiver, torus_relations, kwargs):
     a = algebra.compute_basis(torus_quiver, torus_relations, p=32003,
                               **kwargs)
     assert _algebra_digest(a) == TORUS_DIGEST
+
+
+@pytest.mark.parametrize("name", ["torus_algebra", "kx2_algebra",
+                                  "tetra_algebra"])
+def test_basis_is_prefix_closed_and_action_composable(request, name):
+    # projective_cover builds each path's image from its prefix's, and
+    # mult_table walks the action; both rely on these two facts
+    a = request.getfixturevalue(name)
+    basis = set(a.basis)
+    for v, path in a.basis:
+        assert not path or (v, path[:-1]) in basis
+    assert set(a.action) == {
+        (i, x.id) for i in range(a.dim) for x in a.quiver.arrows
+        if x.source == a.basis_target(i)}
 
 
 def test_vertex_units_are_idempotent(torus_algebra):

@@ -853,8 +853,13 @@ def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
      "module dims for '1' are too large to allocate"),
     ({"dims": {"1": 10 ** 30, "2": 10 ** 30, "3": 10 ** 30}},
      "module dims for '1' are too large to allocate"),
+    ({"dims": {"1": 1, "2": 0, "3": 0, "zzz": 5}},
+     "error: invalid module: dims mentions unknown vertex 'zzz'"),
+    ({"matrices": {"bogus": [[1]]}},
+     "error: invalid module: matrices mention unknown arrow 'bogus'"),
 ], ids=["dims-bool", "matrices-list", "entry-float", "ragged", "entry-huge",
-        "dims-unallocatable", "dims-identity-unallocatable", "dims-1e30"])
+        "dims-unallocatable", "dims-identity-unallocatable", "dims-1e30",
+        "dims-unknown-vertex", "matrices-unknown-arrow"])
 def test_module_file_names_a_bad_dims_or_matrix(capsys, tmp_path, doc, field):
     path = tmp_path / "mod.json"
     base = json.loads(pathlib.Path("fixtures/torus_simple1.json").read_text())

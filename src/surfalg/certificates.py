@@ -17,7 +17,7 @@ Two kinds of certificate:
 Every source the program reads -- a builtin name, a triangulation
 document, kx2 or sphere5 -- is resolved here, by the spec readers
 triangulation_from_spec, quotient_from_spec and algebra_from_spec; the
-command line and the scripts build their objects through them too.
+command line builds its objects through them too.
 
 Every document is read through its field table below, by the one
 reader surface.read_fields: a missing, unknown or mistyped field is

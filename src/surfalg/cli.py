@@ -228,18 +228,13 @@ def cmd_algebra(args):
 def cmd_bands(args):
     pres = certificates.presentation_from_spec(
         certificates.presentation_spec(_one_source_spec(args)))
-    rep = strings.growth_report(strings.band_counts(pres, args.max_len))
-    if args.words:
-        words = strings.enumerate_bands(pres, args.max_len)
-        if words.counts != tuple(rep["counts"].values()):
-            raise RuntimeError(
-                "internal error: the enumerated bands (%s by length) differ "
-                "from the counted ones (%s)"
-                % (list(words.counts), list(rep["counts"].values())))
+    census = (strings.enumerate_bands if args.words
+              else strings.band_counts)(pres, args.max_len)
+    rep = strings.growth_report(census)
     if args.format == "json":
         doc = dict(rep)
         if args.words:
-            doc["words"] = [strings.format_word(w) for w in words.words]
+            doc["words"] = [strings.format_word(w) for w in census.words]
         _write_output(json.dumps(doc, indent=2), args.out)
         return 0
     lines = ["bands of %s up to length %d"
@@ -250,7 +245,7 @@ def cmd_bands(args):
     lines.append("max growth rate: %.4f at length %d"
                  % (rep["max_rate"], rep["argmax_length"]))
     if args.words:
-        for w in words.words:
+        for w in census.words:
             lines.append("  " + strings.format_word(w))
     _write_output("\n".join(lines), args.out)
     return 0

@@ -3,7 +3,8 @@
 A module is given by a dimension per vertex and one matrix per arrow; the
 matrix of an arrow x: s -> t has shape (dims[s], dims[t]) and acts on row
 vectors; an arrow without a matrix acts as zero.  Relations of the algebra
-must act as zero; validate_module checks this together with the shapes.
+must act as zero, and paths as long as the Loewy length of the algebra
+too; validate_module checks both together with the shapes.
 
 projective_cover reads the top of m off the radical step that
 radical_series repeats, and sends a summand's basis path to its prefix's
@@ -11,11 +12,11 @@ image times the matrix of its last arrow.  syzygy computes the kernel of
 the projective cover; syzygy_chain, the one loop over it, returns
 (m, Om, ..., O^k m) up to the first zero module and is what the `syzygy`
 command prints.  check_periodicity keeps the chain it walks in its result,
-which `periodicity` and scripts/periodicity_table.py pass on to tube_rank:
-over a weakly symmetric algebra tau = O^2, so tube_rank reads O^2 m and
-O^4 m from that chain (extended only for periods below 4), reuses the
-result's isomorphism test at the step equal to the period (m against O^4 m
-by default), and checks weak symmetry once per call.
+which `periodicity` passes on to tube_rank: over a weakly symmetric
+algebra tau = O^2, so tube_rank reads O^2 m and O^4 m from that chain
+(extended only for periods below 4), reuses the result's isomorphism test
+at the step equal to the period (m against O^4 m by default), and checks
+weak symmetry once per call.
 
 iso_check solves Hom(m, n) and tries seeded random combinations of its
 basis first; Hom(n, m) is solved only when no invertible one (a witness)
@@ -71,7 +72,8 @@ def _vertices(a):
 
 
 def validate_module(a, m):
-    """Shape, range and relation checks; returns a list of violations."""
+    """Shape, range, relation and nilpotency checks; returns a list of
+    violations."""
     out = []
     p = a.field
     dims = {v: int(m.dims.get(v, 0)) for v in a.quiver.vertices}
@@ -108,6 +110,17 @@ def validate_module(a, m):
             out.append(
                 "relation %s does not act as zero (%s to %s)"
                 % (rel, src, tgt))
+    if out:
+        return out
+    # an A-module has rad^L = 0 for the Loewy length L of A
+    rad = {v: np.eye(dims[v], dtype=np.int64) for v in dims}
+    for k in range(1, a.loewy_length + 1):
+        rad = {v: r for v, (r, _) in _radical_step(a, m, rad).items()}
+        if not any(r.shape[0] for r in rad.values()):
+            return out
+    v = next(v for v in _vertices(a) if rad[v].shape[0])
+    out.append("module is not nilpotent: at vertex %r, rad^%d has "
+               "dimension %d" % (v, k, rad[v].shape[0]))
     return out
 
 

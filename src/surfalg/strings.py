@@ -35,12 +35,13 @@ one letter or a proper prefix of a window, and its edges read one letter.
 A word whose cyclic readings are all legal labels exactly one closed walk.
 band_counts counts bands by Moebius inversion of the traces of the powers
 of its matrix; enumerate_bands lists them, as the Lyndon words that label
-a closed walk.  tests/oracles.py holds independent checks of both.
+a closed walk, and checks its list against those counts.  tests/oracles.py
+holds independent checks of both.
 """
 
 import collections
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace as dc_replace
 
 import numpy as np
 
@@ -753,9 +754,10 @@ class BandCensus:
     graph: how many, and with enumerate_bands which.
 
     counts[d-1] is the number of bands of length d, and self_inverse the
-    number of bands that are a rotation of their own inverse.  words is
-    None in a census from band_counts; from enumerate_bands it holds every
-    band in canonical rotation, sorted by length then letter order.
+    number of bands that are a rotation of their own inverse; both always
+    come from band_counts.  words is None in a census from band_counts;
+    enumerate_bands adds every band in canonical rotation, sorted by length
+    then letter order.
     """
 
     presentation_name: str
@@ -834,9 +836,11 @@ def enumerate_bands(p, max_len):
     and can get back to s within max_len letters, and collects w back at s
     when it is Lyndon.  A Lyndon word starts with its least letter, so w
     starts with none greater than a letter of s, a suffix of w^m.
+
+    The counts and self_inverse are band_counts' census, which the listed
+    lengths must match.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    census = band_counts(p, max_len)
     _, states, edges = _context_graph(p)
     out, into = [[] for _ in states], [[] for _ in states]
     for i, y, j in edges:
@@ -869,14 +873,12 @@ def enumerate_bands(p, max_len):
         rec(s, 0)
     found.sort(key=lambda u: (len(u), word_key(u)))
     lengths = collections.Counter(map(len, found))
-    return BandCensus(
-        presentation_name=p.name,
-        max_len=max_len,
-        counts=tuple(lengths[d] for d in range(1, max_len + 1)),
-        self_inverse=sum(canonical_band(invert_word(u)) == u for u in found),
-        words=tuple(found),
-        _index=frozenset(found),
-    )
+    listed = [lengths[d] for d in range(1, max_len + 1)]
+    if tuple(listed) != census.counts:
+        raise RuntimeError(
+            "internal error: the enumerated bands (%s by length) differ "
+            "from the counted ones (%s)" % (listed, list(census.counts)))
+    return dc_replace(census, words=tuple(found), _index=frozenset(found))
 
 
 def _moebius(n):

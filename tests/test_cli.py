@@ -870,6 +870,22 @@ def test_module_file_names_a_bad_dims_or_matrix(capsys, tmp_path, doc, field):
     assert field in err
 
 
+@pytest.mark.parametrize("command", ["periodicity", "syzygy"])
+def test_module_commands_refuse_a_module_that_is_not_nilpotent(
+        capsys, tmp_path, command):
+    # every relation reads 1 - 1 = 0 with all six torus arrows acting as
+    # [[1]], but no path acts as zero
+    path = tmp_path / "ones.json"
+    base = json.loads(pathlib.Path("fixtures/torus_simple1.json").read_text())
+    path.write_text(json.dumps(dict(
+        base, dims={"1": 1, "2": 1, "3": 1},
+        matrices={"x%d_%d" % (i, j): [[1]] for i in (0, 1)
+                  for j in (0, 1, 2)})))
+    assert run(capsys, command, "--module", str(path)) == (
+        2, "", "error: invalid module: module is not nilpotent: at vertex "
+               "'1', rad^7 has dimension 1\n")
+
+
 # A JSON value of each kind; a field is replaced by each value of a kind
 # other than its own.
 _KINDS = (None, True, 1, "x", [], {})

@@ -60,13 +60,15 @@ def test_validate_module_checks_relations(torus_algebra):
     assert any("relation" in s for s in problems)
 
 
-def test_validate_module_accepts_all_ones(torus_algebra):
-    # with every arrow acting as identity both relation terms agree
+def test_validate_module_rejects_all_ones(torus_algebra):
+    # with every arrow acting as identity both relation terms agree, but
+    # no path acts as zero: a representation, not a module over A
     dims = {"1": 1, "2": 1, "3": 1}
     mats = {a.id: np.ones((1, 1), dtype=np.int64)
             for a in torus_algebra.quiver.arrows}
     m = FDModule(dims=dims, mats=mats)
-    assert validate_module(torus_algebra, m) == []
+    assert validate_module(torus_algebra, m) == [
+        "module is not nilpotent: at vertex '1', rad^7 has dimension 1"]
 
 
 def test_projective_cover_of_simple_is_projective(torus_algebra):

@@ -1,8 +1,7 @@
-"""Exact outputs of `periodicity`, `syzygy`, `verify` and
-scripts/periodicity_table.py, recorded before periodicity, tube rank and
-`syzygy` came to share one syzygy chain per module."""
+"""Exact outputs of `periodicity`, `syzygy` and `verify`, recorded before
+periodicity, tube rank and `syzygy` came to share one syzygy chain per
+module, and the exact refusals of bad `periodicity` options."""
 
-import importlib.util
 import json
 import pathlib
 
@@ -113,18 +112,6 @@ CERT_GOLDEN = [
            S1_DIMS), 0, PASS_4),
 ]
 
-TABLE_HEAD = "simple     verdict      tube rank syzygy dimension chain\n"
-TABLE_GOLDEN = [
-    ("torus",
-     "algebra torus over F_32003, dimension 36\n" + TABLE_HEAD
-     + "S(1)       periodic     2         " + S1_CHAIN + "\n"
-     + "S(2)       periodic     2         " + S2_CHAIN + "\n"
-     + "S(3)       periodic     2         " + S3_CHAIN + "\n"),
-    ("kx2",
-     "algebra kx2 over F_32003, dimension 2\n" + TABLE_HEAD
-     + "S(1)       periodic     1         " + KX2_CHAIN + "\n"),
-]
-
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -160,21 +147,6 @@ def test_periodicity_certificate_golden(capsys, in_root, tmp_path, args,
     assert run(capsys, "verify", "--input", str(path)) == (vcode, vout, "")
 
 
-def _table_script():
-    spec = importlib.util.spec_from_file_location(
-        "periodicity_table", ROOT / "scripts" / "periodicity_table.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-@pytest.mark.parametrize("builtin,out", TABLE_GOLDEN)
-def test_periodicity_table_script_golden(capsys, builtin, out):
-    code = _table_script().main(["--builtin", builtin])
-    got = capsys.readouterr()
-    assert (code, got.out, got.err) == (0, out, "")
-
-
 @pytest.mark.parametrize("args,code,err", [
     (("--trials", "0"), 2, "error: trials must be >= 1\n"),
     (("--period", "0"), 2, "error: period must be >= 1\n"),
@@ -183,8 +155,6 @@ def test_periodicity_table_script_golden(capsys, builtin, out):
      "error: no stabilization within degree 3 (max_deg reached); "
      "graded dims so far: [3, 6, 6, 6]\n"),
 ])
-def test_periodicity_table_script_rejects_bad_options(capsys, args, code,
-                                                      err):
-    got_code = _table_script().main(["--builtin", "torus", *args])
-    got = capsys.readouterr()
-    assert (got_code, got.out, got.err) == (code, "", err)
+def test_periodicity_rejects_bad_options(capsys, args, code, err):
+    assert run(capsys, "periodicity", "--builtin", "torus", *args) == (
+        code, "", err)

@@ -3,38 +3,34 @@
 The algebra is the quotient of the COMPLETE path algebra of a quiver by the
 closed two-sided ideal generated by a finite set of relations (each relation
 a linear combination of parallel composable paths).  The computation is a
-degreewise elimination over F_p:
+truncated noncommutative standard basis over F_p; see E. L. Green,
+*Noncommutative Groebner bases, and projective resolutions* (1999).
 
-For a cutoff c, the span of the ideal inside paths of length <= c is
-generated by the truncations of u * r * v over relations r and composable
-padding paths u, v with |u| + min_length(r) + |v| <= c (components pushed
-beyond c by the padding are dropped; this is exactly the image I_c of the
-closed ideal in the quotient by paths of length > c).  Row reduction of those
-generators against the path basis ordered by (length, lexicographic id
-sequence) yields pivot paths; the non-pivot paths of length k are a basis of
-the k-th radical layer.  The pivot set at length <= d is the same for every
-cutoff c >= d (truncating I_c to length d gives all of I_d and keeps leading
-paths), so one elimination gives every layer up to its cutoff, and the
-cutoffs double, 1, 2, 4, 8, ... capped at max_deg; a runtime check confirms
-that the layers read at the previous cutoff did not move.
+Paths are ordered by length, then by their arrow-id sequences
+lexicographically, and the tip of an element is its least path.  For a
+cutoff c, the image I_c of the closed ideal in the quotient by paths of
+length > c is spanned by the truncations of u * r * v over relations r and
+composable padding paths u, v.  The order respects concatenation, so the
+tips of I_c form a monomial ideal, the paths that contain no tip (the
+survivors) are closed under subpaths, and the tips of length <= d are the
+same for every cutoff c >= d.  Buchberger's algorithm, with paths longer
+than max_deg dropped, reduces the relations and the S-polynomials of tip
+overlaps in order of degree.  Once nothing of degree <= d is pending, the
+survivors of length d are those of length d - 1 times one arrow, less the
+paths that end in a tip, and they are a basis of the d-th radical layer.
 
 The first length k with zero surviving paths proves that the radical powers
 stabilize, hence vanish, at k: the algebra is finite dimensional with basis
 the surviving paths of length < k, and any product of total length >= k is
 zero.  If no such k appears up to max_deg the computation reports
-non-stabilization instead of guessing.  When a doubling step would cross the
-path budget, the cutoff is clamped to the longest length that fits; if no
-layer vanishes up to there, the failure names the first degree past it.
+non-stabilization instead of guessing.  The path budget caps the survivors
+and the tips held; crossing it names the degree.
 
-Normal forms come from the last elimination, whose cutoff may pass k; they
-are the same as at cutoff k, because every path of length >= k lies in the
-ideal and the normal form of a shorter path is the unique combination of
-surviving paths congruent to it modulo the ideal.  The algebra keeps one
-right action, the normal form of each basis path times each arrow leaving
-its end, and reads every product from it one arrow at a time.  The prefixes
-of a surviving path survive: the (length, lex) order respects
-concatenation, so a pivot followed by an arrow is the pivot of the same
-ideal element times that arrow.
+The normal form of a path is its reduction by the standard basis with the
+paths of length >= k dropped: the unique combination of survivors
+congruent to it modulo the ideal.  The algebra keeps one right action, the
+normal form of each basis path times each arrow leaving its end, and reads
+every product from it one arrow at a time.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -97,121 +93,131 @@ def _validate_relations(q, rels):
                 )
 
 
-class _PathLevels:
-    """Composable paths per length, extended lazily one level at a time.
+def _key(path):
+    return len(path), path
 
-    Levels are built in lexicographic order of arrow-id tuples and numbered
-    consecutively, so the integer column ids follow the (length, lex) order:
-    paths[c] has id c, ids is the inverse map, and the paths of length d
-    have the ids range(bounds[d], bounds[d + 1]).  starting and ending map
-    (length, vertex) to the paths leaving or entering the vertex.  The
-    cumulative number of paths of positive length is capped by the budget;
-    crossing it raises MemoryError naming the offending degree.
+
+class _StandardBasis:
+    """Standard basis over F_p of the ideal truncated past a degree limit.
+
+    Each element is a dict from paths to nonzero coefficients whose tip,
+    its least path in the (length, lex) order, has coefficient 1; it is
+    stored under its tip.  No tip contains another, so a path contains a
+    tip exactly when it is divisible by an element.  by_prefix and
+    by_suffix map each proper prefix and suffix of a tip to the tips that
+    have it, to find the overlaps of a new tip.
     """
 
-    def __init__(self, q, budget):
-        self.budget = budget
-        self.arrows = sorted(q.arrows, key=lambda a: a.id)
-        self.arrows_from = {}
-        for a in self.arrows:
-            self.arrows_from.setdefault(a.source, []).append(a)
-        self.source = {a.id: a.source for a in self.arrows}
-        self.target = {a.id: a.target for a in self.arrows}
-        self.top = 0
-        self.paths = []
-        self.ids = {}
-        self.bounds = [0, 0]
-        self.starting = {(0, v): [()] for v in q.vertices}
-        self.ending = dict(self.starting)
-
-    def ensure(self, deg):
-        """Extend the levels to the given length."""
-        for d in range(self.top + 1, deg + 1):
-            if d == 1:
-                level = [(a.id,) for a in self.arrows]
-            else:
-                level = [
-                    path + (a.id,) for path in self.paths[self.bounds[d - 1]:]
-                    for a in self.arrows_from.get(self.target[path[-1]], ())
-                ]
-            if len(self.paths) + len(level) > self.budget:
-                raise MemoryError("path budget exceeded at degree %d" % d)
-            for path in level:
-                self.ids[path] = len(self.paths)
-                self.paths.append(path)
-                self.starting.setdefault(
-                    (d, self.source[path[0]]), []).append(path)
-                self.ending.setdefault(
-                    (d, self.target[path[-1]]), []).append(path)
-            self.bounds.append(len(self.paths))
-            self.top = d
-
-
-class _Echelon:
-    """Sparse row echelon over F_p keyed by integer column ids.
-
-    Each row is normalized so its minimal column (the pivot) has
-    coefficient 1, and is stored under its pivot without that entry: the
-    stored tail is a tuple of the (column, coefficient) pairs at strictly
-    later columns.
-    """
-
-    def __init__(self, p):
+    def __init__(self, p, limit):
         self.p = p
-        self.pivots = {}
+        self.limit = limit
+        self.elements = {}
+        self.lengths = []
+        self.by_prefix = {}
+        self.by_suffix = {}
 
-    def insert(self, row):
-        p = self.p
-        row = {c: v % p for c, v in row.items() if v % p != 0}
-        while row:
-            c = min(row)
-            f = row.pop(c)
-            tail = self.pivots.get(c)
-            if tail is None:
-                if f != 1:
-                    inv = linalg.inv_mod(f, p)
-                    row = {k: (v * inv) % p for k, v in row.items()}
-                self.pivots[c] = tuple(row.items())
-                return
-            for k, v in tail:
-                nv = (row.get(k, 0) - f * v) % p
+    def tip_ending(self, path):
+        """The tip that path ends in, or None."""
+        for n in self.lengths:
+            if n > len(path):
+                break
+            if path[-n:] in self.elements:
+                return path[-n:]
+        return None
+
+    def tip_in(self, path):
+        """(start, tip) of the tip that ends first in path, or None."""
+        for j in range(1, len(path) + 1):
+            tip = self.tip_ending(path[:j])
+            if tip is not None:
+                return j - len(tip), tip
+        return None
+
+    def subtract(self, acc, c, left, tip, right, limit):
+        """acc -= c * left * element(tip) * right, paths past limit dropped."""
+        p, extra = self.p, len(left) + len(right)
+        for path, v in self.elements[tip].items():
+            if len(path) + extra <= limit:
+                w = left + path + right
+                nv = (acc.get(w, 0) - c * v) % p
                 if nv:
-                    row[k] = nv
+                    acc[w] = nv
                 else:
-                    row.pop(k, None)
+                    acc.pop(w, None)
 
+    def reduce(self, poly, limit, top=None):
+        """Rewrite poly in place by tips until its terms are irreducible.
 
-def _run_elimination(q, rels, p, cutoff, levels):
-    """Echelonize the ideal generators truncated at the cutoff degree."""
-    ech = _Echelon(p)
-    ids = levels.ids
-    for r in rels.generators:
-        m = r.min_length
-        if m > cutoff:
-            continue
-        src = q.path_source(r.terms[0][0])
-        tgt = q.path_target(r.terms[0][0])
-        for a in range(cutoff - m + 1):
-            for u in levels.ending.get((a, src), ()):
-                for b in range(cutoff - m - a + 1):
-                    heads = [(u + path, coeff) for path, coeff in r.terms
-                             if a + len(path) + b <= cutoff]
-                    for v in levels.starting.get((b, tgt), ()):
-                        row = {}
-                        for head, coeff in heads:
-                            col = ids[head + v]
-                            row[col] = row.get(col, 0) + coeff
-                        ech.insert(row)
-    return ech
+        With top set, stop instead at the first least term that is longer
+        than top or irreducible, and return that term (None when poly
+        vanishes).
+        """
+        done = {}
+        while poly:
+            m = min(poly, key=_key)
+            if top is not None and len(m) > top:
+                return m
+            if len(m) > limit:
+                del poly[m]
+                continue
+            hit = self.tip_in(m)
+            if hit is None:
+                if top is not None:
+                    return m
+                done[m] = poly.pop(m)
+                continue
+            i, tip = hit
+            self.subtract(poly, poly[m], m[:i], tip, m[i + len(tip):], limit)
+        poly.update(done)
+        return None
+
+    def add(self, poly, tip):
+        """Store poly under its irreducible tip; return the overlaps it makes
+        with the stored tips as (degree, (left tip, C, A, right tip)), whose
+        S-polynomial is left * C - A * right."""
+        inv = linalg.inv_mod(poly[tip], self.p)
+        self.elements[tip] = {m: c * inv % self.p for m, c in poly.items()}
+        n = len(tip)
+        if n not in self.lengths:
+            self.lengths.append(n)
+            self.lengths.sort()
+        for j in range(1, n):
+            self.by_prefix.setdefault(tip[:j], []).append(tip)
+            self.by_suffix.setdefault(tip[j:], []).append(tip)
+        pairs = []
+        for j in range(1, n):
+            for right in self.by_prefix.get(tip[j:], ()):
+                pairs.append((j + len(right),
+                              (tip, right[n - j:], tip[:j], right)))
+            for left in self.by_suffix.get(tip[:j], ()):
+                if left != tip:
+                    pairs.append((len(left) - j + n,
+                                  (left, tip[j:], left[:len(left) - j], tip)))
+        return [(d, pair) for d, pair in pairs if d <= self.limit]
+
+    def s_polynomial(self, left, c, a, right):
+        """left * c - a * right for an overlap returned by add."""
+        acc = {}
+        self.subtract(acc, self.p - 1, (), left, c, self.limit)
+        self.subtract(acc, 1, a, right, (), self.limit)
+        return acc
 
 
 def _eliminate(q, rels, p, max_deg, path_budget):
     """The degree loop of graded_dimensions and compute_basis.
 
-    Returns (dims, stop, ech, levels): stop is the first length with no
+    Buchberger's algorithm for the (length, lex) order on paths of length
+    at most max_deg: the relations and the S-polynomials of tip overlaps
+    are reduced in order of degree, and layer d is final once nothing
+    pending has degree d or less.  Its survivors are those of layer d - 1
+    times one arrow, less the paths that end in a tip.
+
+    Returns (dims, stop, layers, sb): stop is the first length with no
     surviving path and dims lists the layers below it, or stop is None and
-    dims covers 0..max_deg; ech is the last elimination over levels' ids.
-    Raises NonStabilizationError if the path budget runs out first.
+    dims covers 0..max_deg; layers[d] lists the survivors of length d >= 1
+    in lex order and sb is the standard basis.  Raises
+    NonStabilizationError if more survivors or tips than the path budget
+    are held.
     """
     # the int64 bound first: trial division would not finish on a huge p
     linalg._check_exact(p, 1)
@@ -222,35 +228,51 @@ def _eliminate(q, rels, p, max_deg, path_budget):
     if path_budget < 1:
         raise ValueError("path_budget must be >= 1")
     _validate_relations(q, rels)
+    sb = _StandardBasis(p, max_deg)
+    pending = {}
+    for r in rels.generators:
+        poly = {}
+        for path, c in r.terms:
+            if len(path) <= max_deg and c % p:
+                poly[path] = c % p
+        if poly:
+            pending.setdefault(len(min(poly, key=_key)), []).append(poly)
+    arrows_from = {}
+    for a in sorted(q.arrows, key=lambda a: a.id):
+        arrows_from.setdefault(a.source, []).append(a.id)
+    target = {a.id: a.target for a in q.arrows}
+
     dims = [len(q.vertices)]
-    levels = _PathLevels(q, path_budget)
-    cutoff, budget_hit = 0, None
-    while cutoff < max_deg and budget_hit is None:
-        prev, cutoff = cutoff, min(max(2 * cutoff, 1), max_deg)
-        try:
-            levels.ensure(cutoff)
-        except MemoryError as exc:
-            budget_hit, cutoff = exc, levels.top
-            if cutoff == prev:
-                break
-        ech = _run_elimination(q, rels, p, cutoff, levels)
-        counts = [
-            sum(1 for c in range(levels.bounds[d], levels.bounds[d + 1])
-                if c not in ech.pivots)
-            for d in range(1, cutoff + 1)
-        ]
-        if counts[:prev] != dims[1:]:
-            raise RuntimeError(
-                "internal error: pivot columns moved between cutoffs %d and %d"
-                % (prev, cutoff)
-            )
-        for d in range(prev + 1, cutoff + 1):
-            if counts[d - 1] == 0:
-                return dims, d, ech, levels
-            dims.append(counts[d - 1])
-    if budget_hit is not None:
-        raise NonStabilizationError(max_deg, dims, str(budget_hit))
-    return dims, None, ech, levels
+    layers = [[]]
+    held = 0
+    for d in range(1, max_deg + 1):
+        for item in pending.pop(d, ()):
+            poly = item if isinstance(item, dict) else sb.s_polynomial(*item)
+            m = sb.reduce(poly, max_deg, top=d)
+            if m is None:
+                continue
+            if len(m) > d:
+                pending.setdefault(len(m), []).append(poly)
+                continue
+            for deg, pair in sb.add(poly, m):
+                pending.setdefault(deg, []).append(pair)
+        if d == 1:
+            layer = [(x,) for x in sorted(target) if (x,) not in sb.elements]
+        else:
+            layer = [
+                path + (x,) for path in layers[-1]
+                for x in arrows_from.get(target[path[-1]], ())
+                if sb.tip_ending(path + (x,)) is None
+            ]
+        held += len(layer)
+        if held > path_budget or len(sb.elements) > path_budget:
+            raise NonStabilizationError(
+                max_deg, dims, "path budget exceeded at degree %d" % d)
+        if not layer:
+            return dims, d, layers, sb
+        dims.append(len(layer))
+        layers.append(layer)
+    return dims, None, layers, sb
 
 
 def graded_dimensions(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
@@ -267,9 +289,9 @@ def graded_dimensions(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
     Raises:
         ValueError: if p is not prime or (p-1)^2 >= 2^63, or max_deg or
         path_budget is < 1.
-        NonStabilizationError: only if the path budget is exhausted before
-        max_deg; plain non-stabilization at max_deg is reported through the
-        stabilized flag.
+        NonStabilizationError: only if more survivors or tips than the
+        path budget are held before max_deg; plain non-stabilization at
+        max_deg is reported through the stabilized flag.
     """
     dims, stop, _, _ = _eliminate(q, rels, p, max_deg, path_budget)
     return dims, stop is not None
@@ -377,60 +399,34 @@ def compute_basis(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
                   path_budget=DEFAULT_PATH_BUDGET):
     """Compute the finite-dimensional quotient, or fail honestly.
 
-    Runs the degreewise elimination to the first length k at which no
-    paths survive, then assembles the basis (trivial paths first, then
+    Grows the standard basis to the first length k at which no path
+    survives, then assembles the basis (trivial paths first, then the
     surviving paths by length and lexicographic order) and the right action
-    of the arrows on it from back-substituted normal forms.
+    of the arrows on it: each basis path times an arrow, reduced by the
+    standard basis with the paths of length >= k dropped.
 
     Raises:
         ValueError: if p is not prime or (p-1)^2 >= 2^63, or max_deg or
         path_budget is < 1.
-        NonStabilizationError: if no such k exists within max_deg or the
-        path budget is exhausted first.
+        NonStabilizationError: if no such k exists within max_deg or more
+        survivors or tips than the path budget are held first.
     """
-    dims, stop, ech, levels = _eliminate(q, rels, p, max_deg, path_budget)
+    dims, stop, layers, sb = _eliminate(q, rels, p, max_deg, path_budget)
     if stop is None:
         raise NonStabilizationError(max_deg, dims)
 
-    # normal forms of the paths of length <= stop by back-substitution,
-    # processing columns in decreasing order so every non-pivot entry of a
-    # pivot row is already resolved; longer paths lie in the ideal
-    limit = levels.bounds[stop + 1]
-    nf = [None] * limit
-    for col in reversed(range(limit)):
-        piv = ech.pivots.get(col)
-        if piv is None:
-            nf[col] = {col: 1}
-            continue
-        acc = {}
-        for k, v in piv:
-            if k >= limit:
-                continue
-            for b, c in nf[k].items():
-                nv = (acc.get(b, 0) - v * c) % p
-                if nv:
-                    acc[b] = nv
-                else:
-                    acc.pop(b, None)
-        nf[col] = acc
-
     basis = [(v, ()) for v in sorted(q.vertices)]
-    basis_of_col = {}
-    for col in range(limit):
-        if col not in ech.pivots:
-            basis_of_col[col] = len(basis)
-            path = levels.paths[col]
-            basis.append((q.path_source(path), path))
-
-    # a basis path has length < stop, so with one more arrow it is still
-    # a column of the elimination
+    basis += [(q.path_source(path), path)
+              for layer in layers for path in layer]
+    index = {path: i for i, (v, path) in enumerate(basis) if path}
     action = {}
     for i, (v, path) in enumerate(basis):
-        end = levels.target[path[-1]] if path else v
-        for x in levels.arrows_from.get(end, ()):
-            action[(i, x.id)] = tuple(
-                (basis_of_col[b], c)
-                for b, c in sorted(nf[levels.ids[path + (x.id,)]].items()))
+        end = q.path_target(path) if path else v
+        for x in sorted(a.id for a in q.arrows if a.source == end):
+            nf = {path + (x,): 1}
+            sb.reduce(nf, stop - 1)
+            action[(i, x)] = tuple(sorted((index[m], c)
+                                          for m, c in nf.items()))
 
     return FDAlgebra(
         quiver=q,

@@ -416,7 +416,8 @@ OPTIONS = {
     "--format": ({"choices": ("text", "json")}, ("FORMAT", str, "text")),
     "--field": ({"type": int}, ("FIELD", int, DEFAULT_PRIME)),
     "--max-deg": ({"type": int}, ("MAX_DEG", int, algebra.DEFAULT_MAX_DEG)),
-    "--path-budget": ({"type": int},
+    "--path-budget": ({"type": int, "help": "cap on the surviving "
+                       "paths and on the tips held; exit 3 past it"},
                       ("PATH_BUDGET", int, algebra.DEFAULT_PATH_BUDGET)),
     "--max-len": ({"type": int}, ("MAX_LEN", int, 12)),
     "--words": ({"action": "store_true",

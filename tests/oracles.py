@@ -120,13 +120,14 @@ def all_paths_up_to(quiver, max_len):
     return sorted(quiver.vertices), by_len
 
 
-def brute_graded_dims(quiver, rels, p, max_deg):
-    """Graded dimensions of the quotient truncated at max_deg, densely.
+def _truncated_ideal(quiver, rels, p, max_deg):
+    """Dense RREF of the ideal truncated at max_deg.
 
     Builds every padded relation product u*r*v with |u| + min-term + |v|
     <= max_deg, drops the terms that overflow the degree window, and row
-    reduces the whole stack at once.  Survivor counts per length are read
-    off the pivot columns.
+    reduces the whole stack at once over the columns of every path of
+    length 1..max_deg in (length, lex) order.  Returns (trivial, by_len,
+    cols, rref, pivot_cols).
     """
     src = {a.id: a.source for a in quiver.arrows}
     tgt = {a.id: a.target for a in quiver.arrows}
@@ -165,9 +166,17 @@ def brute_graded_dims(quiver, rels, p, max_deg):
                         if hit and vec.any():
                             rows.append(vec)
     if rows:
-        _, pivots = rref_mod(np.stack(rows), p)
+        ref, pivots = rref_mod(np.stack(rows), p)
     else:
-        pivots = []
+        ref, pivots = np.zeros((0, len(cols)), dtype=np.int64), []
+    return trivial, by_len, cols, ref, pivots
+
+
+def brute_graded_dims(quiver, rels, p, max_deg):
+    """Graded dimensions of the quotient truncated at max_deg, densely:
+    survivor counts per length are read off the pivot columns."""
+    trivial, by_len, cols, _, pivots = _truncated_ideal(
+        quiver, rels, p, max_deg)
     pivot_len = {}
     for c in pivots:
         pivot_len[len(cols[c])] = pivot_len.get(len(cols[c]), 0) + 1
@@ -175,6 +184,28 @@ def brute_graded_dims(quiver, rels, p, max_deg):
     for d in range(1, max_deg + 1):
         dims.append(len(by_len[d]) - pivot_len.get(d, 0))
     return dims
+
+
+def brute_normal_forms(quiver, rels, p, deg):
+    """Normal form of every path of length 1..deg modulo the ideal
+    truncated at deg, as {path: {surviving path: coeff}}.
+
+    A non-pivot column is its own normal form; a pivot column equals minus
+    the non-pivot entries of its row of the fully reduced echelon form.
+    With deg at least the first length where no path survives, these are
+    the normal forms in the quotient of the complete path algebra.
+    """
+    _, _, cols, ref, pivots = _truncated_ideal(quiver, rels, p, deg)
+    row_of = {c: i for i, c in enumerate(pivots)}
+    out = {}
+    for c, path in enumerate(cols):
+        if c not in row_of:
+            out[path] = {path: 1}
+            continue
+        row = ref[row_of[c]]
+        out[path] = {cols[k]: -int(row[k]) % p for k in np.nonzero(row)[0]
+                     if k != c}
+    return out
 
 
 # ---------------------------------------------------------------------------

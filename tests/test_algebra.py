@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -59,16 +59,16 @@ def test_sphere5_quotient_grows():
 
 
 def test_budget_exhaustion_raises():
-    t = fixtures.builtin_triangulation("genus2")
-    maps = qp.arrow_maps(t)
-    q = maps.quiver
-    rels = qp.jacobian_relations(qp.build_potential(maps))
+    # the sphere5 quotient grows: its survivors of lengths 1..8 number
+    # 1480 + 1292, more than the budget
+    q = fixtures.sphere5_quiver()
+    rels = qp.jacobian_relations(fixtures.sphere5_wprime())
     with pytest.raises(algebra.NonStabilizationError) as exc:
         algebra.graded_dimensions(q, rels, p=32003, max_deg=40,
                                   path_budget=2000)
     err = exc.value
-    assert "budget" in err.reason
-    assert list(err.graded_dims)[:2] == [9, 18]
+    assert err.reason == "path budget exceeded at degree 8"
+    assert list(err.graded_dims) == [9, 15, 31, 64, 103, 197, 394, 676]
 
 
 def test_toy_loop_truncations():
@@ -129,7 +129,7 @@ def _genus2_data():
 @pytest.mark.parametrize("name", ["torus", "genus2"])
 def test_graded_dims_independent_of_cutoff(name, torus_quiver,
                                            torus_relations):
-    # max_deg 3, 5, 6 and 7 fall between doubling steps
+    # every max_deg up to 8 stops the standard basis at a different degree
     if name == "torus":
         q, rels = torus_quiver, torus_relations
     else:
@@ -146,7 +146,7 @@ def _mixed_relation_algebras(draw):
     """Random 1-3 vertex quivers with relations mixing path lengths.
 
     Each relation is a 2-path, often minus a scalar times a parallel path
-    of length 3 or 4, the shape of a cyclic derivative of a potential.
+    of length 2, 3 or 4, the shape of a cyclic derivative of a potential.
     """
     p = draw(st.sampled_from([2, 3, 32003]))
     vertices = tuple("v%d" % i for i in range(draw(st.integers(1, 3))))
@@ -159,11 +159,12 @@ def _mixed_relation_algebras(draw):
     gens = []
     if by_len[2]:
         for two in draw(st.lists(st.sampled_from(by_len[2]), min_size=1,
-                                 max_size=3, unique=True)):
+                                 max_size=6, unique=True)):
             terms = {two: 1}
             longer = [
-                path for d in (3, 4) for path in by_len[d]
-                if q.path_source(path) == q.path_source(two)
+                path for d in (2, 3, 4) for path in by_len[d]
+                if path != two
+                and q.path_source(path) == q.path_source(two)
                 and q.path_target(path) == q.path_target(two)
             ]
             if longer and draw(st.booleans()):
@@ -184,6 +185,45 @@ def test_mixed_relations_match_dense_oracle(data):
         assert not any(want[len(got):])
     else:
         assert len(got) == 6
+
+
+def _quantum_plane():
+    # x0^2 = x1^2 = 0 and x0 x1 = 3 x1 x0 over F_5
+    q = Quiver(("v0",), (Arrow("x0", "v0", "v0"), Arrow("x1", "v0", "v0")))
+    return q, RelationSet((
+        Relation.from_dict({("x0", "x0"): 1}),
+        Relation.from_dict({("x1", "x1"): 1}),
+        Relation.from_dict({("x0", "x1"): 1, ("x1", "x0"): -3}))), 5
+
+
+def _long_tail():
+    # x0 x2 = x1^3, a surviving path longer than the tip
+    q = Quiver(("v0", "v1"), (Arrow("x0", "v1", "v0"),
+                              Arrow("x1", "v1", "v1"),
+                              Arrow("x2", "v0", "v1")))
+    return q, RelationSet((
+        Relation.from_dict({("x2", "x1"): 1}),
+        Relation.from_dict({("x1", "x0"): 1, ("x0", "x2", "x1", "x0"): -2}),
+        Relation.from_dict({("x0", "x2"): 1, ("x1", "x1", "x1"): -1}))), 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_relation_algebras())
+@example(_quantum_plane())
+@example(_long_tail())
+def test_mixed_relations_action_matches_dense_normal_forms(data):
+    q, rels, p = data
+    try:
+        a = algebra.compute_basis(q, rels, p=p, max_deg=5)
+    except algebra.NonStabilizationError:
+        return
+    nf = oracles.brute_normal_forms(q, rels, p, a.loewy_length)
+    survivors = [path for path, form in nf.items() if form == {path: 1}]
+    assert [path for v, path in a.basis if path] == survivors
+    index = {path: i for i, (v, path) in enumerate(a.basis) if path}
+    for (i, x), got in a.action.items():
+        form = nf[a.basis[i][1] + (x,)]
+        assert got == tuple(sorted((index[m], c) for m, c in form.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +266,27 @@ def test_tetra_mult_table_golden(tetra_algebra):
     assert _algebra_digest(tetra_algebra) == TETRA_DIGEST
 
 
+# 3 + 5 * 6 = 33 survivors of positive length, and 9 tips
+TORUS_BUDGET = 33
+
+
 @pytest.mark.parametrize("kwargs", [
-    {"max_deg": 40},  # last cutoff 8, past the stopping length 7
-    {"max_deg": 7},  # last cutoff exactly 7
-    {"max_deg": 40, "path_budget": 1000},  # 8 is over budget: clamped to 7
+    {"max_deg": 40},
+    {"max_deg": 7},  # the stopping length
+    {"max_deg": 40, "path_budget": TORUS_BUDGET},
 ])
 def test_torus_mult_table_golden(torus_quiver, torus_relations, kwargs):
     a = algebra.compute_basis(torus_quiver, torus_relations, p=32003,
                               **kwargs)
     assert _algebra_digest(a) == TORUS_DIGEST
+
+
+def test_torus_budget_boundary(torus_quiver, torus_relations):
+    with pytest.raises(algebra.NonStabilizationError) as exc:
+        algebra.compute_basis(torus_quiver, torus_relations, p=32003,
+                              max_deg=40, path_budget=TORUS_BUDGET - 1)
+    assert exc.value.reason == "path budget exceeded at degree 6"
+    assert exc.value.graded_dims == (3, 6, 6, 6, 6, 6)
 
 
 @pytest.mark.parametrize("name", ["torus_algebra", "kx2_algebra",

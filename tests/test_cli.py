@@ -120,15 +120,19 @@ def _torus_doc(field):
     }
 
 
-def _genus2_partial(reason, top):
+def _partial(name, reason, dims):
     return {
-        "name": "genus2", "field": 32003, "stabilized": False,
-        "reason": reason, "graded_dimensions": [9] + [18] * top,
+        "name": name, "field": 32003, "stabilized": False,
+        "reason": reason, "graded_dimensions": dims,
     }
 
 
 # Exact `algebra --format json` outputs, recorded before the degree loop
-# moved from one elimination per cutoff to doubling cutoffs.
+# moved from one elimination per cutoff to doubling cutoffs.  The tetra and
+# genus2 rows after the first genus2 one were recorded when the quotient
+# came to be computed from a truncated standard basis: the path budget then
+# caps the surviving paths and tips held, genus2 stabilizes, and tetra
+# (puncture scalars 1) runs to max_deg.
 ALGEBRA_GOLDEN = [
     (("--builtin", "torus"), 0, _torus_doc(32003)),
     (("--builtin", "torus", "--field", "5"), 0, _torus_doc(5)),
@@ -139,11 +143,20 @@ ALGEBRA_GOLDEN = [
         "weakly_symmetric": True,
     }),
     (("--builtin", "genus2", "--max-deg", "10"), 3,
-     _genus2_partial("max_deg reached", 10)),
-    (("--builtin", "genus2", "--path-budget", "5000"), 3,
-     _genus2_partial("path budget exceeded at degree 9", 8)),
-    (("--builtin", "genus2", "--path-budget", "2000"), 3,
-     _genus2_partial("path budget exceeded at degree 7", 6)),
+     _partial("genus2", "max_deg reached", [9] + [18] * 10)),
+    (("--builtin", "tetra", "--path-budget", "50"), 3,
+     _partial("tetra", "path budget exceeded at degree 5", [6] + [12] * 4)),
+    (("--builtin", "tetra"), 3,
+     _partial("tetra", "max_deg reached", [6] + [12] * 40)),
+    (("--builtin", "genus2"), 0, {
+        "name": "genus2", "field": 32003, "stabilized": True,
+        "dimension": 324, "loewy_length": 19,
+        "graded_dimensions": [9] + [18] * 17 + [9],
+        "cartan": {"vertices": ["a", "b", "c", "d", "d1", "d2", "d3", "d4",
+                                "d5"],
+                   "matrix": [[4] * 9] * 9, "determinant": 0},
+        "weakly_symmetric": True,
+    }),
 ]
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fixtures, qp, strings, algebra, homology
+from . import fixtures, qp, strings, algebra, homology, linalg
 from .surface import Optional, read_fields, triangulation_from_json
 
 __all__ = [
@@ -171,6 +171,8 @@ def module_from_spec(a, spec):
     try:
         m = homology.FDModule(dict(dims), mats)
         problems = homology.validate_module(a, m)
+    except linalg._InexactField:
+        raise  # the field is too large, not the dims
     except (MemoryError, ValueError):
         # numpy cannot allocate a relation's path matrix, or refuses a
         # dimension beyond its maximum

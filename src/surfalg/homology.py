@@ -6,10 +6,12 @@ vectors; an arrow without a matrix acts as zero.  Relations of the algebra
 must act as zero, and paths as long as the Loewy length of the algebra
 too; validate_module checks both together with the shapes.
 
-projective_cover reads the top of m off the radical step that
-radical_series repeats, and sends a summand's basis path to its prefix's
-image times the matrix of its last arrow.  syzygy computes the kernel of
-the projective cover; syzygy_chain, the one loop over it, returns
+radical_series repeats the radical step from the identity up to a zero
+layer, at most the Loewy length times; validate_module reads its last
+layer.  projective_cover reads the top of m off one radical step, sends a
+summand's basis path to its prefix's image times the matrix of its last
+arrow, and keeps the kernel of each vertex's covering matrix, which
+syzygy reads.  syzygy_chain, the one loop over syzygy, returns
 (m, Om, ..., O^k m) up to the first zero module and is what the `syzygy`
 command prints.  check_periodicity keeps the chain it walks in its result,
 which `periodicity` passes on to tube_rank: over a weakly symmetric
@@ -113,14 +115,12 @@ def validate_module(a, m):
     if out:
         return out
     # an A-module has rad^L = 0 for the Loewy length L of A
-    rad = {v: np.eye(dims[v], dtype=np.int64) for v in dims}
-    for k in range(1, a.loewy_length + 1):
-        rad = {v: r for v, (r, _) in _radical_step(a, m, rad).items()}
-        if not any(r.shape[0] for r in rad.values()):
-            return out
-    v = next(v for v in _vertices(a) if rad[v].shape[0])
-    out.append("module is not nilpotent: at vertex %r, rad^%d has "
-               "dimension %d" % (v, k, rad[v].shape[0]))
+    series = radical_series(a, m)
+    for v, d in zip(_vertices(a), series[-1]):
+        if d:
+            out.append("module is not nilpotent: at vertex %r, rad^%d has "
+                       "dimension %d" % (v, len(series) - 1, d))
+            break
     return out
 
 
@@ -179,6 +179,7 @@ class _Cover:
     module: object
     summands: tuple
     phi: dict
+    kernel: dict
 
 
 def projective_cover(a, m):
@@ -188,8 +189,9 @@ def projective_cover(a, m):
     the non-pivot columns of the reduced radical; each lift contributes one
     projective summand, each basis path of which goes to its prefix's
     image times its last arrow's matrix.  Returns the cover module, the
-    summand multiset, and the per-vertex matrix of the covering map (rows
-    indexed by the cover basis at that vertex).
+    summand multiset, the per-vertex matrix of the covering map (rows
+    indexed by the cover basis at that vertex) and its left_nullspace,
+    whose size shows the map onto.
     """
     p = a.field
     vertices = _vertices(a)
@@ -218,15 +220,16 @@ def projective_cover(a, m):
             img = linalg.matmul(phi[a.basis_target(pre)][local[(li, pre)]],
                                 _arrow_matrix(a, m, path[-1]), p)
         phi[a.basis_target(bi)][local[(li, bi)]] = img
+    kernel = {v: linalg.left_nullspace(phi[v], p) for v in vertices}
     for v in vertices:
-        dv = m.dims.get(v, 0)
-        if linalg.rank(phi[v], p) != dv:
+        if cover.dims[v] - kernel[v][0].shape[0] != m.dims.get(v, 0):
             raise RuntimeError(
                 "cover map is not surjective at vertex %r" % (v,))
     return _Cover(
         module=cover,
         summands=tuple(sorted(summands.items())),
         phi=phi,
+        kernel=kernel,
     )
 
 
@@ -234,19 +237,14 @@ def syzygy(a, m):
     """Kernel of the projective cover, as a module."""
     p = a.field
     cover = projective_cover(a, m)
-    kernels = {}
-    frees = {}
-    for v in a.quiver.vertices:
-        rows, free = linalg.left_nullspace(cover.phi[v], p)
-        kernels[v] = rows
-        frees[v] = free
-    dims = {v: int(kernels[v].shape[0]) for v in a.quiver.vertices}
+    dims = {v: int(cover.kernel[v][0].shape[0]) for v in a.quiver.vertices}
     mats = {}
     for x in sorted(a.quiver.arrows, key=lambda x: x.id):
         s, t = x.source, x.target
-        imgs = linalg.matmul(kernels[s], cover.module.mats[x.id], p)
-        coords = imgs[:, frees[t]] if imgs.size else _zeros(dims[s], dims[t])
-        if linalg.matmul(coords, kernels[t], p).tolist() != imgs.tolist():
+        (ks, _), (kt, free) = cover.kernel[s], cover.kernel[t]
+        imgs = linalg.matmul(ks, cover.module.mats[x.id], p)
+        coords = imgs[:, free] if imgs.size else _zeros(dims[s], dims[t])
+        if linalg.matmul(coords, kt, p).tolist() != imgs.tolist():
             raise RuntimeError(
                 "syzygy image of arrow %s leaves the kernel" % (x.id,))
         mats[x.id] = coords % p
@@ -280,20 +278,15 @@ def _radical_step(a, m, rows):
 
 
 def radical_series(a, m):
-    """Per-vertex dimensions of the radical filtration, top layer first."""
+    """Per-vertex dimensions of the radical filtration, top layer first,
+    up to the first zero layer or rad^L for the Loewy length L of a; that
+    last layer is zero exactly when m is nilpotent."""
     vertices = _vertices(a)
-    bases = {
-        v: np.eye(m.dims.get(v, 0), dtype=np.int64) for v in vertices
-    }
-    series = []
-    while True:
-        series.append(tuple(int(bases[v].shape[0]) for v in vertices))
-        if series[-1] == tuple(0 for _ in vertices):
-            break
-        nxt = {v: r for v, (r, _) in _radical_step(a, m, bases).items()}
-        if all(nxt[v].shape[0] == bases[v].shape[0] for v in vertices):
-            raise RuntimeError("radical filtration does not descend")
-        bases = nxt
+    rows = {v: np.eye(m.dims.get(v, 0), dtype=np.int64) for v in vertices}
+    series = [tuple(int(rows[v].shape[0]) for v in vertices)]
+    while any(series[-1]) and len(series) <= a.loewy_length:
+        rows = {v: r for v, (r, _) in _radical_step(a, m, rows).items()}
+        series.append(tuple(int(rows[v].shape[0]) for v in vertices))
     return tuple(series)
 
 
@@ -380,15 +373,10 @@ def iso_check(a, m, n, trials=20, seed=0):
         coeffs = rng.integers(0, p, size=len(fwd))
         if not coeffs.any():
             coeffs[0] = 1
-        ok = True
-        for v in vertices:
-            h = _zeros(m.dims.get(v, 0), n.dims.get(v, 0))
-            for c, fam in zip(coeffs, fwd):
-                h = (h + int(c) * fam[v]) % p
-            if h.shape[0] != h.shape[1] or not linalg.is_invertible(h, p):
-                ok = False
-                break
-        if ok:
+        # each term is below p^2, which rref has checked fits in int64
+        if all(linalg.is_invertible(
+                sum(int(c) * fam[v] % p for c, fam in zip(coeffs, fwd)) % p,
+                p) for v in vertices):
             # m and n are isomorphic, so Hom(n, m) has the dimension of
             # Hom(m, n) and need not be solved
             return IsoResult(

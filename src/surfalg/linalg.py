@@ -57,10 +57,14 @@ def inv_mod(a, p):
     return pow(a, p - 2, p)
 
 
+class _InexactField(ValueError):
+    """The modulus is too large for exact int64 arithmetic."""
+
+
 def _check_exact(p, k):
     """Raise unless sums of k products of residues mod p fit in int64."""
     if (p - 1) ** 2 * k >= 2 ** 63:
-        raise ValueError(
+        raise _InexactField(
             "field modulus %d is too large for exact int64 arithmetic with "
             "inner dimension %d: (p-1)^2 * %d must stay below 2^63"
             % (p, k, k))

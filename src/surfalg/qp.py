@@ -150,10 +150,6 @@ class Relation:
         items.sort(key=lambda it: (len(it[0]), it[0]))
         return Relation(tuple(items))
 
-    @property
-    def min_length(self):
-        return min(len(p) for p, _ in self.terms)
-
 
 @dataclass(frozen=True)
 class RelationSet:

@@ -166,15 +166,9 @@ def parse_word(text):
 
 @dataclass(frozen=True)
 class ForbiddenWord:
-    """A monomial relation, as the tuple of its arrow ids in composition order.
-
-    special_quadratic marks the square of a special loop (the relation that
-    makes the loop idempotent); like every forbidden word touching a special
-    arrow it is inert for the factor condition W2.
-    """
+    """A monomial relation: its arrow ids in composition order."""
 
     arrows: tuple
-    special_quadratic: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "arrows", tuple(self.arrows))
@@ -357,9 +351,9 @@ def sphere5_presentation():
         "eps3": ("6", "6"),
     }
     forbidden = [
-        ForbiddenWord(("eps1", "eps1"), special_quadratic=True),
-        ForbiddenWord(("eps2", "eps2"), special_quadratic=True),
-        ForbiddenWord(("eps3", "eps3"), special_quadratic=True),
+        ForbiddenWord(("eps1", "eps1")),
+        ForbiddenWord(("eps2", "eps2")),
+        ForbiddenWord(("eps3", "eps3")),
     ]
     for i in "123":
         forbidden.append(ForbiddenWord(("a" + i, "b" + i)))
@@ -846,7 +840,7 @@ def enumerate_bands(p, max_len):
     for i, y, j in edges:
         out[i].append((letter_key(y), y, j))
         into[j].append(i)
-    found = []
+    found = []  # (length, letter keys, band)
     for s, c in enumerate(states):
         dist, queue = {s: 0}, [s]  # the fewest letters from each back to s
         for j in queue:  # grows while it is walked
@@ -860,7 +854,8 @@ def enumerate_bands(p, max_len):
         def rec(i, per):  # at context i; per is the period of w
             t = len(path)
             if t and i == s and per == t:
-                found.append(tuple(y for _, y, _ in path))
+                found.append((t, tuple(k for k, _, _ in path),
+                              tuple(y for _, y, _ in path)))
             for e in out[i]:
                 ck, _, j = e
                 if (ck < path[t - per][0] if t else ck > first) or \
@@ -871,14 +866,15 @@ def enumerate_bands(p, max_len):
                 path.pop()
 
         rec(s, 0)
-    found.sort(key=lambda u: (len(u), word_key(u)))
-    lengths = collections.Counter(map(len, found))
+    found.sort(key=lambda e: e[:2])
+    words = tuple(u for _, _, u in found)
+    lengths = collections.Counter(map(len, words))
     listed = [lengths[d] for d in range(1, max_len + 1)]
     if tuple(listed) != census.counts:
         raise RuntimeError(
             "internal error: the enumerated bands (%s by length) differ "
             "from the counted ones (%s)" % (listed, list(census.counts)))
-    return dc_replace(census, words=tuple(found), _index=frozenset(found))
+    return dc_replace(census, words=words, _index=frozenset(words))
 
 
 def _moebius(n):

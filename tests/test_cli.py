@@ -870,9 +870,14 @@ def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
      "error: invalid module: dims mentions unknown vertex 'zzz'"),
     ({"matrices": {"bogus": [[1]]}},
      "error: invalid module: matrices mention unknown arrow 'bogus'"),
+    # the relation check multiplies by a 2 x 2 identity, beyond the int64
+    # bound of this field: the field is named, not the dims
+    ({"algebra": {"builtin": "torus", "field": 3037000493},
+      "dims": {"1": 2, "2": 0, "3": 0}},
+     "error: field modulus 3037000493 is too large"),
 ], ids=["dims-bool", "matrices-list", "entry-float", "ragged", "entry-huge",
         "dims-unallocatable", "dims-identity-unallocatable", "dims-1e30",
-        "dims-unknown-vertex", "matrices-unknown-arrow"])
+        "dims-unknown-vertex", "matrices-unknown-arrow", "field-int64"])
 def test_module_file_names_a_bad_dims_or_matrix(capsys, tmp_path, doc, field):
     path = tmp_path / "mod.json"
     base = json.loads(pathlib.Path("fixtures/torus_simple1.json").read_text())

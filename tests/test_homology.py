@@ -60,15 +60,30 @@ def test_validate_module_checks_relations(torus_algebra):
     assert any("relation" in s for s in problems)
 
 
-def test_validate_module_rejects_all_ones(torus_algebra):
+def _all_ones(a):
     # with every arrow acting as identity both relation terms agree, but
     # no path acts as zero: a representation, not a module over A
-    dims = {"1": 1, "2": 1, "3": 1}
-    mats = {a.id: np.ones((1, 1), dtype=np.int64)
-            for a in torus_algebra.quiver.arrows}
-    m = FDModule(dims=dims, mats=mats)
-    assert validate_module(torus_algebra, m) == [
+    return FDModule(dims={"1": 1, "2": 1, "3": 1},
+                    mats={x.id: np.ones((1, 1), dtype=np.int64)
+                          for x in a.quiver.arrows})
+
+
+def test_validate_module_rejects_all_ones(torus_algebra):
+    assert validate_module(torus_algebra, _all_ones(torus_algebra)) == [
         "module is not nilpotent: at vertex '1', rad^7 has dimension 1"]
+
+
+def test_radical_series_stops_at_the_loewy_length(torus_algebra):
+    # rad^0, ..., rad^7 for the Loewy length 7, none of them zero
+    assert torus_algebra.loewy_length == 7
+    assert radical_series(torus_algebra, _all_ones(torus_algebra)) == (
+        ((1, 1, 1),) * 8)
+
+
+def test_projective_cover_refuses_a_module_with_no_top(torus_algebra):
+    with pytest.raises(RuntimeError,
+                       match="cover map is not surjective at vertex '1'"):
+        projective_cover(torus_algebra, _all_ones(torus_algebra))
 
 
 def test_projective_cover_of_simple_is_projective(torus_algebra):

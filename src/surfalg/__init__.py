@@ -15,7 +15,6 @@ from .surface import (
     ValidationReport,
     validate_triangulation,
     valency,
-    min_valency,
     has_self_folded,
     excluded_for_certificates,
     triangulation_to_json,
@@ -64,8 +63,6 @@ from .strings import (
     string_quotient,
     is_string,
     is_band,
-    canonical_band,
-    compose,
     free_composability,
     build_xi,
     build_eta,
@@ -77,13 +74,11 @@ from .strings import (
 from .homology import (
     FDModule,
     simple_module,
-    projective_module,
     projective_cover,
     syzygy,
     syzygy_chain,
     iso_check,
     check_periodicity,
-    ar_translate,
     tube_rank,
 )
 from . import fixtures

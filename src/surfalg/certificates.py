@@ -5,10 +5,11 @@ Two kinds of certificate:
   free-composability: two band words over a presentation, a pattern depth,
   the four block-junction records and the list of composition patterns
   that were verified to be bands.  Replaying rebuilds the presentation from
-  its spec, recomputes the junctions and re-checks every composition up to
-  the depth; no band enumeration is involved.  The stored junction records,
-  max_forbidden, necklace list with its band flags and scope must all
-  equal what the replay finds.
+  its spec, counts the patterns up to the depth (a count unlike the stored
+  list's fails at once), recomputes the junctions and re-checks every
+  composition up to the depth; no band enumeration is involved.  The
+  stored junction records, max_forbidden, necklace list with its band
+  flags and scope must all equal what the replay finds.
 
   periodicity: an algebra spec, a module spec, a syzygy period and the
   seeded isomorphism evidence.  Replaying rebuilds both and re-runs the
@@ -40,7 +41,6 @@ __all__ = [
     "triangulation_from_spec",
     "presentation_spec",
     "quotient_from_spec",
-    "presentation_from_spec",
     "algebra_from_spec",
     "module_from_spec",
     "module_file_specs",
@@ -112,11 +112,6 @@ def quotient_from_spec(spec):
         name = "string-quotient(%s)" % source_label(spec)
         return strings.string_quotient(maps, name=name), maps
     raise ValueError("unknown presentation source %r" % (source,))
-
-
-def presentation_from_spec(spec):
-    """Rebuild a word presentation from its serializable spec."""
-    return quotient_from_spec(spec)[0]
 
 
 def algebra_from_spec(spec):
@@ -312,11 +307,28 @@ def certificate_from_json(text):
     return cls(**fields)
 
 
+def _pattern_count(depth, bound):
+    """The number of binary Lyndon words of lengths 1..depth, the patterns
+    that free_composability replays, counted one length at a time and only
+    until the total passes bound."""
+    powers, total = [], 0
+    for d in range(1, depth + 1):
+        powers.append(2 ** d)
+        total += strings._primitive_part(powers, d) // d
+        if total > bound:
+            break
+    return total
+
+
 def _verify_growth(cert):
     messages = []
-    pres = presentation_from_spec(cert.presentation)
+    pres = quotient_from_spec(cert.presentation)[0]
     w1 = strings.parse_word(cert.word1)
     w2 = strings.parse_word(cert.word2)
+    want = {(s, n) for s, n, _ in cert.necklaces}
+    # the replay lists each pattern once: a count unlike len(want) fails
+    if cert.depth >= 2 and _pattern_count(cert.depth, len(want)) != len(want):
+        return VerificationResult(False, cert.KIND, ("necklace lists differ",))
     fc = strings.free_composability(pres, w1, w2, depth=cert.depth)
     if isinstance(fc, strings.CounterExample):
         messages.append(
@@ -333,7 +345,6 @@ def _verify_growth(cert):
         messages.append(
             "basepoint mismatch: %s vs %s" % (fc.basepoint, cert.basepoint))
     got = {(s, n) for s, n, _ in fc.necklaces}
-    want = {(s, n) for s, n, _ in cert.necklaces}
     if got != want:
         ok = False
         messages.append("necklace lists differ")

@@ -226,8 +226,8 @@ def cmd_algebra(args):
 
 
 def cmd_bands(args):
-    pres = certificates.presentation_from_spec(
-        certificates.presentation_spec(_one_source_spec(args)))
+    pres = certificates.quotient_from_spec(
+        certificates.presentation_spec(_one_source_spec(args)))[0]
     census = (strings.enumerate_bands if args.words
               else strings.band_counts)(pres, args.max_len)
     rep = strings.growth_report(census)

@@ -38,14 +38,12 @@ __all__ = [
     "PeriodicityResult",
     "validate_module",
     "simple_module",
-    "projective_module",
     "projective_cover",
     "syzygy",
     "syzygy_chain",
     "radical_series",
     "iso_check",
     "check_periodicity",
-    "ar_translate",
     "tube_rank",
 ]
 
@@ -165,13 +163,6 @@ def _free_module(a, basis):
             for bj, c in a.right_multiply_arrow(bi, x):
                 mat[local[(li, bi)], local[(li, bj)]] = c
     return FDModule(dims, mats), local
-
-
-def projective_module(a, v):
-    """The right module on the basis paths starting at v."""
-    if v not in a.quiver.vertices:
-        raise KeyError("unknown vertex %r" % (v,))
-    return _free_module(a, [(0, bi) for bi in a.indices_from(v)])[0]
 
 
 @dataclass(frozen=True)
@@ -438,24 +429,14 @@ def check_periodicity(a, m, period=4, trials=20, seed=0):
                              modules)
 
 
-def _require_weakly_symmetric(a):
-    if not a.weak_symmetry[0]:
-        raise ValueError(
-            "algebra is not weakly symmetric; the squared syzygy "
-            "does not compute the translate")
-
-
-def ar_translate(a, m):
-    """Squared syzygy, valid as the translate only over weakly symmetric algebras."""
-    _require_weakly_symmetric(a)
-    return syzygy_chain(a, m, 2)[-1]
-
-
 def tube_rank(a, res):
     """1 if tau fixes the module, 2 if tau^2 does, else None.
 
     res is the module's check_periodicity result (see the module docstring)."""
-    _require_weakly_symmetric(a)
+    if not a.weak_symmetry[0]:
+        raise ValueError(
+            "algebra is not weakly symmetric; the squared syzygy "
+            "does not compute the translate")
     chain = res.modules
     if len(chain) < 5 and chain[-1].total_dim:
         chain = chain[:-1] + syzygy_chain(a, chain[-1], 5 - len(chain))

@@ -27,7 +27,6 @@ __all__ = [
     "is_prime",
     "inv_mod",
     "rref",
-    "rank",
     "nullspace",
     "left_nullspace",
     "matmul",
@@ -111,10 +110,6 @@ def rref(a, p):
     return a[:r], pivots
 
 
-def rank(a, p):
-    return rref(a, p)[0].shape[0]
-
-
 def nullspace(a, p):
     """Basis of the right kernel {x : a @ x = 0}, x read as a column.
 
@@ -137,8 +132,7 @@ def nullspace(a, p):
 
 def left_nullspace(a, p):
     """Basis (as rows) of {x : x @ a = 0} in coordinate-readable form."""
-    n, free = nullspace(np.asarray(a, dtype=np.int64).T, p)
-    return n, free
+    return nullspace(np.asarray(a, dtype=np.int64).T, p)
 
 
 def matmul(a, b, p):
@@ -153,9 +147,7 @@ def is_invertible(a, p):
     a = np.asarray(a, dtype=np.int64)
     if a.shape[0] != a.shape[1]:
         return False
-    if a.shape[0] == 0:
-        return True
-    return rank(a, p) == a.shape[0]
+    return a.shape[0] == 0 or rref(a, p)[0].shape[0] == a.shape[0]
 
 
 def det_int(a):

@@ -35,13 +35,13 @@ one letter or a proper prefix of a window, and its edges read one letter.
 A word whose cyclic readings are all legal labels exactly one closed walk.
 band_counts counts bands by Moebius inversion of the traces of the powers
 of its matrix; enumerate_bands lists them, as the Lyndon words that label
-a closed walk, and checks its list against those counts.  tests/oracles.py
-holds independent checks of both.
+a closed walk, and checks its list against the counts on the same graph.
+tests/oracles.py holds independent checks of both.
 """
 
 import collections
 import math
-from dataclasses import dataclass, field as dc_field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
@@ -67,8 +67,6 @@ __all__ = [
     "string_quotient",
     "is_string",
     "is_band",
-    "canonical_band",
-    "compose",
     "free_composability",
     "build_xi",
     "build_eta",
@@ -125,10 +123,6 @@ def invert_word(w):
 def letter_key(l):
     """Total order on letters: by arrow id, non-inverse before inverse."""
     return (l.arrow, 0 if l.kind != INVERSE else 1)
-
-
-def word_key(w):
-    return tuple(letter_key(l) for l in w)
 
 
 def format_word(w):
@@ -200,7 +194,6 @@ class BandCheck:
     word: tuple
     ok: bool
     violations: tuple
-    power: int
 
 
 class WordPresentation:
@@ -541,30 +534,13 @@ def is_band(p, w):
             "primitive", 1,
             "word is a proper power (least period %d)" % _min_period(w)))
     if viols:
-        return BandCheck(w, False, tuple(viols), 0)
+        return BandCheck(w, False, tuple(viols))
     m = max(2, -(-p.max_effective_forbidden // len(w)) + 1)
     # w^m repeats every violation len(w) letters later, and holds each
     # junction and window that starts in its first copy.
     viols = tuple(v for v in _string_violations(p, w * m, len(w))
                   if v.position <= len(w))
-    return BandCheck(w, not viols, viols, m)
-
-
-def canonical_band(w):
-    """Lexicographically least rotation under the letter order."""
-    w = tuple(w)
-    if not w:
-        raise ValueError("empty word")
-    k = word_key(w)
-    i = min(range(len(w)), key=lambda i: k[i:] + k[:i])
-    return w[i:] + w[:i]
-
-
-def compose(*words):
-    out = ()
-    for w in words:
-        out = out + tuple(w)
-    return out
+    return BandCheck(w, not viols, viols)
 
 
 @dataclass(frozen=True)
@@ -587,7 +563,6 @@ class FreeComposability:
     necklace list is replayable without any enumeration.
     """
 
-    presentation_name: str
     word1: tuple
     word2: tuple
     basepoint: str
@@ -597,8 +572,10 @@ class FreeComposability:
     necklaces: tuple
 
 
-def _rotations_at(p, w, v):
-    return [w[i:] + w[:i] for i in range(len(w)) if p.start(w[i]) == v]
+def _least_rotation_at(p, w, v):
+    """The least rotation of w in letter order among those starting at v."""
+    return min((w[i:] + w[:i] for i in range(len(w)) if p.start(w[i]) == v),
+               key=lambda u: [letter_key(l) for l in u])
 
 
 def _lyndon_words(alphabet, maxlen):
@@ -668,8 +645,7 @@ def free_composability(p, w1, w2, depth=6):
         return CounterExample(
             "", (), None, "the bands visit disjoint vertex sets")
     v0 = min(common)
-    r1 = min(_rotations_at(p, w1, v0), key=word_key)
-    r2 = min(_rotations_at(p, w2, v0), key=word_key)
+    r1, r2 = _least_rotation_at(p, w1, v0), _least_rotation_at(p, w2, v0)
     blocks = {"1": r1, "2": r2}
     junctions = tuple(
         _junction_record(p, a + b, blocks[a], blocks[b])
@@ -679,7 +655,7 @@ def free_composability(p, w1, w2, depth=6):
         min(len(r1), len(r2)) >= p.max_effective_forbidden - 1
     necklaces = []
     for sym in _lyndon_words("12", depth):
-        word = compose(*(blocks[s] for s in sym))
+        word = sum((blocks[s] for s in sym), ())
         if not (primitivity_decides and is_primitive(word)):
             bc = is_band(p, word)
             if not bc.ok:
@@ -689,7 +665,6 @@ def free_composability(p, w1, w2, depth=6):
                     % "".join(sym))
         necklaces.append(("".join(sym), len(word), True))
     return FreeComposability(
-        presentation_name=p.name,
         word1=r1,
         word2=r2,
         basepoint=v0,
@@ -759,7 +734,6 @@ class BandCensus:
     counts: tuple
     self_inverse: int
     words: tuple = None
-    _index: frozenset = dc_field(repr=False, default=frozenset())
 
     def count(self, d):
         return self.counts[d - 1]
@@ -767,11 +741,6 @@ class BandCensus:
     @property
     def total(self):
         return sum(self.counts)
-
-    def __contains__(self, w):
-        if self.words is None:
-            raise ValueError("a counted census holds no words")
-        return canonical_band(w) in self._index
 
 
 def _read(p, follow, c, word):
@@ -831,11 +800,12 @@ def enumerate_bands(p, max_len):
     when it is Lyndon.  A Lyndon word starts with its least letter, so w
     starts with none greater than a letter of s, a suffix of w^m.
 
-    The counts and self_inverse are band_counts' census, which the listed
-    lengths must match.
+    The counts and self_inverse are band_counts' census, counted on the
+    same graph, which the listed lengths must match.
     """
-    census = band_counts(p, max_len)
-    _, states, edges = _context_graph(p)
+    graph = _context_graph(p)
+    census = _census(p, max_len, graph)
+    _, states, edges = graph
     out, into = [[] for _ in states], [[] for _ in states]
     for i, y, j in edges:
         out[i].append((letter_key(y), y, j))
@@ -874,7 +844,7 @@ def enumerate_bands(p, max_len):
         raise RuntimeError(
             "internal error: the enumerated bands (%s by length) differ "
             "from the counted ones (%s)" % (listed, list(census.counts)))
-    return dc_replace(census, words=words, _index=frozenset(words))
+    return dc_replace(census, words=words)
 
 
 def _moebius(n):
@@ -922,9 +892,14 @@ def band_counts(p, max_len):
     contexts and fixed words and r the largest out-degree bounding every
     walk count, Python ints otherwise.
     """
+    return _census(p, max_len, _context_graph(p))
+
+
+def _census(p, max_len, graph):
+    """band_counts on graph, the result of _context_graph(p)."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    follow, states, edges = _context_graph(p)
+    follow, states, edges = graph
     k = max(1, p.max_effective_forbidden - 1) | 1
     halves = [(x,) for x in follow if x.kind == SPECIAL]
     for _ in range(k // 2):

@@ -35,7 +35,6 @@ __all__ = [
     "ValidationReport",
     "validate_triangulation",
     "valency",
-    "min_valency",
     "has_self_folded",
     "excluded_for_certificates",
     "triangulation_to_json",
@@ -214,10 +213,6 @@ def valency(t, p):
     if p not in set(t.surface.punctures):
         raise KeyError("unknown puncture id %r" % (p,))
     return sum(a.endpoints.count(p) for a in t.arcs)
-
-
-def min_valency(t):
-    return min(valency(t, p) for p in t.surface.punctures)
 
 
 def has_self_folded(t):

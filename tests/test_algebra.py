@@ -507,7 +507,6 @@ def test_kernel_matches_oracle_up_to_40(drawn):
     assert pivots == ref_pivots
     assert ours.shape == ref.shape
     assert (ours == ref).all()
-    assert linalg.rank(m, p) == len(ref_pivots)
 
     ns, free = linalg.nullspace(m, p)
     want, want_free = oracles.kernel_from_rref(ref, ref_pivots, m.shape[1], p)

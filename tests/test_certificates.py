@@ -11,7 +11,7 @@ from surfalg.certificates import (
     make_growth_certificate,
     make_periodicity_certificate,
     module_from_spec,
-    presentation_from_spec,
+    quotient_from_spec,
     verify_certificate,
 )
 
@@ -21,7 +21,7 @@ BETA = "a1.b2.eps2*.c2.c3'.eps3*.b3'"
 
 def _growth_cert():
     spec = {"source": "sphere5"}
-    pres = presentation_from_spec(spec)
+    pres = quotient_from_spec(spec)[0]
     return make_growth_certificate(
         spec, pres, strings.parse_word(ALPHA), strings.parse_word(BETA),
         depth=5)
@@ -36,19 +36,28 @@ def _periodicity_cert():
     return a, make_periodicity_certificate(aspec, mspec, res)
 
 
+@pytest.mark.parametrize("depth", range(2, 10))
+def test_pattern_count_matches_the_replayed_patterns(depth):
+    n = len(strings._lyndon_words("12", depth))
+    assert certificates._pattern_count(depth, n) == n
+    # the count stops at the first length that passes the bound: after
+    # the two patterns of length 1 and the one of length 2
+    assert certificates._pattern_count(depth, 2) == 3
+
+
 def test_presentation_from_spec_sphere5():
-    p = presentation_from_spec({"source": "sphere5"})
-    assert p.name == "sphere5"
+    p, maps = quotient_from_spec({"source": "sphere5"})
+    assert p.name == "sphere5" and maps is None
     with pytest.raises(ValueError, match="no surface fields"):
-        presentation_from_spec({"source": "sphere5", "builtin": "torus"})
+        quotient_from_spec({"source": "sphere5", "builtin": "torus"})
 
 
 def test_presentation_from_spec_quotient():
-    p = presentation_from_spec(
+    p, maps = quotient_from_spec(
         {"source": "string-quotient", "builtin": "torus"})
-    assert len(p.forbidden) == 6
+    assert len(p.forbidden) == 6 and maps is not None
     with pytest.raises(ValueError):
-        presentation_from_spec({"source": "unknown-kind"})
+        quotient_from_spec({"source": "unknown-kind"})
 
 
 def test_algebra_from_spec_fields():

@@ -205,15 +205,15 @@ def test_bands_counts_past_the_float_range(capsys):
 
 
 def test_bands_words_must_match_the_counts(capsys, monkeypatch):
-    counted = strings.band_counts
+    counted = strings._census
 
-    def off_by_one(p, max_len):
-        census = counted(p, max_len)
+    def off_by_one(p, max_len, graph):
+        census = counted(p, max_len, graph)
         counts = census.counts[:-1] + (census.counts[-1] + 1,)
         return strings.BandCensus(census.presentation_name, max_len, counts,
                                   census.self_inverse)
 
-    monkeypatch.setattr(strings, "band_counts", off_by_one)
+    monkeypatch.setattr(strings, "_census", off_by_one)
     with pytest.raises(RuntimeError, match="internal error"):
         cli.main(["bands", "--builtin", "sphere5", "--max-len", "5",
                   "--words"])
@@ -271,6 +271,26 @@ def test_verify_rejects_depth_zero_certificate(capsys, tmp_path):
     assert code == 2
     assert "PASS" not in out
     assert "depth must be >= 2" in err
+
+
+def test_verify_counts_the_patterns_before_replaying(capsys, tmp_path,
+                                                    monkeypatch):
+    # five patterns at depth 3; depth 60 would mean about 2^55 patterns
+    cert = tmp_path / "growth.json"
+    run(capsys, "certify-growth", "--builtin", "sphere5", "--depth", "3",
+        "--max-len", "4", "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    assert len(doc["necklaces"]) == 5
+    doc["depth"] = 60
+    cert.write_text(json.dumps(doc))
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("the forged certificate was replayed")
+
+    monkeypatch.setattr(strings, "free_composability", no_replay)
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert code == 1
+    assert out.splitlines()[1:] == ["  necklace lists differ", "FAIL"]
 
 
 def test_certify_growth_and_verify(capsys, tmp_path):

@@ -48,7 +48,6 @@ from .strings import (
     ForbiddenWord,
     WordPresentation,
     StringCheck,
-    BandCheck,
     Incompatibility,
     CounterExample,
     FreeComposability,

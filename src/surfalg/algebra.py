@@ -336,10 +336,6 @@ class FDAlgebra:
         v, path = self.basis[i]
         return v if not path else self.quiver.arrow(path[-1]).target
 
-    def vertex_unit(self, v):
-        """Index of the trivial path at a vertex."""
-        return self._index[(v, ())]
-
     @cached_property
     def mult_table(self):
         """Nonzero products (i, j) -> ((index, coeff), ...), found by

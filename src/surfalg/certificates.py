@@ -12,8 +12,9 @@ Two kinds of certificate:
   flags and scope must all equal what the replay finds.
 
   periodicity: an algebra spec, a module spec, a syzygy period and the
-  seeded isomorphism evidence.  Replaying rebuilds both and re-runs the
-  periodicity check with the same seed.
+  seeded isomorphism evidence.  Replaying rebuilds both, fails a stored
+  dimension chain whose length is not period + 1 before any syzygy, and
+  re-runs the periodicity check with the same seed.
 
 Every source the program reads -- a builtin name, a triangulation
 document, kx2 or sphere5 -- is resolved here, by the spec readers
@@ -139,7 +140,9 @@ def algebra_from_spec(spec):
 
 
 def module_from_spec(a, spec):
-    """Build and validate a module over a from its serializable spec."""
+    """Build and validate a module over a from its serializable spec: the
+    total module (see homology) in which a vertex left out of dims has
+    dimension 0 and an arrow left out of matrices acts as zero."""
     spec = read_fields(spec, "module spec", _MODULE_SPEC)
     if "simple" in spec:
         if "dims" in spec or "matrices" in spec:
@@ -148,32 +151,48 @@ def module_from_spec(a, spec):
         return homology.simple_module(a, spec["simple"])
     if "dims" not in spec:
         raise ValueError("module spec is missing field 'dims'")
-    dims = spec["dims"]
-    negative = sorted(v for v, d in dims.items() if d < 0)
+    given, rows = spec["dims"], spec.get("matrices", {})
+    negative = sorted(v for v, d in given.items() if d < 0)
     if negative:
         raise ValueError(
             "module dims for %r must be a nonnegative int" % negative[0])
-    mats = {}
-    for aid, rows in spec.get("matrices", {}).items():
-        if len(set(map(len, rows))) > 1:
+    for aid, r in rows.items():
+        if len(set(map(len, r))) > 1:
             raise ValueError("matrix for %s has rows of different lengths"
                              % aid)
-        try:
-            mats[aid] = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("matrix for %s has entries outside 0..%d"
-                             % (aid, a.field - 1))
+    unknown = ["dims mentions unknown vertex %r" % (v,)
+               for v in given if v not in a.quiver.vertices]
+    unknown += ["matrices mention unknown arrow %r" % (aid,)
+                for aid in rows if not a.quiver.has_arrow(aid)]
+    if unknown:
+        raise ValueError("invalid module: %s" % unknown[0])
+    dims = {v: given.get(v, 0) for v in a.quiver.vertices}
+    shapes = {x.id: (dims[x.source], dims[x.target])
+              for x in a.quiver.arrows}
+    for aid in sorted(rows):
+        shape = np.shape(rows[aid])
+        if shape != shapes[aid]:
+            raise ValueError(
+                "invalid module: matrix for %s has shape %s, expected %s"
+                % (aid, shape, shapes[aid]))
+        if any(not 0 <= e < a.field for row in rows[aid] for e in row):
+            raise ValueError(
+                "invalid module: matrix for %s has entries outside 0..%d"
+                % (aid, a.field - 1))
     try:
-        m = homology.FDModule(dict(dims), mats)
+        m = homology.FDModule(dims, {
+            aid: np.array(rows[aid], dtype=np.int64) if aid in rows
+            else np.zeros(want, dtype=np.int64)
+            for aid, want in shapes.items()})
         problems = homology.validate_module(a, m)
     except linalg._InexactField:
         raise  # the field is too large, not the dims
     except (MemoryError, ValueError):
-        # numpy cannot allocate a relation's path matrix, or refuses a
-        # dimension beyond its maximum
-        big = max(dims, key=dims.get)
+        # numpy cannot allocate a zero matrix or a relation's path matrix,
+        # or refuses a dimension beyond its maximum
+        big = max(given, key=given.get)
         raise ValueError("module dims for %r are too large to allocate: %d"
-                         % (big, dims[big]))
+                         % (big, given[big]))
     if problems:
         raise ValueError("invalid module: %s" % problems[0])
     return m
@@ -384,6 +403,11 @@ def _verify_periodicity(cert):
     messages = []
     a = algebra_from_spec(cert.algebra)
     m = module_from_spec(a, cert.module)
+    # every written chain holds the module and its first period syzygies;
+    # any other length fails here, before a forged period is walked
+    if len(cert.dim_chain) != cert.period + 1:
+        return VerificationResult(
+            False, cert.KIND, ("syzygy dimension chain differs",))
     res = homology.check_periodicity(
         a, m, period=cert.period, trials=cert.trials, seed=cert.seed)
     ok = True

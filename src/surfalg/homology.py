@@ -1,10 +1,13 @@
 """Right modules, projective covers, syzygies and periodicity checks.
 
-A module is given by a dimension per vertex and one matrix per arrow; the
-matrix of an arrow x: s -> t has shape (dims[s], dims[t]) and acts on row
-vectors; an arrow without a matrix acts as zero.  Relations of the algebra
-must act as zero, and paths as long as the Loewy length of the algebra
-too; validate_module checks both together with the shapes.
+A module is total: it has a dimension at every vertex and a matrix for
+every arrow; the matrix of an arrow x: s -> t has shape (dims[s], dims[t])
+and acts on row vectors.  certificates.module_from_spec makes a module
+document total (a vertex it leaves out has dimension 0, an arrow it leaves
+out acts as zero) after checking its vertices, arrows, shapes and entries;
+simple_module, the cover and syzygy build total modules.  Relations of the
+algebra must act as zero, and paths as long as the Loewy length of the
+algebra too; validate_module checks both.
 
 radical_series repeats the radical step from the identity up to a zero
 layer, at most the Loewy length times; validate_module reads its last
@@ -50,7 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FDModule:
-    """dims: vertex -> nonnegative int; mats: arrow id -> numpy matrix."""
+    """dims: vertex -> nonnegative int, at every vertex; mats: arrow id ->
+    numpy matrix, for every arrow (see the module docstring)."""
 
     dims: dict
     mats: dict
@@ -60,7 +64,7 @@ class FDModule:
         return sum(self.dims.values())
 
     def dim_vector(self, vertices):
-        return tuple(self.dims.get(v, 0) for v in vertices)
+        return tuple(self.dims[v] for v in vertices)
 
 
 def _zeros(r, c):
@@ -72,33 +76,10 @@ def _vertices(a):
 
 
 def validate_module(a, m):
-    """Shape, range, relation and nilpotency checks; returns a list of
+    """Relation and nilpotency checks on a total module; returns a list of
     violations."""
     out = []
     p = a.field
-    dims = {v: int(m.dims.get(v, 0)) for v in a.quiver.vertices}
-    for v in m.dims:
-        if v not in a.quiver.vertices:
-            out.append("dims mentions unknown vertex %r" % (v,))
-    for aid in m.mats:
-        if not a.quiver.has_arrow(aid):
-            out.append("matrices mention unknown arrow %r" % (aid,))
-    if out:
-        return out
-    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
-        mat = m.mats.get(x.id)
-        want = (dims[x.source], dims[x.target])
-        if mat is None:
-            continue
-        if tuple(mat.shape) != want:
-            out.append(
-                "matrix for %s has shape %s, expected %s"
-                % (x.id, tuple(mat.shape), want))
-        elif mat.size and (mat.min() < 0 or mat.max() >= p):
-            out.append(
-                "matrix for %s has entries outside 0..%d" % (x.id, p - 1))
-    if out:
-        return out
     for rel in a.relations.generators:
         acc = None
         src = a.quiver.path_source(rel.terms[0][0])
@@ -122,18 +103,10 @@ def validate_module(a, m):
     return out
 
 
-def _arrow_matrix(a, m, aid):
-    x = a.quiver.arrow(aid)
-    mat = m.mats.get(aid)
-    if mat is None:
-        return _zeros(m.dims.get(x.source, 0), m.dims.get(x.target, 0))
-    return mat
-
-
 def _path_matrix(a, m, src, path):
-    mat = np.eye(m.dims.get(src, 0), dtype=np.int64)
+    mat = np.eye(m.dims[src], dtype=np.int64)
     for aid in path:
-        mat = linalg.matmul(mat, _arrow_matrix(a, m, aid), a.field)
+        mat = linalg.matmul(mat, m.mats[aid], a.field)
     return mat
 
 
@@ -186,16 +159,16 @@ def projective_cover(a, m):
     """
     p = a.field
     vertices = _vertices(a)
-    eye = {v: np.eye(m.dims.get(v, 0), dtype=np.int64) for v in vertices}
+    eye = {v: np.eye(m.dims[v], dtype=np.int64) for v in vertices}
     rad = _radical_step(a, m, eye)
     lifts = [(v, eye[v][j]) for v in vertices
-             for j in range(m.dims.get(v, 0)) if j not in rad[v][1]]
+             for j in range(m.dims[v]) if j not in rad[v][1]]
     summands = collections.Counter(v for v, _ in lifts)
 
     basis = [(li, bi) for li, (v, _) in enumerate(lifts)
              for bi in a.indices_from(v)]
     cover, local = _free_module(a, basis)
-    phi = {v: _zeros(cover.dims[v], m.dims.get(v, 0))
+    phi = {v: _zeros(cover.dims[v], m.dims[v])
            for v in a.quiver.vertices}
     # indices_from lists a path after its prefix, whose image is then in phi
     for li, bi in basis:
@@ -209,11 +182,11 @@ def projective_cover(a, m):
                     "internal error: the prefix of basis path %s is not a "
                     "basis path" % (path,))
             img = linalg.matmul(phi[a.basis_target(pre)][local[(li, pre)]],
-                                _arrow_matrix(a, m, path[-1]), p)
+                                m.mats[path[-1]], p)
         phi[a.basis_target(bi)][local[(li, bi)]] = img
     kernel = {v: linalg.left_nullspace(phi[v], p) for v in vertices}
     for v in vertices:
-        if cover.dims[v] - kernel[v][0].shape[0] != m.dims.get(v, 0):
+        if cover.dims[v] - kernel[v][0].shape[0] != m.dims[v]:
             raise RuntimeError(
                 "cover map is not surjective at vertex %r" % (v,))
     return _Cover(
@@ -260,11 +233,11 @@ def _radical_step(a, m, rows):
     p = a.field
     imgs = {v: [] for v in a.quiver.vertices}
     for x in sorted(a.quiver.arrows, key=lambda x: x.id):
-        img = linalg.matmul(rows[x.source], _arrow_matrix(a, m, x.id), p)
+        img = linalg.matmul(rows[x.source], m.mats[x.id], p)
         if img.shape[0]:
             imgs[x.target].append(img)
     return {v: linalg.rref(np.vstack(imgs[v]), p) if imgs[v]
-            else (_zeros(0, m.dims.get(v, 0)), [])
+            else (_zeros(0, m.dims[v]), [])
             for v in a.quiver.vertices}
 
 
@@ -273,7 +246,7 @@ def radical_series(a, m):
     up to the first zero layer or rad^L for the Loewy length L of a; that
     last layer is zero exactly when m is nilpotent."""
     vertices = _vertices(a)
-    rows = {v: np.eye(m.dims.get(v, 0), dtype=np.int64) for v in vertices}
+    rows = {v: np.eye(m.dims[v], dtype=np.int64) for v in vertices}
     series = [tuple(int(rows[v].shape[0]) for v in vertices)]
     while any(series[-1]) and len(series) <= a.loewy_length:
         rows = {v: r for v, (r, _) in _radical_step(a, m, rows).items()}
@@ -300,22 +273,22 @@ def _hom_basis(a, m, n):
     total = 0
     for v in vertices:
         offs[v] = total
-        total += m.dims.get(v, 0) * n.dims.get(v, 0)
+        total += m.dims[v] * n.dims[v]
     # f_s: m_s x n_s per vertex, unknowns row-major from offs[s]; arrow
     # x: s -> t gives M_x f_t - f_s N_x = 0, one row per entry (i, j), and
     # row-major vec(A X B) = (A kron B^T) vec(X)
     eqs = []
     for x in sorted(a.quiver.arrows, key=lambda x: x.id):
         s, t = x.source, x.target
-        ms, mt = m.dims.get(s, 0), m.dims.get(t, 0)
-        ns, nt = n.dims.get(s, 0), n.dims.get(t, 0)
+        ms, mt = m.dims[s], m.dims[t]
+        ns, nt = n.dims[s], n.dims[t]
         if ms == 0 or nt == 0:
             continue
         block = _zeros(ms * nt, total)
         block[:, offs[t]:offs[t] + mt * nt] += np.kron(
-            _arrow_matrix(a, m, x.id), np.eye(nt, dtype=np.int64))
+            m.mats[x.id], np.eye(nt, dtype=np.int64))
         block[:, offs[s]:offs[s] + ms * ns] -= np.kron(
-            np.eye(ms, dtype=np.int64), _arrow_matrix(a, n, x.id).T)
+            np.eye(ms, dtype=np.int64), n.mats[x.id].T)
         block %= p
         eqs.append(block[block.any(axis=1)])
     mat = np.vstack(eqs) if eqs else _zeros(0, total)
@@ -324,7 +297,7 @@ def _hom_basis(a, m, n):
     for row in null:
         fam = {}
         for v in vertices:
-            mv, nv = m.dims.get(v, 0), n.dims.get(v, 0)
+            mv, nv = m.dims[v], n.dims[v]
             fam[v] = row[offs[v] : offs[v] + mv * nv].reshape(mv, nv) % p
         basis.append(fam)
     return basis

@@ -51,7 +51,6 @@ __all__ = [
     "WordPresentation",
     "Incompatibility",
     "StringCheck",
-    "BandCheck",
     "CounterExample",
     "FreeComposability",
     "BandCensus",
@@ -184,14 +183,9 @@ class Incompatibility:
 
 @dataclass(frozen=True)
 class StringCheck:
-    word: tuple
-    ok: bool
-    violations: tuple
+    """The outcome of is_string or is_band: ok exactly when violations is
+    empty."""
 
-
-@dataclass(frozen=True)
-class BandCheck:
-    word: tuple
     ok: bool
     violations: tuple
 
@@ -458,7 +452,7 @@ def is_string(p, w):
     for l in w:
         p.validate_letter(l)
     viols = _string_violations(p, w, len(w))
-    return StringCheck(w, not viols, tuple(viols))
+    return StringCheck(not viols, tuple(viols))
 
 
 def _string_violations(p, w, n):
@@ -534,13 +528,13 @@ def is_band(p, w):
             "primitive", 1,
             "word is a proper power (least period %d)" % _min_period(w)))
     if viols:
-        return BandCheck(w, False, tuple(viols))
+        return StringCheck(False, tuple(viols))
     m = max(2, -(-p.max_effective_forbidden // len(w)) + 1)
     # w^m repeats every violation len(w) letters later, and holds each
     # junction and window that starts in its first copy.
     viols = tuple(v for v in _string_violations(p, w * m, len(w))
                   if v.position <= len(w))
-    return BandCheck(w, not viols, viols)
+    return StringCheck(not viols, viols)
 
 
 @dataclass(frozen=True)

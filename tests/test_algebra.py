@@ -249,7 +249,7 @@ def test_tetra_scalar_two_basis(tetra_algebra):
 
 def _algebra_digest(a):
     arrow_nf = sorted(
-        (x.id, a.right_multiply_arrow(a.vertex_unit(x.source), x.id))
+        (x.id, a.right_multiply_arrow(a.basis.index((x.source, ())), x.id))
         for x in a.quiver.arrows)
     text = a.to_json() + repr(arrow_nf)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -306,15 +306,15 @@ def test_basis_is_prefix_closed_and_action_composable(request, name):
 def test_vertex_units_are_idempotent(torus_algebra):
     a = torus_algebra
     for v in ("1", "2", "3"):
-        i = a.vertex_unit(v)
+        i = a.basis.index((v, ()))
         assert a.mul(i, i) == ((i, 1),)
 
 
 def test_unit_acts_as_identity(torus_algebra):
     a = torus_algebra
     for i in range(a.dim):
-        src = a.vertex_unit(a.basis_source(i))
-        tgt = a.vertex_unit(a.basis_target(i))
+        src = a.basis.index((a.basis_source(i), ()))
+        tgt = a.basis.index((a.basis_target(i), ()))
         assert a.mul(src, i) == ((i, 1),)
         assert a.mul(i, tgt) == ((i, 1),)
 

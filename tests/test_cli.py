@@ -293,6 +293,30 @@ def test_verify_counts_the_patterns_before_replaying(capsys, tmp_path,
     assert out.splitlines()[1:] == ["  necklace lists differ", "FAIL"]
 
 
+@pytest.mark.parametrize("forge", [
+    {"period": 2000},
+    {"period": 2000, "verdict": "not_periodic", "dim_chain": [[1, 0, 0]]},
+], ids=["period", "not-periodic"])
+def test_verify_checks_the_chain_length_before_replaying(
+        capsys, tmp_path, monkeypatch, forge):
+    # a written certificate holds period + 1 dimension vectors
+    cert = tmp_path / "periodicity.json"
+    run(capsys, "periodicity", "--builtin", "torus", "--simple", "1",
+        "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    assert len(doc["dim_chain"]) == doc["period"] + 1 == 5
+    cert.write_text(json.dumps(dict(doc, **forge)))
+
+    def no_syzygy(*args, **kwargs):
+        raise AssertionError("the forged certificate was replayed")
+
+    monkeypatch.setattr(homology, "syzygy", no_syzygy)
+    assert run(capsys, "verify", "--input", str(cert)) == (
+        1, "certificate kind: periodicity\n"
+           "  syzygy dimension chain differs\n"
+           "FAIL\n", "")
+
+
 def test_certify_growth_and_verify(capsys, tmp_path):
     cert = tmp_path / "growth.json"
     code, out, err = run(capsys, "certify-growth", "--builtin", "sphere5",
@@ -876,8 +900,16 @@ def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
      "'x0_0'"),
     ({"dims": {"1": 2, "2": 2, "3": 0}, "matrices": {"x0_0": [[0], [0, 0]]}},
      "matrix for x0_0 has rows of different lengths"),
+    ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": [[7, 7]]}},
+     "error: invalid module: matrix for x0_0 has shape (1, 2), "
+     "expected (1, 1)"),
+    ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": [[-1]]}},
+     "error: invalid module: matrix for x0_0 has entries outside 0..32002"),
+    ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": [[32003]]}},
+     "error: invalid module: matrix for x0_0 has entries outside 0..32002"),
+    # beyond int64 too: the same message as any other entry out of range
     ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": [[2 ** 64]]}},
-     "matrix for x0_0 has entries outside 0..32002"),
+     "error: invalid module: matrix for x0_0 has entries outside 0..32002"),
     # zero matrices of 8 * 10**16 bytes, beyond any 48-bit address space
     ({"dims": {"1": 10 ** 8, "2": 10 ** 8, "3": 0}},
      "module dims for '1' are too large to allocate"),
@@ -895,7 +927,8 @@ def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
     ({"algebra": {"builtin": "torus", "field": 3037000493},
       "dims": {"1": 2, "2": 0, "3": 0}},
      "error: field modulus 3037000493 is too large"),
-], ids=["dims-bool", "matrices-list", "entry-float", "ragged", "entry-huge",
+], ids=["dims-bool", "matrices-list", "entry-float", "ragged", "shape",
+        "entry-negative", "entry-p", "entry-huge",
         "dims-unallocatable", "dims-identity-unallocatable", "dims-1e30",
         "dims-unknown-vertex", "matrices-unknown-arrow", "field-int64"])
 def test_module_file_names_a_bad_dims_or_matrix(capsys, tmp_path, doc, field):

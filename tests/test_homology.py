@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -44,10 +45,34 @@ def test_projective_modules(torus_algebra):
 
 
 def test_validate_module_catches_bad_shapes(torus_algebra):
-    m = FDModule(dims={"1": 1, "2": 1, "3": 0},
-                 mats={"x0_0": np.zeros((2, 2), dtype=np.int64)})
-    problems = validate_module(torus_algebra, m)
-    assert any("shape" in s for s in problems)
+    # shapes are checked where a module document is read, before the
+    # module exists
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid module: matrix for x0_0 has shape (2, 2), "
+            "expected (1, 1)")):
+        certificates.module_from_spec(torus_algebra, {
+            "dims": {"1": 1, "2": 1, "3": 0},
+            "matrices": {"x0_0": [[0, 0], [0, 0]]}})
+
+
+def _is_total(a, m):
+    return (set(m.dims) == set(a.quiver.vertices)
+            and {x.id: (m.dims[x.source], m.dims[x.target])
+                 for x in a.quiver.arrows}
+            == {aid: mat.shape for aid, mat in m.mats.items()})
+
+
+def test_modules_are_total(torus_algebra):
+    a = torus_algebra
+    read = certificates.module_from_spec(a, {"dims": {"1": 1}})
+    s = simple_module(a, "1")
+    assert _is_total(a, read) and _is_total(a, s)
+    # a vertex left out has dimension 0, an arrow left out acts as zero
+    assert read.dims == s.dims
+    assert {k: v.tolist() for k, v in read.mats.items()} == {
+        k: v.tolist() for k, v in s.mats.items()}
+    for m in syzygy_chain(a, s, 4)[1:]:
+        assert _is_total(a, m)
 
 
 def test_validate_module_checks_relations(torus_algebra):
@@ -112,7 +137,7 @@ def test_covering_map_is_lift_times_path_matrix(request, name):
             _, local = homology._free_module(a, basis)
             for li, bi in basis:
                 u, path = a.basis[bi]
-                lift = cover.phi[u][local[(li, a.vertex_unit(u))]]
+                lift = cover.phi[u][local[(li, a.basis.index((u, ())))]]
                 want = lift @ homology._path_matrix(a, m, u, path) % a.field
                 row = cover.phi[a.basis_target(bi)][local[(li, bi)]]
                 assert row.tolist() == want.tolist(), (v, li, path)

@@ -163,6 +163,29 @@ def test_periodicity_certificate_golden(capsys, in_root, tmp_path, args,
     assert run(capsys, "verify", "--input", str(path)) == (vcode, vout, "")
 
 
+def test_a_module_file_may_leave_out_zeros(capsys, in_root, tmp_path):
+    # a vertex left out of dims has dimension 0, an arrow left out of
+    # matrices acts as zero: the same run as the fixture, whose module
+    # document the certificate stores as written
+    doc = json.loads((ROOT / MODULE_FILE).read_text())
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"algebra": doc["algebra"],
+                                 "dims": {"1": 1}}))
+    full_cert, short_cert = tmp_path / "full.json", tmp_path / "cert.json"
+    full = run(capsys, "periodicity", "--module", MODULE_FILE,
+               "--out", str(full_cert))
+    assert run(capsys, "periodicity", "--module", str(short),
+               "--out", str(short_cert)) == (
+        0, full[1].replace(MODULE_FILE, str(short)), "")
+    module = {"dims": {"1": 1}, "matrices": {}}
+    assert json.loads(short_cert.read_text()) == dict(
+        json.loads(full_cert.read_text()), module=module)
+    assert short_cert.read_text() == json.dumps(
+        _cert(TORUS_SPEC, module, S1_DIMS), indent=2, sort_keys=True) + "\n"
+    assert run(capsys, "verify", "--input", str(short_cert)) == (
+        0, PASS_4, "")
+
+
 @pytest.mark.parametrize("args,code,err", [
     (("--trials", "0"), 2, "error: trials must be >= 1\n"),
     (("--period", "0"), 2, "error: period must be >= 1\n"),

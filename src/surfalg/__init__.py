@@ -39,7 +39,6 @@ from .algebra import (
     FDAlgebra,
     NonStabilizationError,
     compute_basis,
-    graded_dimensions,
     cartan_matrix,
     check_weakly_symmetric,
 )

@@ -26,6 +26,10 @@ zero.  If no such k appears up to max_deg the computation reports
 non-stabilization instead of guessing.  The path budget caps the survivors
 and the tips held; crossing it names the degree.
 
+compute_basis is the module's one entry point.  It returns the FDAlgebra,
+or raises NonStabilizationError, which carries the graded dimensions
+computed up to the degree where it stopped.
+
 The normal form of a path is its reduction by the standard basis with the
 paths of length >= k dropped: the unique combination of survivors
 congruent to it modulo the ideal.  The algebra keeps one right action, the
@@ -45,7 +49,6 @@ __all__ = [
     "NonStabilizationError",
     "FDAlgebra",
     "CartanMatrix",
-    "graded_dimensions",
     "compute_basis",
     "cartan_matrix",
     "check_weakly_symmetric",
@@ -204,7 +207,7 @@ class _StandardBasis:
 
 
 def _eliminate(q, rels, p, max_deg, path_budget):
-    """The degree loop of graded_dimensions and compute_basis.
+    """The degree loop of compute_basis, its one caller.
 
     Buchberger's algorithm for the (length, lex) order on paths of length
     at most max_deg: the relations and the S-polynomials of tip overlaps
@@ -275,28 +278,6 @@ def _eliminate(q, rels, p, max_deg, path_budget):
     return dims, None, layers, sb
 
 
-def graded_dimensions(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
-                      path_budget=DEFAULT_PATH_BUDGET):
-    """Dimensions of the radical layers of the quotient, degree by degree.
-
-    Returns:
-        (dims, stabilized): dims[k] is the dimension of the k-th layer.
-        When stabilized is True the list covers every nonzero layer (the
-        first zero layer is dropped) and its sum is the total dimension.
-        When False the list covers degrees 0..max_deg and says nothing
-        about higher layers.
-
-    Raises:
-        ValueError: if p is not prime or (p-1)^2 >= 2^63, or max_deg or
-        path_budget is < 1.
-        NonStabilizationError: only if more survivors or tips than the
-        path budget are held before max_deg; plain non-stabilization at
-        max_deg is reported through the stabilized flag.
-    """
-    dims, stop, _, _ = _eliminate(q, rels, p, max_deg, path_budget)
-    return dims, stop is not None
-
-
 @dataclass(frozen=True)
 class FDAlgebra:
     """Basis, normal forms and right action of a stabilized quotient.
@@ -355,10 +336,6 @@ class FDAlgebra:
                     table[(i, j)] = tuple(sorted(prod.items()))
         return table
 
-    def mul(self, i, j):
-        """Product of two basis elements as ((index, coeff), ...)."""
-        return self.mult_table.get((i, j), ())
-
     def right_multiply_arrow(self, i, arrow_id):
         """Normal form of basis element i times an arrow, as ((index, coeff), ...)."""
         return self.action.get((i, arrow_id), ())
@@ -367,28 +344,6 @@ class FDAlgebra:
         return tuple(
             i for i in range(self.dim) if self.basis_source(i) == v
         )
-
-    def to_json(self, indent=2):
-        import json
-
-        cm = cartan_matrix(self)
-        doc = {
-            "field": self.field,
-            "dimension": self.dim,
-            "graded_dimensions": list(self.graded_dims),
-            "basis": [
-                {"source": v, "arrows": list(path)} for v, path in self.basis
-            ],
-            "mult_table": {
-                "%d,%d" % key: [[k, c] for k, c in val]
-                for key, val in sorted(self.mult_table.items())
-            },
-            "cartan": {
-                "vertices": list(cm.vertices),
-                "matrix": [[int(x) for x in row] for row in cm.matrix],
-            },
-        }
-        return json.dumps(doc, indent=indent)
 
 
 def compute_basis(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,

@@ -171,6 +171,8 @@ def module_from_spec(a, spec):
               for x in a.quiver.arrows}
     for aid in sorted(rows):
         shape = np.shape(rows[aid])
+        if shape == (0,) and shapes[aid][0] == 0:
+            shape = shapes[aid]  # [] is the matrix with no rows
         if shape != shapes[aid]:
             raise ValueError(
                 "invalid module: matrix for %s has shape %s, expected %s"
@@ -181,8 +183,8 @@ def module_from_spec(a, spec):
                 % (aid, a.field - 1))
     try:
         m = homology.FDModule(dims, {
-            aid: np.array(rows[aid], dtype=np.int64) if aid in rows
-            else np.zeros(want, dtype=np.int64)
+            aid: (np.array(rows[aid], dtype=np.int64).reshape(want)
+                  if aid in rows else np.zeros(want, dtype=np.int64))
             for aid, want in shapes.items()})
         problems = homology.validate_module(a, m)
     except linalg._InexactField:

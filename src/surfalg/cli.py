@@ -126,11 +126,9 @@ def cmd_build(args):
             if maps else None,
             "potential": json.loads(qp.potential_to_json(potential))
             if potential else None,
-            "f_orbits": [list(o) for o in maps.f_orbits()] if maps else None,
-            "g_orbits": [
-                {"puncture": maps.puncture_of(o[0]), "arrows": list(o)}
-                for o in maps.g_orbits()
-            ] if maps else None,
+            "f_orbits": [list(o) for o in maps.f_orbits] if maps else None,
+            "g_orbits": [{"puncture": p, "arrows": list(o)}
+                         for p, o in maps.g_orbits] if maps else None,
         }
         _write_output(json.dumps(doc, indent=2), args.out)
         return 0 if report.ok else 1
@@ -153,12 +151,11 @@ def cmd_build(args):
         lines.append(
             "quiver: %d vertices, %d arrows"
             % (len(maps.quiver.vertices), len(maps.quiver.arrows)))
-        for orb in maps.f_orbits():
+        for orb in maps.f_orbits:
             lines.append("  triangle cycle: " + " -> ".join(orb))
-        for orb in maps.g_orbits():
-            lines.append(
-                "  cycle around %s (length %d): %s"
-                % (maps.puncture_of(orb[0]), len(orb), " -> ".join(orb)))
+        for p, orb in maps.g_orbits:
+            lines.append("  cycle around %s (length %d): %s"
+                         % (p, len(orb), " -> ".join(orb)))
         lines.append("potential: %d terms" % len(potential.terms))
     elif note:
         lines.append("quiver: not built (%s)" % note)
@@ -252,6 +249,8 @@ def cmd_bands(args):
 
 
 def cmd_certify_growth(args):
+    if args.arrow and (args.word1 or args.word2):
+        raise ValueError("give either --arrow or --word1/--word2, not both")
     source = _one_source_spec(args)
     t = certificates.triangulation_from_spec(source)
     if excluded_for_certificates(t.surface):
@@ -267,6 +266,10 @@ def cmd_certify_growth(args):
         w1 = strings.parse_word(args.word1)
         w2 = strings.parse_word(args.word2)
     elif maps is None:
+        if args.arrow:
+            raise ValueError(
+                "--arrow needs arrow maps, and the %s presentation has none"
+                % certificates.source_label(source))
         w1 = strings.parse_word(DEFAULT_WORD1)
         w2 = strings.parse_word(DEFAULT_WORD2)
     else:

@@ -17,8 +17,10 @@ For a triangulation with no self-folded triangles and all valencies >= 3:
   (i, s)), read with their punctures; qp never reads arc endpoints.
 
 arrow_maps(t) is the one constructor: it validates t once and returns the
-quiver together with f, g and the orbit punctures, which build_potential
-reads.
+quiver together with f, g and their orbits, each g-orbit with its
+puncture.  The orbits are stored once, starting at their least arrow ids and
+sorted by them, and build_potential, the string quotient and the build
+command read them as stored.
 
 The potential is the sum of the triangle 3-cycles (coefficient +1) minus,
 for each puncture q, lambda_q times the cycle surrounding q (lambda_q = 1
@@ -27,7 +29,7 @@ algebra module.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Arrow",
@@ -165,31 +167,20 @@ class RelationSet:
 @dataclass(frozen=True)
 class ArrowMaps:
     """The quiver of a triangulation, its triangle rotation f and its
-    puncture rotation g.
+    puncture rotation g, with the orbits of both.
 
-    f and g are permutations of the quiver's arrow ids.  orbit_puncture maps
-    the id of one representative arrow per g-orbit to the puncture its orbit
-    surrounds (keys are the minimal arrow id of each orbit).
+    f and g are permutations of the quiver's arrow ids.  f_orbits lists the
+    triangles' 3-cycles and g_orbits the (puncture, arrows) pair of the
+    cycle around each puncture.  Each orbit starts at its least arrow id, in
+    g's composable order (x, gx, ...) for g, and the orbits are sorted by
+    that id in string order (x10_1 before x2_1).
     """
 
     quiver: Quiver
     f: dict
     g: dict
-    orbit_puncture: dict = field(default_factory=dict)
-
-    def f_orbit(self, arrow_id):
-        return (arrow_id, self.f[arrow_id], self.f[self.f[arrow_id]])
-
-    def f_orbits(self):
-        seen = set()
-        out = []
-        for a in sorted(self.f):
-            if a in seen:
-                continue
-            orb = self.f_orbit(a)
-            seen.update(orb)
-            out.append(orb)
-        return out
+    f_orbits: tuple
+    g_orbits: tuple
 
     def g_orbit(self, arrow_id):
         """The g-orbit of an arrow, in composable cyclic order (x, gx, ...)."""
@@ -199,24 +190,6 @@ class ArrowMaps:
             orb.append(cur)
             cur = self.g[cur]
         return tuple(orb)
-
-    def g_orbits(self):
-        seen = set()
-        out = []
-        for a in sorted(self.g):
-            if a in seen:
-                continue
-            orb = self.g_orbit(a)
-            seen.update(orb)
-            out.append(orb)
-        return out
-
-    def orbit_length(self, arrow_id):
-        return len(self.g_orbit(arrow_id))
-
-    def puncture_of(self, arrow_id):
-        key = min(self.g_orbit(arrow_id))
-        return self.orbit_puncture.get(key)
 
 
 def _arrow_id(tri_index, slot):
@@ -256,18 +229,20 @@ def arrow_maps(t):
                 "puncture %r has valency %d < 3; quiver construction needs "
                 "all valencies >= 3" % (p, valency[p])
             )
-    arrows, f = [], {}
+    arrows, f, f_orbits = [], {}, []
     for i, tri in enumerate(t.triangles):
-        for s in range(3):
-            arrows.append(Arrow(_arrow_id(i, s), tri[s], tri[(s + 1) % 3]))
-            f[_arrow_id(i, s)] = _arrow_id(i, (s + 1) % 3)
-    g, orbit_puncture = {}, {}
+        orb = tuple(_arrow_id(i, s) for s in range(3))
+        arrows += [Arrow(orb[s], tri[s], tri[(s + 1) % 3]) for s in range(3)]
+        f.update(zip(orb, orb[1:] + orb[:1]))
+        f_orbits.append(orb)
+    g, g_orbits = {}, []
     for p, corners in report.cycles:
-        orb = [_arrow_id(*divmod(c, 3)) for c in corners]
+        orb = tuple(_arrow_id(*divmod(c, 3)) for c in corners)
         g.update(zip(orb, orb[1:] + orb[:1]))
-        orbit_puncture[min(orb)] = p
+        g_orbits.append((p, canonical_rotation(orb)))
     quiver = Quiver(tuple(a.id for a in t.arcs), tuple(arrows))
-    return ArrowMaps(quiver, f, g, orbit_puncture)
+    return ArrowMaps(quiver, f, g, tuple(sorted(f_orbits)),
+                     tuple(sorted(g_orbits, key=lambda po: po[1])))
 
 
 def build_quiver(t):
@@ -284,18 +259,15 @@ def build_potential(maps, puncture_scalars=None):
     puncture_scalars=None enables that default for all of them).
     """
     scalars = dict(puncture_scalars or {})
+    punctures = {p for p, _ in maps.g_orbits}
     for p in scalars:
-        if p not in set(maps.orbit_puncture.values()):
+        if p not in punctures:
             raise KeyError("scalar for unknown puncture %r" % (p,))
         if scalars[p] == 0:
             raise ValueError("puncture scalar for %r must be nonzero" % (p,))
-    terms = {}
-    for orb in maps.f_orbits():
-        cyc = canonical_rotation(orb)
-        terms[cyc] = terms.get(cyc, 0) + 1
-    for key, p in maps.orbit_puncture.items():
-        cyc = canonical_rotation(maps.g_orbit(key))
-        terms[cyc] = terms.get(cyc, 0) - scalars.get(p, 1)
+    terms = dict.fromkeys(maps.f_orbits, 1)
+    for p, orb in maps.g_orbits:
+        terms[orb] = terms.get(orb, 0) - scalars.get(p, 1)
     return Potential(terms)
 
 

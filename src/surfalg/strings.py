@@ -376,11 +376,11 @@ def string_quotient(maps, name=None):
     arrow; no special loops and an empty comparability order.  Requires
     every cycle orbit to have length at least 4.
     """
-    short = sorted(orb[0] for orb in maps.g_orbits() if len(orb) < 4)
+    short = [orb for _, orb in maps.g_orbits if len(orb) < 4]
     if short:
         raise ValueError(
             "cycle orbit of arrow %r has length %d < 4"
-            % (short[0], len(maps.g_orbit(short[0]))))
+            % (short[0][0], len(short[0])))
     arrows = {a.id: (a.source, a.target) for a in maps.quiver.arrows}
     forbidden = []
     for aid in sorted(arrows):
@@ -691,8 +691,8 @@ def build_xi(maps, alpha):
     """
     gamma = maps.f[alpha]
     beta = maps.f[gamma]
-    n_gamma = maps.orbit_length(gamma)
-    n_beta = maps.orbit_length(beta)
+    n_gamma = len(maps.g_orbit(gamma))
+    n_beta = len(maps.g_orbit(beta))
     if n_gamma < 3 or n_beta < 3:
         raise ValueError(
             "cycle orbits too short (lengths %d and %d; need at least 3)"

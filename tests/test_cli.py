@@ -40,6 +40,56 @@ def test_build_json(capsys):
     assert len(doc["g_orbits"]) == 1
 
 
+def _double_pyramid():
+    """The double pyramid over a hexagon: apexes N and S, base vertices
+    v0..v5, 12 triangles, so that arrow ids reach x11_*."""
+    arcs, triangles = [], []
+    for i in range(6):
+        j = (i + 1) % 6
+        arcs += [{"id": "N%d" % i, "endpoints": ["N", "v%d" % i]},
+                 {"id": "S%d" % i, "endpoints": ["S", "v%d" % i]},
+                 {"id": "e%d" % i, "endpoints": ["v%d" % i, "v%d" % j]}]
+        triangles += [["e%d" % i, "N%d" % j, "N%d" % i],
+                      ["e%d" % i, "S%d" % i, "S%d" % j]]
+    punctures = ["N", "S"] + ["v%d" % i for i in range(6)]
+    return {"genus": 0, "punctures": punctures, "arcs": arcs,
+            "triangles": triangles}
+
+
+def test_build_json_orbit_order(capsys, tmp_path):
+    # orbits are listed by their least arrow id in string order (x10_* and
+    # x11_* before x2_*), each starting at that id
+    tri = _double_pyramid()
+    path = tmp_path / "pyramid.json"
+    path.write_text(json.dumps(tri))
+    code, out, err = run(capsys, "build", "--input", str(path),
+                         "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    f_orbits = doc["f_orbits"]
+    assert f_orbits == sorted(["x%d_%d" % (i, s) for s in range(3)]
+                              for i in range(12))
+    assert f_orbits[1:4] == [["x10_0", "x10_1", "x10_2"],
+                             ["x11_0", "x11_1", "x11_2"],
+                             ["x1_0", "x1_1", "x1_2"]]
+    g_orbits = doc["g_orbits"]
+    firsts = [o["arrows"][0] for o in g_orbits]
+    assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)
+    assert all(o["arrows"][0] == min(o["arrows"]) for o in g_orbits)
+    assert sorted(o["puncture"] for o in g_orbits) == sorted(tri["punctures"])
+    # each arrow turns at the one puncture that its two arcs share
+    ends = {a["id"]: set(a["endpoints"]) for a in tri["arcs"]}
+    arrows = {a["id"]: a for a in doc["quiver"]["arrows"]}
+    for o in g_orbits:
+        assert len(o["arrows"]) == (6 if o["puncture"] in "NS" else 4)
+        for x in o["arrows"]:
+            a = arrows[x]
+            assert ends[a["source"]] & ends[a["target"]] == {o["puncture"]}
+        cyc = o["arrows"] + o["arrows"][:1]
+        assert all(arrows[x]["target"] == arrows[y]["source"]
+                   for x, y in zip(cyc, cyc[1:]))
+
+
 def test_build_dot_stable(capsys):
     code1, out1, _ = run(capsys, "build", "--builtin", "torus",
                          "--format", "dot")
@@ -595,6 +645,28 @@ def test_periodicity_module_file_nonpositive_max_deg(capsys, tmp_path):
     assert "max_deg must be >= 1" in err
 
 
+def test_periodicity_module_file_reads_empty_matrix(capsys, tmp_path):
+    # [] is the matrix of an arrow out of a vertex of dimension 0; x0_0
+    # leaves vertex 1
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps({
+        "algebra": {"builtin": "torus"},
+        "dims": {"1": 0, "2": 1, "3": 0},
+        "matrices": {"x0_0": []},
+    }))
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, "periodicity", "--module", str(path),
+                         "--out", str(cert))
+    _, simple, _ = run(capsys, "periodicity", "--builtin", "torus",
+                       "--simple", "2")
+    assert (code, err) == (0, "")
+    assert out == simple.replace("simple(2)", str(path), 1)
+    assert "[0, 1, 0] -> [4, 3, 4] -> [4, 5, 4]" in out
+    assert "tube rank: 2" in out
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert (code, out.splitlines()[-1], err) == (0, "PASS", "")
+
+
 def test_syzygy_chain(capsys):
     code, out, err = run(capsys, "syzygy", "--builtin", "torus",
                          "--simple", "1", "--steps", "4")
@@ -619,6 +691,19 @@ def test_xi_all_arrows(capsys):
 def test_xi_refuses_an_arrow_with_all(capsys):
     got = run(capsys, "xi", "--builtin", "torus", "--all", "--arrow", "x0_1")
     assert got == (2, "", "error: give either --arrow or --all, not both\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("--builtin", "torus", "--arrow", "x0_0", "--word1", "a1",
+      "--word2", "a1"),
+     "error: give either --arrow or --word1/--word2, not both\n"),
+    (("--builtin", "sphere5", "--arrow", "a1"),
+     "error: --arrow needs arrow maps, and the sphere5 presentation has "
+     "none\n"),
+], ids=["words", "sphere5"])
+def test_certify_growth_refuses_an_arrow_it_would_not_read(capsys, argv,
+                                                           err):
+    assert run(capsys, "certify-growth", *argv) == (2, "", err)
 
 
 def test_env_override(capsys, monkeypatch):
@@ -903,6 +988,10 @@ def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
     ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": [[7, 7]]}},
      "error: invalid module: matrix for x0_0 has shape (1, 2), "
      "expected (1, 1)"),
+    # [] stands for a matrix with no rows only out of a dimension-0 vertex
+    ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": []}},
+     "error: invalid module: matrix for x0_0 has shape (0,), "
+     "expected (1, 1)"),
     ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": [[-1]]}},
      "error: invalid module: matrix for x0_0 has entries outside 0..32002"),
     ({"dims": {"1": 1, "2": 1, "3": 0}, "matrices": {"x0_0": [[32003]]}},
@@ -928,7 +1017,7 @@ def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
       "dims": {"1": 2, "2": 0, "3": 0}},
      "error: field modulus 3037000493 is too large"),
 ], ids=["dims-bool", "matrices-list", "entry-float", "ragged", "shape",
-        "entry-negative", "entry-p", "entry-huge",
+        "shape-empty", "entry-negative", "entry-p", "entry-huge",
         "dims-unallocatable", "dims-identity-unallocatable", "dims-1e30",
         "dims-unknown-vertex", "matrices-unknown-arrow", "field-int64"])
 def test_module_file_names_a_bad_dims_or_matrix(capsys, tmp_path, doc, field):

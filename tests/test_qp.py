@@ -56,7 +56,12 @@ def test_f_is_triangle_rotation():
         for x in maps.f:
             # f^3 = id
             assert maps.f[maps.f[maps.f[x]]] == x
-        orbits = {frozenset(o) for o in maps.f_orbits()}
+        # each stored orbit is x f(x) f^2(x) from its least arrow id
+        for orb in maps.f_orbits:
+            assert orb[0] == min(orb)
+            assert orb == (orb[0], maps.f[orb[0]], maps.f[maps.f[orb[0]]])
+        assert sorted(maps.f_orbits) == list(maps.f_orbits)
+        orbits = {frozenset(o) for o in maps.f_orbits}
         triangles = {
             frozenset("x%d_%d" % (i, s) for s in range(3))
             for i in range(len(t.triangles))
@@ -69,15 +74,19 @@ def test_g_orbit_lengths_match_valencies():
 
     for name in ("torus", "genus2", "tetra"):
         t, q, maps = _setup(name)
-        lengths = sorted(len(o) for o in maps.g_orbits())
-        valencies = sorted(valency(t, p) for p in t.surface.punctures)
-        assert lengths == valencies
+        assert sorted(p for p, _ in maps.g_orbits) \
+            == sorted(t.surface.punctures)
+        for p, orbit in maps.g_orbits:
+            assert len(orbit) == valency(t, p)
 
 
 def test_g_orbits_are_composable_cycles():
     for name in ("torus", "genus2", "tetra"):
         t, q, maps = _setup(name)
-        for orbit in maps.g_orbits():
+        firsts = [orbit[0] for _, orbit in maps.g_orbits]
+        assert firsts == sorted(firsts)
+        for _, orbit in maps.g_orbits:
+            assert orbit == maps.g_orbit(min(orbit))
             for i, x in enumerate(orbit):
                 y = orbit[(i + 1) % len(orbit)]
                 assert maps.g[x] == y

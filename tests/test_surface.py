@@ -288,7 +288,11 @@ def test_valid_gluings_give_quivers_without_2_cycles(doc):
     # g walks around the puncture that names each corner's vertex class
     named = _corner_classes(t)
     cls, _, _ = glued_vertex_classes(t.triangles)
+    around = {}
+    for p, orbit in maps.g_orbits:
+        assert len(orbit) == valency(t, p)
+        around.update(dict.fromkeys(orbit, p))
+    assert len(around) == len(q.arrows)
     for x in q.arrows:
         i, s = map(int, x.id[1:].split("_"))
-        assert (cls[_point(3 * i + s)], maps.puncture_of(x.id)) in named
-        assert maps.orbit_length(x.id) == valency(t, maps.puncture_of(x.id))
+        assert (cls[_point(3 * i + s)], around[x.id]) in named

@@ -28,7 +28,10 @@ and the tips held; crossing it names the degree.
 
 compute_basis is the module's one entry point.  It returns the FDAlgebra,
 or raises NonStabilizationError, which carries the graded dimensions
-computed up to the degree where it stopped.
+computed up to the degree where it stopped.  The FDAlgebra stores, once,
+what its readers need: the sorted vertices, the basis and its index, the
+end vertex of each basis path (ends), the paths from each vertex
+(paths_from, the basis of its projective) and the right action.
 
 The normal form of a path is its reduction by the standard basis with the
 paths of length >= k dropped: the unique combination of survivors
@@ -43,12 +46,10 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_PRIME
 
 __all__ = [
     "NonStabilizationError",
     "FDAlgebra",
-    "CartanMatrix",
     "compute_basis",
     "cartan_matrix",
     "check_weakly_symmetric",
@@ -206,14 +207,15 @@ class _StandardBasis:
         return acc
 
 
-def _eliminate(q, rels, p, max_deg, path_budget):
+def _eliminate(q, rels, p, max_deg, path_budget, arrows_from):
     """The degree loop of compute_basis, its one caller.
 
     Buchberger's algorithm for the (length, lex) order on paths of length
     at most max_deg: the relations and the S-polynomials of tip overlaps
     are reduced in order of degree, and layer d is final once nothing
     pending has degree d or less.  Its survivors are those of layer d - 1
-    times one arrow, less the paths that end in a tip.
+    times one arrow, less the paths that end in a tip; arrows_from maps
+    every vertex to the ids of the arrows leaving it, in id order.
 
     Returns (dims, stop, layers, sb): stop is the first length with no
     surviving path and dims lists the layers below it, or stop is None and
@@ -240,9 +242,6 @@ def _eliminate(q, rels, p, max_deg, path_budget):
                 poly[path] = c % p
         if poly:
             pending.setdefault(len(min(poly, key=_key)), []).append(poly)
-    arrows_from = {}
-    for a in sorted(q.arrows, key=lambda a: a.id):
-        arrows_from.setdefault(a.source, []).append(a.id)
     target = {a.id: a.target for a in q.arrows}
 
     dims = [len(q.vertices)]
@@ -264,7 +263,7 @@ def _eliminate(q, rels, p, max_deg, path_budget):
         else:
             layer = [
                 path + (x,) for path in layers[-1]
-                for x in arrows_from.get(target[path[-1]], ())
+                for x in arrows_from[target[path[-1]]]
                 if sb.tip_ending(path + (x,)) is None
             ]
         held += len(layer)
@@ -282,19 +281,28 @@ def _eliminate(q, rels, p, max_deg, path_budget):
 class FDAlgebra:
     """Basis, normal forms and right action of a stabilized quotient.
 
-    Basis elements are (source_vertex, arrow_id_tuple); the tuple is empty
-    for the trivial path at a vertex.  action maps (i, x), for each arrow x
-    leaving the end of path i, to the normal form of path i times x as a
-    tuple of (basis_index, coefficient) pairs, empty when it is zero.
+    vertices is the sorted vertex tuple: the order of the trivial paths at
+    the head of the basis and of every dimension vector.  Basis elements
+    are (source_vertex, arrow_id_tuple); the tuple is empty for the trivial
+    path at a vertex.  index maps each basis element to its position, ends
+    holds the end vertex of each, and paths_from maps each vertex v to the
+    positions of the elements starting at v, the basis of the projective
+    e_v A, in basis order, so that each path comes after its prefix.
+    action maps (i, x), for each arrow x leaving ends[i], to the normal
+    form of path i times x as a tuple of (basis_index, coefficient) pairs,
+    empty when it is zero.
     """
 
     quiver: object
     field: int
     relations: object
+    vertices: tuple
     basis: tuple
     graded_dims: tuple
+    index: dict = dc_field(repr=False)
+    ends: tuple = dc_field(repr=False)
+    paths_from: dict = dc_field(repr=False)
     action: dict = dc_field(repr=False)
-    _index: dict = dc_field(repr=False, default_factory=dict)
 
     @property
     def dim(self):
@@ -309,14 +317,6 @@ class FDAlgebra:
         """check_weakly_symmetric(self), run on the first read only."""
         return check_weakly_symmetric(self)
 
-    def basis_source(self, i):
-        v, path = self.basis[i]
-        return v
-
-    def basis_target(self, i):
-        v, path = self.basis[i]
-        return v if not path else self.quiver.arrow(path[-1]).target
-
     @cached_property
     def mult_table(self):
         """Nonzero products (i, j) -> ((index, coeff), ...), found by
@@ -324,7 +324,7 @@ class FDAlgebra:
         p = self.field
         table = {}
         for i in range(self.dim):
-            for j in self.indices_from(self.basis_target(i)):
+            for j in self.paths_from[self.ends[i]]:
                 prod = {i: 1}
                 for x in self.basis[j][1]:
                     acc = {}
@@ -336,17 +336,8 @@ class FDAlgebra:
                     table[(i, j)] = tuple(sorted(prod.items()))
         return table
 
-    def right_multiply_arrow(self, i, arrow_id):
-        """Normal form of basis element i times an arrow, as ((index, coeff), ...)."""
-        return self.action.get((i, arrow_id), ())
 
-    def indices_from(self, v):
-        return tuple(
-            i for i in range(self.dim) if self.basis_source(i) == v
-        )
-
-
-def compute_basis(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
+def compute_basis(q, rels, p=linalg.DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
                   path_budget=DEFAULT_PATH_BUDGET):
     """Compute the finite-dimensional quotient, or fail honestly.
 
@@ -362,53 +353,52 @@ def compute_basis(q, rels, p=DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
         NonStabilizationError: if no such k exists within max_deg or more
         survivors or tips than the path budget are held first.
     """
-    dims, stop, layers, sb = _eliminate(q, rels, p, max_deg, path_budget)
+    vertices = tuple(sorted(q.vertices))
+    arrows_from = {v: [] for v in vertices}
+    for x in sorted(q.arrows, key=lambda x: x.id):
+        arrows_from[x.source].append(x.id)
+    dims, stop, layers, sb = _eliminate(q, rels, p, max_deg, path_budget,
+                                        arrows_from)
     if stop is None:
         raise NonStabilizationError(max_deg, dims)
 
-    basis = [(v, ()) for v in sorted(q.vertices)]
+    basis = [(v, ()) for v in vertices]
     basis += [(q.path_source(path), path)
               for layer in layers for path in layer]
-    index = {path: i for i, (v, path) in enumerate(basis) if path}
+    index = {el: i for i, el in enumerate(basis)}
+    ends = tuple(q.path_target(path) if path else v for v, path in basis)
+    paths_from = {v: [] for v in vertices}
     action = {}
     for i, (v, path) in enumerate(basis):
-        end = q.path_target(path) if path else v
-        for x in sorted(a.id for a in q.arrows if a.source == end):
+        paths_from[v].append(i)
+        for x in arrows_from[ends[i]]:
             nf = {path + (x,): 1}
             sb.reduce(nf, stop - 1)
-            action[(i, x)] = tuple(sorted((index[m], c)
+            action[(i, x)] = tuple(sorted((index[v, m], c)
                                           for m, c in nf.items()))
 
     return FDAlgebra(
         quiver=q,
         field=p,
         relations=rels,
+        vertices=vertices,
         basis=tuple(basis),
+        index=index,
+        ends=ends,
+        paths_from={v: tuple(ix) for v, ix in paths_from.items()},
         graded_dims=tuple(dims),
         action=action,
-        _index={el: i for i, el in enumerate(basis)},
     )
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """Counts of basis paths between vertices; entry (i, j) counts i -> j."""
-
-    vertices: tuple
-    matrix: object
-
-    @property
-    def determinant(self):
-        return linalg.det_int(self.matrix)
-
-
 def cartan_matrix(a):
-    vertices = sorted(a.quiver.vertices)
-    pos = {v: i for i, v in enumerate(vertices)}
-    m = np.zeros((len(vertices), len(vertices)), dtype=np.int64)
-    for i in range(a.dim):
-        m[pos[a.basis_source(i)], pos[a.basis_target(i)]] += 1
-    return CartanMatrix(tuple(vertices), m)
+    """Counts of basis paths between vertices, as an int64 matrix in
+    a.vertices order; entry (i, j) counts the paths from vertex i to j."""
+    pos = {v: i for i, v in enumerate(a.vertices)}
+    m = np.zeros((len(pos), len(pos)), dtype=np.int64)
+    for (v, _), w in zip(a.basis, a.ends):
+        m[pos[v], pos[w]] += 1
+    return m
 
 
 def check_weakly_symmetric(a):
@@ -423,20 +413,20 @@ def check_weakly_symmetric(a):
     arrows = sorted(a.quiver.arrows, key=lambda x: x.id)
     witness = {}
     ok = True
-    for v in sorted(a.quiver.vertices):
-        rows_v = a.indices_from(v)
+    for v in a.vertices:
+        rows_v = a.paths_from[v]
         loc = {bi: k for k, bi in enumerate(rows_v)}
         n = len(rows_v)
         stacked = np.zeros((n, len(arrows) * n), dtype=np.int64)
         for k, bi in enumerate(rows_v):
             for t, x in enumerate(arrows):
-                for bj, c in a.right_multiply_arrow(bi, x.id):
+                for bj, c in a.action.get((bi, x.id), ()):
                     stacked[k, t * n + loc[bj]] = c
         soc, _ = linalg.left_nullspace(stacked, p)
         support = set()
         for row in soc:
             for k in np.nonzero(row)[0]:
-                support.add(a.basis_target(rows_v[int(k)]))
+                support.add(a.ends[rows_v[int(k)]])
         witness[v] = {"socle_dim": int(soc.shape[0]), "support": sorted(support)}
         if soc.shape[0] != 1 or support != {v}:
             ok = False

@@ -122,7 +122,7 @@ def algebra_from_spec(spec):
     algebra k[x]/(x^2), a minimal self-injective reference point.
     """
     read_fields(spec, "algebra spec", _ALGEBRA_SPEC)
-    p = spec.get("field", algebra.DEFAULT_PRIME)
+    p = spec.get("field", linalg.DEFAULT_PRIME)
     max_deg = spec.get("max_deg", algebra.DEFAULT_MAX_DEG)
     budget = spec.get("path_budget", algebra.DEFAULT_PATH_BUDGET)
     if spec.get("builtin") == "kx2":
@@ -347,8 +347,10 @@ def _verify_growth(cert):
     w1 = strings.parse_word(cert.word1)
     w2 = strings.parse_word(cert.word2)
     want = {(s, n) for s, n, _ in cert.necklaces}
-    # the replay lists each pattern once: a count unlike len(want) fails
-    if cert.depth >= 2 and _pattern_count(cert.depth, len(want)) != len(want):
+    # the replay lists each pattern once: a list of another length, a
+    # repeated entry included, fails
+    count = len(cert.necklaces)
+    if cert.depth >= 2 and _pattern_count(cert.depth, count) != count:
         return VerificationResult(False, cert.KIND, ("necklace lists differ",))
     fc = strings.free_composability(pres, w1, w2, depth=cert.depth)
     if isinstance(fc, strings.CounterExample):

@@ -32,8 +32,7 @@ import json
 import os
 import sys
 
-from . import algebra, certificates, fixtures, homology, qp, strings
-from .linalg import DEFAULT_PRIME
+from . import algebra, certificates, fixtures, homology, linalg, qp, strings
 from .surface import (
     excluded_for_certificates,
     triangulation_to_json,
@@ -188,7 +187,8 @@ def cmd_algebra(args):
                 "partial graded dimensions: %s" % list(e.graded_dims))
             _write_output("\n".join(lines), args.out)
         return 3
-    cm = algebra.cartan_matrix(a)
+    cartan = algebra.cartan_matrix(a)
+    det = linalg.det_int(cartan)
     ws, _ = a.weak_symmetry
     if args.format == "json":
         doc = {
@@ -199,9 +199,9 @@ def cmd_algebra(args):
             "loewy_length": a.loewy_length,
             "graded_dimensions": list(a.graded_dims),
             "cartan": {
-                "vertices": list(cm.vertices),
-                "matrix": [[int(x) for x in row] for row in cm.matrix],
-                "determinant": cm.determinant,
+                "vertices": list(a.vertices),
+                "matrix": [[int(x) for x in row] for row in cartan],
+                "determinant": det,
             },
             "weakly_symmetric": ws,
         }
@@ -213,10 +213,10 @@ def cmd_algebra(args):
         lines.append("  degree %2d: %d" % (d, dim))
     lines.append("total dimension: %d" % a.dim)
     lines.append("loewy length: %d" % a.loewy_length)
-    lines.append("cartan matrix (rows/cols %s):" % (", ".join(cm.vertices)))
-    for row in cm.matrix:
+    lines.append("cartan matrix (rows/cols %s):" % (", ".join(a.vertices)))
+    for row in cartan:
         lines.append("  " + " ".join("%3d" % x for x in row))
-    lines.append("cartan determinant: %d" % cm.determinant)
+    lines.append("cartan determinant: %d" % det)
     lines.append("weakly symmetric: %s" % ("yes" if ws else "no"))
     _write_output("\n".join(lines), args.out)
     return 0
@@ -355,7 +355,7 @@ def _module_targets(args):
     aspec = dict(_one_source_spec(args), field=args.field,
                  max_deg=args.max_deg)
     a = certificates.algebra_from_spec(aspec)
-    vs = [args.simple] if args.simple else sorted(a.quiver.vertices)
+    vs = [args.simple] if args.simple else a.vertices
     return a, aspec, [
         ("simple(%s)" % v, {"simple": v}, homology.simple_module(a, v))
         for v in vs]
@@ -391,11 +391,10 @@ def cmd_syzygy(args):
     a, _, targets = _module_targets(args)
     chains = [(label, homology.syzygy_chain(a, m, args.steps))
               for label, _, m in targets]
-    vertices = sorted(a.quiver.vertices)
-    print("vertex order: %s" % ", ".join(vertices))
+    print("vertex order: %s" % ", ".join(a.vertices))
     for label, chain in chains:
         print("%s: %s" % (label, " -> ".join(
-            str(list(x.dim_vector(vertices))) for x in chain)))
+            str(list(x.dim_vector(a.vertices))) for x in chain)))
     return 0
 
 
@@ -417,7 +416,7 @@ OPTIONS = {
                    "help": "bundled triangulation name"}, None),
     "--input": ({"metavar": "PATH", "help": "triangulation JSON file"}, None),
     "--format": ({"choices": ("text", "json")}, ("FORMAT", str, "text")),
-    "--field": ({"type": int}, ("FIELD", int, DEFAULT_PRIME)),
+    "--field": ({"type": int}, ("FIELD", int, linalg.DEFAULT_PRIME)),
     "--max-deg": ({"type": int}, ("MAX_DEG", int, algebra.DEFAULT_MAX_DEG)),
     "--path-budget": ({"type": int, "help": "cap on the surviving "
                        "paths and on the tips held; exit 3 past it"},

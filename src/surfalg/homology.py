@@ -23,6 +23,12 @@ algebra tau = O^2, so tube_rank reads O^2 m and O^4 m from that chain
 at the step equal to the period (m against O^4 m by default), and checks
 weak symmetry once per call.
 
+The algebra's stored fields are read as they are: a.vertices orders every
+dimension vector and radical layer, a.paths_from[v] lists the basis paths
+of the projective at v, a.ends[i] the vertex where path i ends, a.index
+the position of a path's prefix, and a.action the matrices of the arrows
+on a projective.
+
 iso_check solves Hom(m, n) and tries seeded random combinations of its
 basis first; Hom(n, m) is solved only when no invertible one (a witness)
 is found, since a witness makes the two Hom spaces equal in dimension.
@@ -71,10 +77,6 @@ def _zeros(r, c):
     return np.zeros((int(r), int(c)), dtype=np.int64)
 
 
-def _vertices(a):
-    return sorted(a.quiver.vertices)
-
-
 def validate_module(a, m):
     """Relation and nilpotency checks on a total module; returns a list of
     violations."""
@@ -95,7 +97,7 @@ def validate_module(a, m):
         return out
     # an A-module has rad^L = 0 for the Loewy length L of A
     series = radical_series(a, m)
-    for v, d in zip(_vertices(a), series[-1]):
+    for v, d in zip(a.vertices, series[-1]):
         if d:
             out.append("module is not nilpotent: at vertex %r, rad^%d has "
                        "dimension %d" % (v, len(series) - 1, d))
@@ -126,14 +128,14 @@ def _free_module(a, basis):
     dims = {v: 0 for v in a.quiver.vertices}
     local = {}
     for li, bi in basis:
-        w = a.basis_target(bi)
+        w = a.ends[bi]
         local[(li, bi)] = dims[w]
         dims[w] += 1
     mats = {x.id: _zeros(dims[x.source], dims[x.target])
             for x in sorted(a.quiver.arrows, key=lambda x: x.id)}
     for li, bi in basis:
         for x, mat in mats.items():
-            for bj, c in a.right_multiply_arrow(bi, x):
+            for bj, c in a.action.get((bi, x), ()):
                 mat[local[(li, bi)], local[(li, bj)]] = c
     return FDModule(dims, mats), local
 
@@ -158,34 +160,33 @@ def projective_cover(a, m):
     whose size shows the map onto.
     """
     p = a.field
-    vertices = _vertices(a)
-    eye = {v: np.eye(m.dims[v], dtype=np.int64) for v in vertices}
+    eye = {v: np.eye(m.dims[v], dtype=np.int64) for v in a.vertices}
     rad = _radical_step(a, m, eye)
-    lifts = [(v, eye[v][j]) for v in vertices
+    lifts = [(v, eye[v][j]) for v in a.vertices
              for j in range(m.dims[v]) if j not in rad[v][1]]
     summands = collections.Counter(v for v, _ in lifts)
 
     basis = [(li, bi) for li, (v, _) in enumerate(lifts)
-             for bi in a.indices_from(v)]
+             for bi in a.paths_from[v]]
     cover, local = _free_module(a, basis)
     phi = {v: _zeros(cover.dims[v], m.dims[v])
            for v in a.quiver.vertices}
-    # indices_from lists a path after its prefix, whose image is then in phi
+    # paths_from lists a path after its prefix, whose image is then in phi
     for li, bi in basis:
         v, path = a.basis[bi]
         if not path:
             img = lifts[li][1]
         else:
-            pre = a._index.get((v, path[:-1]))
+            pre = a.index.get((v, path[:-1]))
             if pre is None:
                 raise RuntimeError(
                     "internal error: the prefix of basis path %s is not a "
                     "basis path" % (path,))
-            img = linalg.matmul(phi[a.basis_target(pre)][local[(li, pre)]],
+            img = linalg.matmul(phi[a.ends[pre]][local[(li, pre)]],
                                 m.mats[path[-1]], p)
-        phi[a.basis_target(bi)][local[(li, bi)]] = img
-    kernel = {v: linalg.left_nullspace(phi[v], p) for v in vertices}
-    for v in vertices:
+        phi[a.ends[bi]][local[(li, bi)]] = img
+    kernel = {v: linalg.left_nullspace(phi[v], p) for v in a.vertices}
+    for v in a.vertices:
         if cover.dims[v] - kernel[v][0].shape[0] != m.dims[v]:
             raise RuntimeError(
                 "cover map is not surjective at vertex %r" % (v,))
@@ -245,12 +246,11 @@ def radical_series(a, m):
     """Per-vertex dimensions of the radical filtration, top layer first,
     up to the first zero layer or rad^L for the Loewy length L of a; that
     last layer is zero exactly when m is nilpotent."""
-    vertices = _vertices(a)
-    rows = {v: np.eye(m.dims[v], dtype=np.int64) for v in vertices}
-    series = [tuple(int(rows[v].shape[0]) for v in vertices)]
+    rows = {v: np.eye(m.dims[v], dtype=np.int64) for v in a.vertices}
+    series = [tuple(int(rows[v].shape[0]) for v in a.vertices)]
     while any(series[-1]) and len(series) <= a.loewy_length:
         rows = {v: r for v, (r, _) in _radical_step(a, m, rows).items()}
-        series.append(tuple(int(rows[v].shape[0]) for v in vertices))
+        series.append(tuple(int(rows[v].shape[0]) for v in a.vertices))
     return tuple(series)
 
 
@@ -268,10 +268,9 @@ class IsoResult:
 def _hom_basis(a, m, n):
     """Basis of the intertwiner space, as per-vertex matrix families."""
     p = a.field
-    vertices = _vertices(a)
     offs = {}
     total = 0
-    for v in vertices:
+    for v in a.vertices:
         offs[v] = total
         total += m.dims[v] * n.dims[v]
     # f_s: m_s x n_s per vertex, unknowns row-major from offs[s]; arrow
@@ -296,7 +295,7 @@ def _hom_basis(a, m, n):
     basis = []
     for row in null:
         fam = {}
-        for v in vertices:
+        for v in a.vertices:
             mv, nv = m.dims[v], n.dims[v]
             fam[v] = row[offs[v] : offs[v] + mv * nv].reshape(mv, nv) % p
         basis.append(fam)
@@ -316,10 +315,11 @@ def iso_check(a, m, n, trials=20, seed=0):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     p = a.field
-    vertices = _vertices(a)
-    dm = m.dim_vector(vertices)
-    dn = n.dim_vector(vertices)
+    dm = m.dim_vector(a.vertices)
+    dn = n.dim_vector(a.vertices)
     if dm != dn:
         return IsoResult(
             "not_iso", "dimension vectors differ: %s vs %s" % (dm, dn),
@@ -340,7 +340,7 @@ def iso_check(a, m, n, trials=20, seed=0):
         # each term is below p^2, which rref has checked fits in int64
         if all(linalg.is_invertible(
                 sum(int(c) * fam[v] % p for c, fam in zip(coeffs, fwd)) % p,
-                p) for v in vertices):
+                p) for v in a.vertices):
             # m and n are isomorphic, so Hom(n, m) has the dimension of
             # Hom(m, n) and need not be solved
             return IsoResult(
@@ -387,11 +387,12 @@ def check_periodicity(a, m, period=4, trials=20, seed=0):
         raise ValueError("period must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     modules = syzygy_chain(a, m, period)
     if modules[1].total_dim == 0:
         raise ValueError("module is projective; its syzygy vanishes")
-    vertices = _vertices(a)
-    chain = tuple(x.dim_vector(vertices) for x in modules if x.total_dim)
+    chain = tuple(x.dim_vector(a.vertices) for x in modules if x.total_dim)
     if len(chain) <= period:
         return PeriodicityResult(
             period, "not_periodic", chain, None, trials, seed, modules)

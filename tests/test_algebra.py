@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from surfalg import algebra, cli, fixtures, linalg, qp
+from surfalg import algebra, cli, fixtures, homology, linalg, qp
 from surfalg.qp import Arrow, Quiver, Relation, RelationSet
 
 
@@ -248,7 +248,7 @@ def test_torus_basis_shape(torus_algebra):
     assert [el for el in a.basis[:3]] == [("1", ()), ("2", ()), ("3", ())]
     # basis closed under source lookup
     for i in range(a.dim):
-        assert a.basis_source(i) in ("1", "2", "3")
+        assert a.basis[i][0] in ("1", "2", "3")
 
 
 def test_tetra_scalar_two_basis(tetra_algebra):
@@ -307,7 +307,28 @@ def test_basis_is_prefix_closed_and_action_composable(request, name):
         assert not path or (v, path[:-1]) in basis
     assert set(a.action) == {
         (i, x.id) for i in range(a.dim) for x in a.quiver.arrows
-        if x.source == a.basis_target(i)}
+        if x.source == a.ends[i]}
+
+
+@pytest.mark.parametrize("name", ["torus_algebra", "kx2_algebra",
+                                  "tetra_algebra"])
+def test_stored_fields_agree_with_the_basis(request, name):
+    a = request.getfixturevalue(name)
+    q = a.quiver
+    assert a.vertices == tuple(sorted(q.vertices))
+    assert a.basis[:len(a.vertices)] == tuple((v, ()) for v in a.vertices)
+    assert len(a.index) == a.dim
+    for i, (v, path) in enumerate(a.basis):
+        assert a.index[(v, path)] == i
+        assert a.ends[i] == (q.arrow(path[-1]).target if path else v)
+    assert sorted(a.paths_from) == list(a.vertices)
+    for v in a.vertices:
+        from_v = a.paths_from[v]
+        assert list(from_v) == [i for i, (u, _) in enumerate(a.basis)
+                                if u == v]
+        for k, i in enumerate(from_v):
+            path = a.basis[i][1]
+            assert not path or a.index[(v, path[:-1])] in from_v[:k]
 
 
 def test_vertex_units_are_idempotent(torus_algebra):
@@ -320,8 +341,8 @@ def test_vertex_units_are_idempotent(torus_algebra):
 def test_unit_acts_as_identity(torus_algebra):
     a = torus_algebra
     for i in range(a.dim):
-        src = a.basis.index((a.basis_source(i), ()))
-        tgt = a.basis.index((a.basis_target(i), ()))
+        src = a.basis.index((a.basis[i][0], ()))
+        tgt = a.basis.index((a.ends[i], ()))
         assert a.mult_table.get((src, i), ()) == ((i, 1),)
         assert a.mult_table.get((i, tgt), ()) == ((i, 1),)
 
@@ -368,17 +389,17 @@ def test_products_respect_filtration(torus_algebra):
 
 def test_cartan_matrix_torus(torus_algebra):
     cm = algebra.cartan_matrix(torus_algebra)
-    assert cm.vertices == ("1", "2", "3")
-    assert [[int(x) for x in row] for row in cm.matrix] == [[4, 4, 4]] * 3
-    assert cm.determinant == 0
-    assert cm.determinant == int(oracles.det_fraction(cm.matrix))
+    assert torus_algebra.vertices == ("1", "2", "3")
+    assert [[int(x) for x in row] for row in cm] == [[4, 4, 4]] * 3
+    assert linalg.det_int(cm) == 0
+    assert linalg.det_int(cm) == int(oracles.det_fraction(cm))
 
 
 def test_cartan_matrix_tetra(tetra_algebra):
     cm = algebra.cartan_matrix(tetra_algebra)
-    total = sum(sum(row) for row in cm.matrix)
+    total = sum(sum(row) for row in cm)
     assert total == tetra_algebra.dim
-    assert cm.determinant == int(oracles.det_fraction(cm.matrix))
+    assert linalg.det_int(cm) == int(oracles.det_fraction(cm))
 
 
 def test_weakly_symmetric(torus_algebra, tetra_algebra):
@@ -391,14 +412,26 @@ def test_weakly_symmetric(torus_algebra, tetra_algebra):
     assert ok2
 
 
-def test_not_weakly_symmetric_example():
+def _not_weakly_symmetric():
     # k[x]/(x^2) over two vertices 1 -> 2: socle of P(1) sits at vertex 2
     q = Quiver(("1", "2"), (Arrow("x", "1", "2"), Arrow("y", "2", "1")))
     rels = _toy_rels(q, [("x", "y"), ("y", "x")])
-    a = algebra.compute_basis(q, rels, p=5, max_deg=10)
-    ok, witness = algebra.check_weakly_symmetric(a)
+    return algebra.compute_basis(q, rels, p=5, max_deg=10)
+
+
+def test_not_weakly_symmetric_example():
+    ok, witness = algebra.check_weakly_symmetric(_not_weakly_symmetric())
     assert not ok
     assert witness["1"]["support"] == ["2"]
+
+
+def test_tube_rank_refuses_the_not_weakly_symmetric_example():
+    # the simples are periodic, but O^2 is not tau over this algebra
+    a = _not_weakly_symmetric()
+    res = homology.check_periodicity(a, homology.simple_module(a, "1"))
+    assert res.verdict == "periodic"
+    with pytest.raises(ValueError, match="algebra is not weakly symmetric"):
+        homology.tube_rank(a, res)
 
 
 def test_serialization(torus_algebra, capsys):
@@ -408,7 +441,8 @@ def test_serialization(torus_algebra, capsys):
     assert doc["dimension"] == torus_algebra.dim == 36
     assert doc["graded_dimensions"] == list(torus_algebra.graded_dims)
     cm = algebra.cartan_matrix(torus_algebra)
-    assert doc["cartan"]["matrix"] == cm.matrix.tolist()
+    assert doc["cartan"]["vertices"] == list(torus_algebra.vertices)
+    assert doc["cartan"]["matrix"] == cm.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,35 @@ def test_verify_counts_the_patterns_before_replaying(capsys, tmp_path,
     assert out.splitlines()[1:] == ["  necklace lists differ", "FAIL"]
 
 
+def test_verify_refuses_a_repeated_necklace(capsys, tmp_path, monkeypatch):
+    cert = tmp_path / "growth.json"
+    run(capsys, "certify-growth", "--builtin", "torus", "--depth", "3",
+        "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["necklaces"].append(doc["necklaces"][0])
+    cert.write_text(json.dumps(doc))
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("the forged certificate was replayed")
+
+    monkeypatch.setattr(strings, "free_composability", no_replay)
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert code == 1
+    assert out.splitlines()[1:] == ["  necklace lists differ", "FAIL"]
+
+
+def test_verify_accepts_a_reordered_necklace_list(capsys, tmp_path):
+    cert = tmp_path / "growth.json"
+    run(capsys, "certify-growth", "--builtin", "torus", "--depth", "3",
+        "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["necklaces"].reverse()
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
+
+
 @pytest.mark.parametrize("forge", [
     {"period": 2000},
     {"period": 2000, "verdict": "not_periodic", "dim_chain": [[1, 0, 0]]},
@@ -543,6 +572,37 @@ def test_verify_rejects_zero_trials_certificate(capsys, tmp_path):
     assert code == 2
     assert "PASS" not in out
     assert "trials must be >= 1" in err
+
+
+def test_periodicity_rejects_a_negative_seed(capsys, tmp_path):
+    cert = tmp_path / "c.json"
+    code, out, err = run(capsys, "periodicity", "--builtin", "torus",
+                         "--simple", "1", "--period", "2", "--seed", "-1",
+                         "--out", str(cert))
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0\n"
+    assert not cert.exists()
+
+
+def test_env_negative_seed_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("SURFALG_SEED", "-3")
+    code, out, err = run(capsys, "periodicity", "--builtin", "kx2")
+    assert code == 2
+    assert err == "error: seed must be >= 0\n"
+
+
+def test_verify_rejects_negative_seed_certificate(capsys, tmp_path):
+    cert = tmp_path / "periodicity.json"
+    run(capsys, "periodicity", "--builtin", "torus", "--simple", "1",
+        "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["seed"] = -1
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert code == 2
+    assert "PASS" not in out
+    assert err == "error: seed must be >= 0\n"
 
 
 @pytest.mark.parametrize("command", ["periodicity", "syzygy"])

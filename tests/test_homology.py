@@ -133,13 +133,13 @@ def test_covering_map_is_lift_times_path_matrix(request, name):
             cover = projective_cover(a, m)
             tops = [u for u, k in cover.summands for _ in range(k)]
             basis = [(li, bi) for li, u in enumerate(tops)
-                     for bi in a.indices_from(u)]
+                     for bi in a.paths_from[u]]
             _, local = homology._free_module(a, basis)
             for li, bi in basis:
                 u, path = a.basis[bi]
                 lift = cover.phi[u][local[(li, a.basis.index((u, ())))]]
                 want = lift @ homology._path_matrix(a, m, u, path) % a.field
-                row = cover.phi[a.basis_target(bi)][local[(li, bi)]]
+                row = cover.phi[a.ends[bi]][local[(li, bi)]]
                 assert row.tolist() == want.tolist(), (v, li, path)
 
 
@@ -294,6 +294,14 @@ def test_nonpositive_trials_rejected(torus_algebra, trials):
         iso_check(torus_algebra, s, s, trials=trials)
     with pytest.raises(ValueError, match="trials must be >= 1"):
         check_periodicity(torus_algebra, s, trials=trials)
+
+
+def test_negative_seed_rejected(torus_algebra):
+    s = simple_module(torus_algebra, "1")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        iso_check(torus_algebra, s, s, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        check_periodicity(torus_algebra, s, seed=-1)
 
 
 @pytest.mark.parametrize("period", [1, 2, 3, 4, 8])

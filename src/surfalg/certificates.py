@@ -18,8 +18,8 @@ Two kinds of certificate:
 
 Every source the program reads -- a builtin name, a triangulation
 document, kx2 or sphere5 -- is resolved here, by the spec readers
-triangulation_from_spec, quotient_from_spec and algebra_from_spec; the
-command line builds its objects through them too.
+triangulation_from_spec, quotient_from_spec, quiver_from_spec and
+algebra_from_spec; the command line builds its objects through them too.
 
 Every document is read through its field table below, by the one
 reader surface.read_fields: a missing, unknown or mistyped field is
@@ -42,6 +42,7 @@ __all__ = [
     "triangulation_from_spec",
     "presentation_spec",
     "quotient_from_spec",
+    "quiver_from_spec",
     "algebra_from_spec",
     "module_from_spec",
     "module_file_specs",
@@ -115,28 +116,30 @@ def quotient_from_spec(spec):
     raise ValueError("unknown presentation source %r" % (source,))
 
 
-def algebra_from_spec(spec):
-    """Rebuild the finite-dimensional algebra from its serializable spec.
+def quiver_from_spec(spec):
+    """The (quiver, relations) of an algebra spec, before any elimination.
 
     Besides triangulation sources, the builtin "kx2" gives the one-vertex
     algebra k[x]/(x^2), a minimal self-injective reference point.
     """
     read_fields(spec, "algebra spec", _ALGEBRA_SPEC)
-    p = spec.get("field", linalg.DEFAULT_PRIME)
-    max_deg = spec.get("max_deg", algebra.DEFAULT_MAX_DEG)
-    budget = spec.get("path_budget", algebra.DEFAULT_PATH_BUDGET)
     if spec.get("builtin") == "kx2":
         if "triangulation" in spec:
             raise ValueError(
                 "algebra spec needs exactly one of 'builtin' or "
                 "'triangulation'")
-        q, rels = fixtures.kx2_algebra_data()
-    else:
-        maps = qp.arrow_maps(triangulation_from_spec(spec, "algebra spec"))
-        q = maps.quiver
-        rels = qp.jacobian_relations(qp.build_potential(maps))
-    return algebra.compute_basis(q, rels, p=p, max_deg=max_deg,
-                                 path_budget=budget)
+        return fixtures.kx2_algebra_data()
+    maps = qp.arrow_maps(triangulation_from_spec(spec, "algebra spec"))
+    return maps.quiver, qp.jacobian_relations(qp.build_potential(maps))
+
+
+def algebra_from_spec(spec):
+    """Rebuild the finite-dimensional algebra from its serializable spec."""
+    q, rels = quiver_from_spec(spec)
+    return algebra.compute_basis(
+        q, rels, p=spec.get("field", linalg.DEFAULT_PRIME),
+        max_deg=spec.get("max_deg", algebra.DEFAULT_MAX_DEG),
+        path_budget=spec.get("path_budget", algebra.DEFAULT_PATH_BUDGET))
 
 
 def module_from_spec(a, spec):

@@ -340,8 +340,12 @@ def cmd_xi(args):
     return 0 if ok else 1
 
 
-def _module_targets(args):
-    """Resolve (algebra, algebra spec, [(label, module spec, module)])."""
+def _module_targets(args, single=False):
+    """Resolve (algebra, algebra spec, [(label, module spec, module)]).
+
+    With single, more than one target is refused before the algebra is
+    built: all simples are one target only over a one-vertex quiver.
+    """
     if args.module:
         for flag in ("--builtin", "--input", "--simple"):
             if getattr(args, flag[2:]):
@@ -354,6 +358,9 @@ def _module_targets(args):
         return a, aspec, [(args.module, mspec, m)]
     aspec = dict(_one_source_spec(args), field=args.field,
                  max_deg=args.max_deg)
+    if (single and not args.simple
+            and len(certificates.quiver_from_spec(aspec)[0].vertices) != 1):
+        raise ValueError("--out needs a single module (--simple or --module)")
     a = certificates.algebra_from_spec(aspec)
     vs = [args.simple] if args.simple else a.vertices
     return a, aspec, [
@@ -362,9 +369,9 @@ def _module_targets(args):
 
 
 def cmd_periodicity(args):
-    a, aspec, targets = _module_targets(args)
-    if args.out and len(targets) != 1:
-        raise ValueError("--out needs a single module (--simple or --module)")
+    homology.check_arguments(period=args.period, trials=args.trials,
+                             seed=args.seed)
+    a, aspec, targets = _module_targets(args, single=bool(args.out))
     all_ok = True
     for label, mspec, m in targets:
         res = homology.check_periodicity(a, m, period=args.period,
@@ -388,6 +395,7 @@ def cmd_periodicity(args):
 
 
 def cmd_syzygy(args):
+    homology.check_arguments(steps=args.steps)
     a, _, targets = _module_targets(args)
     chains = [(label, homology.syzygy_chain(a, m, args.steps))
               for label, _, m in targets]

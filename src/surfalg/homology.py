@@ -32,6 +32,23 @@ on a projective.
 iso_check solves Hom(m, n) and tries seeded random combinations of its
 basis first; Hom(n, m) is solved only when no invertible one (a witness)
 is found, since a witness makes the two Hom spaces equal in dimension.
+
+Hom(m, n) is solved on the top of m's projective cover P -> m, for
+A-modules m and n (every caller validates or builds its modules).  A map
+P -> n is fixed by the images g_i in n of the cover's top generators: the
+cover row (i, path) goes to g_i times n's matrix of the path.  It factors
+through m exactly when it kills the kernel the cover carries, so the
+unknowns are the g_i, sum of n_v over the generators, fewer than the
+sum of m_v * n_v entries of an intertwiner.  Each solution descends to m by
+solving phi_w f_w = (its images at w) on the pivot rows of phi_w (those
+outside the free rows of the cover's kernel), where phi_w is square and
+invertible.  The basis returned is the reduced one that
+linalg.nullspace gives for the intertwiner equations M_x f_t = f_s N_x
+with the f_v laid out row-major in vertex order: the identity on the
+free columns of those equations, which are the pivots of the rref of
+the solutions with the columns reversed.  So the rref of the stacked
+families, taken with the columns reversed and then turned back, is that
+basis, and the seeded trials draw the same witnesses from it.
 """
 
 import collections
@@ -49,6 +66,7 @@ __all__ = [
     "simple_module",
     "projective_cover",
     "syzygy",
+    "check_arguments",
     "syzygy_chain",
     "radical_series",
     "iso_check",
@@ -144,6 +162,8 @@ def _free_module(a, basis):
 class _Cover:
     module: object
     summands: tuple
+    tops: tuple
+    rows: dict
     phi: dict
     kernel: dict
 
@@ -155,8 +175,9 @@ def projective_cover(a, m):
     the non-pivot columns of the reduced radical; each lift contributes one
     projective summand, each basis path of which goes to its prefix's
     image times its last arrow's matrix.  Returns the cover module, the
-    summand multiset, the per-vertex matrix of the covering map (rows
-    indexed by the cover basis at that vertex) and its left_nullspace,
+    summand multiset, the vertex of each top generator, the cover basis at
+    each vertex as (generator, basis path) rows, the per-vertex matrix of
+    the covering map (one row per cover basis row) and its left_nullspace,
     whose size shows the map onto.
     """
     p = a.field
@@ -169,6 +190,9 @@ def projective_cover(a, m):
     basis = [(li, bi) for li, (v, _) in enumerate(lifts)
              for bi in a.paths_from[v]]
     cover, local = _free_module(a, basis)
+    rows = {v: [] for v in a.quiver.vertices}
+    for li, bi in basis:
+        rows[a.ends[bi]].append((li, bi))
     phi = {v: _zeros(cover.dims[v], m.dims[v])
            for v in a.quiver.vertices}
     # paths_from lists a path after its prefix, whose image is then in phi
@@ -193,6 +217,8 @@ def projective_cover(a, m):
     return _Cover(
         module=cover,
         summands=tuple(sorted(summands.items())),
+        tops=tuple(v for v, _ in lifts),
+        rows={v: tuple(r) for v, r in rows.items()},
         phi=phi,
         kernel=kernel,
     )
@@ -216,10 +242,18 @@ def syzygy(a, m):
     return FDModule(dims, mats)
 
 
+def check_arguments(period=1, trials=1, seed=0, steps=0):
+    """Refuse a period or trial count below 1 or a negative seed or step
+    count, in that order, with a ValueError naming it."""
+    for name, value, least in (("period", period, 1), ("trials", trials, 1),
+                               ("seed", seed, 0), ("steps", steps, 0)):
+        if value < least:
+            raise ValueError("%s must be >= %d" % (name, least))
+
+
 def syzygy_chain(a, m, steps):
     """(m, Om, ..., O^steps m), cut after the first zero syzygy."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    check_arguments(steps=steps)
     chain = [m]
     for _ in range(steps):
         chain.append(syzygy(a, chain[-1]))
@@ -266,38 +300,65 @@ class IsoResult:
 
 
 def _hom_basis(a, m, n):
-    """Basis of the intertwiner space, as per-vertex matrix families."""
+    """Basis of Hom(m, n) for A-modules m and n, as per-vertex matrix
+    families in reduced form: the one nullspace would give for the
+    equations M_x f_t = f_s N_x on the f_v laid out row-major in vertex
+    order (see the module docstring)."""
     p = a.field
-    offs = {}
-    total = 0
-    for v in a.vertices:
-        offs[v] = total
-        total += m.dims[v] * n.dims[v]
-    # f_s: m_s x n_s per vertex, unknowns row-major from offs[s]; arrow
-    # x: s -> t gives M_x f_t - f_s N_x = 0, one row per entry (i, j), and
-    # row-major vec(A X B) = (A kron B^T) vec(X)
-    eqs = []
-    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
-        s, t = x.source, x.target
-        ms, mt = m.dims[s], m.dims[t]
-        ns, nt = n.dims[s], n.dims[t]
-        if ms == 0 or nt == 0:
-            continue
-        block = _zeros(ms * nt, total)
-        block[:, offs[t]:offs[t] + mt * nt] += np.kron(
-            m.mats[x.id], np.eye(nt, dtype=np.int64))
-        block[:, offs[s]:offs[s] + ms * ns] -= np.kron(
-            np.eye(ms, dtype=np.int64), n.mats[x.id].T)
-        block %= p
-        eqs.append(block[block.any(axis=1)])
-    mat = np.vstack(eqs) if eqs else _zeros(0, total)
-    null, _ = linalg.nullspace(mat, p)
+    cover = projective_cover(a, m)
+    # the unknowns: the image g_i in n of each top generator of the cover,
+    # n.dims[v] coordinates from offs[i] for a generator at v
+    offs = np.cumsum([0] + [n.dims[v] for v in cover.tops]).tolist()
+    u = offs[-1]
+    # n's matrix of each basis path out of a generator's vertex;
+    # paths_from lists a path after its prefix
+    npath = {}
+    for v in dict.fromkeys(cover.tops):
+        for bi in a.paths_from[v]:
+            path = a.basis[bi][1]
+            npath[bi] = (np.eye(n.dims[v], dtype=np.int64) if not path
+                         else linalg.matmul(npath[a.index[(v, path[:-1])]],
+                                            n.mats[path[-1]], p))
+    # images[w][q] takes g to the image in n of cover row q = (i, path) at
+    # w, g_i times n's path matrix; g gives a map on m when the kernel of
+    # the covering map at every w goes to zero
+    images, eqs = {}, []
+    for w in a.vertices:
+        rows, nw = cover.rows[w], n.dims[w]
+        y = np.zeros((len(rows), u, nw), dtype=np.int64)
+        for q, (li, bi) in enumerate(rows):
+            y[q, offs[li]:offs[li + 1]] = npath[bi]
+        images[w] = y
+        k = cover.kernel[w][0]
+        e = linalg.matmul(k, y.reshape(len(rows), u * nw), p)
+        eqs.append(e.reshape(len(k), u, nw).transpose(0, 2, 1)
+                   .reshape(len(k) * nw, u))
+    g, _ = linalg.nullspace(np.vstack(eqs), p)
+    if not len(g):
+        return []
+    # descend: phi_w f_w = images of g, solved on the pivot rows of phi_w,
+    # where phi_w is invertible and rref([phi_w | 1]) = [1 | phi_w^-1]
+    flat = []
+    for w in a.vertices:
+        mw, nw = m.dims[w], n.dims[w]
+        free = set(cover.kernel[w][1])
+        piv = [q for q in range(len(cover.rows[w])) if q not in free]
+        inv = linalg.rref(np.hstack([cover.phi[w][piv],
+                                     np.eye(mw, dtype=np.int64)]), p)[0]
+        img = linalg.matmul(
+            g, images[w][piv].transpose(1, 0, 2).reshape(u, mw * nw), p)
+        f = linalg.matmul(inv[:, mw:], img.reshape(len(g), mw, nw), p)
+        flat.append(f.reshape(len(g), mw * nw))
+    # the reduced form is the identity on the last-greedy information set,
+    # the pivots of the rref with the columns reversed
+    flat = linalg.rref(np.hstack(flat)[:, ::-1], p)[0][::-1, ::-1]
     basis = []
-    for row in null:
-        fam = {}
+    for row in flat:
+        fam, o = {}, 0
         for v in a.vertices:
             mv, nv = m.dims[v], n.dims[v]
-            fam[v] = row[offs[v] : offs[v] + mv * nv].reshape(mv, nv) % p
+            fam[v] = row[o:o + mv * nv].reshape(mv, nv)
+            o += mv * nv
         basis.append(fam)
     return basis
 
@@ -305,18 +366,17 @@ def _hom_basis(a, m, n):
 def iso_check(a, m, n, trials=20, seed=0):
     """Decide isomorphism by invariants, then randomized intertwiners.
 
-    Dimension vectors and radical filtrations must match; then the
-    intertwiner space Hom(m, n) is solved exactly, and random combinations
-    of its basis are tested for invertibility at every vertex.  Hom(n, m)
+    m and n are A-modules.  Dimension vectors and radical filtrations must
+    match; then the intertwiner space Hom(m, n) is solved exactly on the
+    top of m's projective cover (see the module docstring), and random
+    combinations of its reduced basis are tested for invertibility at
+    every vertex.  Hom(n, m)
     is solved only when no witness is found: an invertible intertwiner
     makes m and n isomorphic, so hom_backward is then hom_forward.
     Returns iso (with the witnessing combination), not_iso (with the
     separating invariant), or inconclusive.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    check_arguments(trials=trials, seed=seed)
     p = a.field
     dm = m.dim_vector(a.vertices)
     dn = n.dim_vector(a.vertices)
@@ -383,12 +443,7 @@ def check_periodicity(a, m, period=4, trials=20, seed=0):
     Projective modules are rejected: their syzygy vanishes, so syzygy
     periodicity is not the right question for them.
     """
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    check_arguments(period=period, trials=trials, seed=seed)
     modules = syzygy_chain(a, m, period)
     if modules[1].total_dim == 0:
         raise ValueError("module is projective; its syzygy vanishes")

@@ -90,11 +90,11 @@ def rref(a, p):
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(a[:, c])
-        below = nz[nz >= r]
-        if below.size == 0:
+        nz = a[:, c].nonzero()[0]
+        k = int(nz.searchsorted(r))
+        if k == nz.size:
             continue
-        i = int(below[0])
+        i = int(nz[k])
         if i != r:
             a[[r, i], c:] = a[[i, r], c:]
         if a[r, c] != 1:
@@ -103,8 +103,7 @@ def rref(a, p):
         # row r, which is zero in column c whenever i != r
         rows = nz[nz != i]
         if rows.size:
-            a[rows, c:] = (a[rows, c:]
-                           - np.outer(a[rows, c], a[r, c:])) % p
+            a[rows, c:] = (a[rows, c:] - a[rows, c, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a[:r], pivots

@@ -636,6 +636,43 @@ def test_syzygy_rejects_negative_steps(capsys):
     assert "steps must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv,err", [
+    (("periodicity", "--builtin", "genus2", "--trials", "0"),
+     "trials must be >= 1"),
+    (("periodicity", "--builtin", "genus2", "--period", "0"),
+     "period must be >= 1"),
+    (("periodicity", "--builtin", "genus2", "--seed", "-1"),
+     "seed must be >= 0"),
+    (("periodicity", "--module", "fixtures/torus_simple1.json",
+      "--trials", "0"), "trials must be >= 1"),
+    (("periodicity", "--builtin", "genus2", "--out"),
+     "--out needs a single module (--simple or --module)"),
+    (("periodicity", "--input", "fixtures/torus2.json", "--out"),
+     "--out needs a single module (--simple or --module)"),
+    (("syzygy", "--builtin", "genus2", "--steps", "-1"),
+     "steps must be >= 0"),
+], ids=["trials", "period", "seed", "module-trials", "out-genus2",
+        "out-torus2", "steps"])
+def test_refused_arguments_build_no_algebra(capsys, monkeypatch, tmp_path,
+                                            argv, err):
+    calls = []
+    monkeypatch.setattr(certificates, "algebra_from_spec", calls.append)
+    if argv[-1] == "--out":
+        argv += (str(tmp_path / "cert.json"),)
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % err)
+    assert calls == []
+    assert not (tmp_path / "cert.json").exists()
+
+
+def test_all_simples_of_one_vertex_are_one_out_target(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, "periodicity", "--builtin", "kx2",
+                         "--out", str(cert))
+    assert (code, err) == (0, "")
+    assert out.startswith("simple(1): periodic")
+    assert json.loads(cert.read_text())["module"] == {"simple": "1"}
+
+
 def test_periodicity_shares_one_chain_per_module(capsys, monkeypatch):
     # per torus simple: O^1..O^4 once, m against O^4 m once (reused for the
     # tube rank), m against O^2 m once; one weak-symmetry check per algebra

@@ -1,8 +1,11 @@
 """Every IsoResult field of iso_check on fixed module pairs, recorded when
 both Hom spaces were always solved, so solving Hom(N, M) only when no
-witness turns up cannot change a verdict, a count or a witness."""
+witness turns up cannot change a verdict, a count or a witness.  Hom bases
+are compared, family by family, with the loop oracle on those pairs and on
+a torus module file against its syzygies."""
 
 import functools
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +13,10 @@ import pytest
 import oracles
 from surfalg import certificates, homology
 from surfalg.homology import FDModule
+
+# S1 + OS2 + O^2S3 over the torus in a seeded basis, dimension vector (9, 7, 9)
+SUM3_FILE = pathlib.Path(__file__).resolve().parents[1] / (
+    "fixtures/torus_sum3.json")
 
 
 @functools.lru_cache(maxsize=None)
@@ -55,6 +62,11 @@ def _pair(name):
         trials, seed = {"p5-omega4": (1, 0), "seed7-omega4": (3, 7)}.get(
             kind, (20, 0))
         return a, s, _omega(a, s, k), trials, seed
+    if kind == "sum3-omega":
+        a = _algebra("torus", 32003)
+        _, spec = certificates.module_file_specs(SUM3_FILE.read_text())
+        m = certificates.module_from_spec(a, spec)
+        return a, m, _omega(a, m, int(arg)), 20, 0
     if kind == "sum-omega4":
         field, trials, seed = (int(x) for x in arg.split("/"))
         a = _algebra("torus", field)
@@ -161,7 +173,8 @@ def test_iso_check_golden(name):
     assert res.seed == seed
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED))
+@pytest.mark.parametrize("name", sorted(EXPECTED) + [
+    "omega4:genus2/a"] + ["sum3-omega:%d" % k for k in range(6)])
 def test_hom_basis_matches_loop_oracle(name):
     a, m, n, _, _ = _pair(name)
     for src, dst in ((m, n), (n, m)):

@@ -2,7 +2,10 @@
 periodicity, tube rank and `syzygy` came to share one syzygy chain per
 module, and the exact refusals of bad `periodicity` options.  The genus2
 row was recorded when its algebra first stabilized, once the quotient came
-from a truncated standard basis."""
+from a truncated standard basis.  The rows of the torus module file
+S1 + OS2 + O^2S3 were recorded while Hom spaces were still solved on the
+full system of intertwiner equations, before they were solved on the top
+of the projective cover."""
 
 import json
 import pathlib
@@ -13,6 +16,7 @@ from surfalg import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULE_FILE = "fixtures/torus_simple1.json"
+SUM3_FILE = "fixtures/torus_sum3.json"
 
 RANK2 = "  omega^4 iso: yes; tau^2 iso: yes (tau = omega^2); tube rank: 2\n"
 RANK1 = "  omega^4 iso: yes; tau^2 iso: yes (tau = omega^2); tube rank: 1\n"
@@ -21,6 +25,8 @@ S1_CHAIN = "[1, 0, 0] -> [3, 4, 4] -> [5, 4, 4] -> [3, 4, 4] -> [1, 0, 0]"
 S2_CHAIN = "[0, 1, 0] -> [4, 3, 4] -> [4, 5, 4] -> [4, 3, 4] -> [0, 1, 0]"
 S3_CHAIN = "[0, 0, 1] -> [4, 4, 3] -> [4, 4, 5] -> [4, 4, 3] -> [0, 0, 1]"
 KX2_CHAIN = "[1] -> [1] -> [1] -> [1] -> [1]"
+SUM3_DIMS = [[9, 7, 9], [11, 13, 11], [9, 7, 9], [7, 9, 7], [9, 7, 9]]
+SUM3_CHAIN = " -> ".join(map(str, SUM3_DIMS))
 
 TORUS_ALL = (
     "simple(1): periodic [" + S1_CHAIN + "]\n" + RANK2
@@ -67,6 +73,8 @@ PERIODICITY_GOLDEN = [
       "--trials", "3"), 0,
      "simple(2): periodic [" + S2_CHAIN + "]\n" + RANK2),
     (("--builtin", "genus2"), 0, GENUS2_ALL),
+    (("--module", SUM3_FILE), 0,
+     SUM3_FILE + ": periodic [" + SUM3_CHAIN + "]\n" + RANK2),
 ]
 
 SYZYGY_GOLDEN = [
@@ -126,6 +134,14 @@ CERT_GOLDEN = [
      MODULE_FILE + ": periodic [" + S1_CHAIN + "]\n" + RANK2,
      _cert(TORUS_SPEC, {"dims": {"1": 1, "2": 0, "3": 0}, "matrices": {}},
            S1_DIMS), 0, PASS_4),
+    (("--module", SUM3_FILE), 0,
+     SUM3_FILE + ": periodic [" + SUM3_CHAIN + "]\n" + RANK2,
+     _cert(TORUS_SPEC, {k: v for k, v in json.loads(
+         (ROOT / SUM3_FILE).read_text()).items() if k != "algebra"},
+           SUM3_DIMS, hom_dim=17,
+           witness=(27222, 20384, 16357, 8633, 9851, 1311, 2407, 528, 5609,
+                    26027, 20783, 29210, 16117, 19414, 31066, 23346, 20234)),
+     0, PASS_4),
 ]
 
 

@@ -278,6 +278,8 @@ def cmd_certify_growth(args):
             raise ValueError("unknown arrow %r" % (aid,))
         w1 = strings.build_xi(maps, aid)
         w2 = strings.build_eta(maps, aid)
+    # the census refuses a bad --max-len before the patterns are checked
+    census = strings.band_counts(pres, args.max_len)
     cert = certificates.make_growth_certificate(spec, pres, w1, w2,
                                                 depth=args.depth)
     if isinstance(cert, strings.CounterExample):
@@ -295,7 +297,7 @@ def cmd_certify_growth(args):
     lines.append(
         "verified %d composition patterns to depth %d: all bands"
         % (len(cert.necklaces), cert.depth))
-    rep = strings.growth_report(strings.band_counts(pres, args.max_len))
+    rep = strings.growth_report(census)
     lines.append("band counts up to length %d:" % args.max_len)
     lines.extend(strings.growth_table(rep, indent="  "))
     lines.append("growth estimate: max count^(1/length) = %.4f at length %d"

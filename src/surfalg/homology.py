@@ -11,10 +11,12 @@ algebra too; validate_module checks both.
 
 radical_series repeats the radical step from the identity up to a zero
 layer, at most the Loewy length times; validate_module reads its last
-layer.  projective_cover reads the top of m off one radical step, sends a
-summand's basis path to its prefix's image times the matrix of its last
-arrow, and keeps the kernel of each vertex's covering matrix, which
-syzygy reads.  syzygy_chain, the one loop over syzygy, returns
+layer.  projective_cover reads the top of m off one radical step and
+keeps the kernel of each vertex's covering matrix, which syzygy reads.
+_path_images, the one path action, takes vectors of a module at v to
+their images under each basis path from v, one matmul per path; the
+cover passes it the lifts of the generators at v, _hom_basis the
+identity of n at v.  syzygy_chain, the one loop over syzygy, returns
 (m, Om, ..., O^k m) up to the first zero module and is what the `syzygy`
 command prints.  check_periodicity keeps the chain it walks in its result,
 which `periodicity` passes on to tube_rank: over a weakly symmetric
@@ -51,7 +53,6 @@ families, taken with the columns reversed and then turned back, is that
 basis, and the seeded trials draw the same witnesses from it.
 """
 
-import collections
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,83 +142,80 @@ def simple_module(a, v):
     return FDModule(dims, mats)
 
 
-def _free_module(a, basis):
-    """Sum of projectives on (summand, basis index) rows, and their indices."""
-    dims = {v: 0 for v in a.quiver.vertices}
-    local = {}
-    for li, bi in basis:
-        w = a.ends[bi]
-        local[(li, bi)] = dims[w]
-        dims[w] += 1
-    mats = {x.id: _zeros(dims[x.source], dims[x.target])
-            for x in sorted(a.quiver.arrows, key=lambda x: x.id)}
-    for li, bi in basis:
-        for x, mat in mats.items():
-            for bj, c in a.action.get((bi, x), ()):
-                mat[local[(li, bi)], local[(li, bj)]] = c
-    return FDModule(dims, mats), local
-
-
 @dataclass(frozen=True)
 class _Cover:
     module: object
-    summands: tuple
     tops: tuple
     rows: dict
     phi: dict
     kernel: dict
 
 
+def _path_images(a, m, v, rows):
+    """rows (vectors of m at v) times m's matrix of each basis path from v,
+    keyed by basis index; paths_from[v] lists a path after its prefix."""
+    p = a.field
+    images = {}
+    for bi in a.paths_from[v]:
+        path = a.basis[bi][1]
+        if not path:
+            images[bi] = rows
+            continue
+        pre = a.index.get((v, path[:-1]))
+        if pre is None:
+            raise RuntimeError(
+                "internal error: the prefix of basis path %s is not a "
+                "basis path" % (path,))
+        images[bi] = linalg.matmul(images[pre], m.mats[path[-1]], p)
+    return images
+
+
 def projective_cover(a, m):
     """Projective cover of m, with the covering map.
 
     The top of m at each vertex is lifted by the standard basis vectors at
-    the non-pivot columns of the reduced radical; each lift contributes one
-    projective summand, each basis path of which goes to its prefix's
-    image times its last arrow's matrix.  Returns the cover module, the
-    summand multiset, the vertex of each top generator, the cover basis at
-    each vertex as (generator, basis path) rows, the per-vertex matrix of
-    the covering map (one row per cover basis row) and its left_nullspace,
-    whose size shows the map onto.
+    the non-pivot columns of the reduced radical, and the lifts at a vertex
+    go through _path_images together.  Returns the cover module, the vertex
+    of each top generator, the cover basis at each vertex as (generator,
+    basis path) rows, generator by generator, the per-vertex matrix of the
+    covering map (one row per cover row) and its left_nullspace, whose
+    size shows the map onto.
     """
     p = a.field
     eye = {v: np.eye(m.dims[v], dtype=np.int64) for v in a.vertices}
     rad = _radical_step(a, m, eye)
-    lifts = [(v, eye[v][j]) for v in a.vertices
-             for j in range(m.dims[v]) if j not in rad[v][1]]
-    summands = collections.Counter(v for v, _ in lifts)
+    lifts = {v: eye[v][[j for j in range(m.dims[v]) if j not in rad[v][1]]]
+             for v in a.vertices}
+    tops = tuple(v for v in a.vertices for _ in lifts[v])
 
-    basis = [(li, bi) for li, (v, _) in enumerate(lifts)
-             for bi in a.paths_from[v]]
-    cover, local = _free_module(a, basis)
     rows = {v: [] for v in a.quiver.vertices}
-    for li, bi in basis:
-        rows[a.ends[bi]].append((li, bi))
-    phi = {v: _zeros(cover.dims[v], m.dims[v])
-           for v in a.quiver.vertices}
-    # paths_from lists a path after its prefix, whose image is then in phi
-    for li, bi in basis:
-        v, path = a.basis[bi]
-        if not path:
-            img = lifts[li][1]
-        else:
-            pre = a.index.get((v, path[:-1]))
-            if pre is None:
-                raise RuntimeError(
-                    "internal error: the prefix of basis path %s is not a "
-                    "basis path" % (path,))
-            img = linalg.matmul(phi[a.ends[pre]][local[(li, pre)]],
-                                m.mats[path[-1]], p)
-        phi[a.ends[bi]][local[(li, bi)]] = img
+    phi = {v: [] for v in a.quiver.vertices}
+    images = {v: _path_images(a, m, v, lifts[v])
+              for v in dict.fromkeys(tops)}
+    for li, v in enumerate(tops):
+        k = li - tops.index(v)
+        for bi in a.paths_from[v]:
+            rows[a.ends[bi]].append((li, bi))
+            phi[a.ends[bi]].append(images[v][bi][k])
+    phi = {v: np.array(r, dtype=np.int64).reshape(len(r), m.dims[v])
+           for v, r in phi.items()}
+    # the cover is the sum of the projectives e_v A, one per generator:
+    # row (i, b) times an arrow x is row i's part of the normal form of b x
+    at = {r: q for v in a.quiver.vertices for q, r in enumerate(rows[v])}
+    mats = {}
+    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
+        mat = mats[x.id] = _zeros(len(rows[x.source]), len(rows[x.target]))
+        for q, (li, bi) in enumerate(rows[x.source]):
+            for bj, c in a.action[(bi, x.id)]:
+                mat[q, at[(li, bj)]] = c
     kernel = {v: linalg.left_nullspace(phi[v], p) for v in a.vertices}
     for v in a.vertices:
-        if cover.dims[v] - kernel[v][0].shape[0] != m.dims[v]:
+        if len(rows[v]) - kernel[v][0].shape[0] != m.dims[v]:
             raise RuntimeError(
                 "cover map is not surjective at vertex %r" % (v,))
     return _Cover(
-        module=cover,
-        summands=tuple(sorted(summands.items())),
-        tops=tuple(v for v, _ in lifts),
+        module=FDModule({v: len(r) for v, r in rows.items()}, mats),
+        tops=tops,
         rows={v: tuple(r) for v, r in rows.items()},
         phi=phi,
         kernel=kernel,
@@ -303,22 +301,19 @@ def _hom_basis(a, m, n):
     """Basis of Hom(m, n) for A-modules m and n, as per-vertex matrix
     families in reduced form: the one nullspace would give for the
     equations M_x f_t = f_s N_x on the f_v laid out row-major in vertex
-    order (see the module docstring)."""
+    order (see the module docstring); n's path matrices come from
+    _path_images, one matmul per path from each top vertex of m's cover."""
     p = a.field
     cover = projective_cover(a, m)
     # the unknowns: the image g_i in n of each top generator of the cover,
     # n.dims[v] coordinates from offs[i] for a generator at v
     offs = np.cumsum([0] + [n.dims[v] for v in cover.tops]).tolist()
     u = offs[-1]
-    # n's matrix of each basis path out of a generator's vertex;
-    # paths_from lists a path after its prefix
+    # n's matrix of each basis path out of a generator's vertex
     npath = {}
     for v in dict.fromkeys(cover.tops):
-        for bi in a.paths_from[v]:
-            path = a.basis[bi][1]
-            npath[bi] = (np.eye(n.dims[v], dtype=np.int64) if not path
-                         else linalg.matmul(npath[a.index[(v, path[:-1])]],
-                                            n.mats[path[-1]], p))
+        npath.update(_path_images(a, n, v,
+                                  np.eye(n.dims[v], dtype=np.int64)))
     # images[w][q] takes g to the image in n of cover row q = (i, path) at
     # w, g_i times n's path matrix; g gives a map on m when the kernel of
     # the covering map at every w goes to zero

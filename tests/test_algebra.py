@@ -299,7 +299,7 @@ def test_torus_budget_boundary(torus_quiver, torus_relations):
 @pytest.mark.parametrize("name", ["torus_algebra", "kx2_algebra",
                                   "tetra_algebra"])
 def test_basis_is_prefix_closed_and_action_composable(request, name):
-    # projective_cover builds each path's image from its prefix's, and
+    # homology._path_images builds each path's image from its prefix's, and
     # mult_table walks the action; both rely on these two facts
     a = request.getfixturevalue(name)
     basis = set(a.basis)

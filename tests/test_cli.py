@@ -486,6 +486,20 @@ def test_certify_growth_checks_patterns_by_primitivity(capsys, monkeypatch):
     assert calls == {"free_composability": 1, "is_band": 2}
 
 
+@pytest.mark.parametrize("max_len", ["0", "-1"])
+def test_certify_growth_refuses_max_len_before_the_certificate(
+        capsys, monkeypatch, max_len):
+    # the census is counted first, so a bad --max-len costs no pattern check
+    def no_check(*args, **kwargs):
+        raise AssertionError("free_composability ran")
+
+    monkeypatch.setattr(strings, "free_composability", no_check)
+    code, out, err = run(capsys, "certify-growth", "--builtin", "genus2",
+                         "--depth", "16", "--max-len", max_len)
+    assert (code, out) == (2, "")
+    assert "max_len must be >= 1" in err
+
+
 @pytest.mark.parametrize("argv,allowed", [
     (("algebra", "--builtin", "torus"), (1,)),
     (("bands", "--builtin", "torus", "--max-len", "4"), (1,)),

@@ -119,28 +119,54 @@ def test_projective_cover_of_simple_is_projective(torus_algebra):
         s = simple_module(torus_algebra, v)
         cover = projective_cover(torus_algebra, s)
         assert cover.module.dim_vector(VS) == (4, 4, 4)
-        assert [u for u, _ in cover.summands] == [v]
+        assert cover.tops == (v,)
+
+
+def _cover_cases(request, name):
+    """(algebra, modules): O^0..O^3 of each simple, or of the torus module
+    file torus_sum3."""
+    if name == "torus_sum3":
+        a = request.getfixturevalue("torus_algebra")
+        _, spec = certificates.module_file_specs(
+            (ROOT / "fixtures/torus_sum3.json").read_text())
+        return a, syzygy_chain(a, certificates.module_from_spec(a, spec), 3)
+    a = request.getfixturevalue(name)
+    return a, [m for v in sorted(a.quiver.vertices)
+               for m in syzygy_chain(a, simple_module(a, v), 3)]
 
 
 @pytest.mark.parametrize("name", ["torus_algebra", "kx2_algebra",
-                                  "tetra_algebra"])
+                                  "tetra_algebra", "torus_sum3"])
 def test_covering_map_is_lift_times_path_matrix(request, name):
-    # the cover computes each path's image from its prefix's; compare with
-    # the path matrix multiplied out from the identity
-    a = request.getfixturevalue(name)
-    for v in sorted(a.quiver.vertices):
-        for m in syzygy_chain(a, simple_module(a, v), 3):
-            cover = projective_cover(a, m)
-            tops = [u for u, k in cover.summands for _ in range(k)]
-            basis = [(li, bi) for li, u in enumerate(tops)
-                     for bi in a.paths_from[u]]
-            _, local = homology._free_module(a, basis)
-            for li, bi in basis:
+    # the cover computes each path's image from its prefix's, for all the
+    # generators at a vertex at once; compare with the path matrix
+    # multiplied out from the identity.  The torus_sum3 covers have two or
+    # three generators at a vertex, where a wrong generator would show.
+    a, modules = _cover_cases(request, name)
+    for m in modules:
+        cover = projective_cover(a, m)
+        series = radical_series(a, m)
+        assert cover.tops == tuple(
+            v for v, top, rad in zip(a.vertices, series[0], series[1])
+            for _ in range(top - rad))
+        # generator by generator, each generator's paths in basis order
+        basis = [(li, bi) for li, u in enumerate(cover.tops)
+                 for bi in a.paths_from[u]]
+        assert cover.rows == {w: tuple(r for r in basis if a.ends[r[1]] == w)
+                              for w in a.quiver.vertices}
+        lifts = [cover.phi[u][cover.rows[u].index((li, a.index[u, ()]))]
+                 for li, u in enumerate(cover.tops)]
+        for u in a.vertices:
+            # standard basis vectors of m at u, in column order
+            got = [x.tolist() for x, t in zip(lifts, cover.tops) if t == u]
+            eye = np.eye(m.dims[u], dtype=np.int64).tolist()
+            assert got == [x for x in eye if x in got]
+        for w, rows in cover.rows.items():
+            for q, (li, bi) in enumerate(rows):
                 u, path = a.basis[bi]
-                lift = cover.phi[u][local[(li, a.basis.index((u, ())))]]
-                want = lift @ homology._path_matrix(a, m, u, path) % a.field
-                row = cover.phi[a.ends[bi]][local[(li, bi)]]
-                assert row.tolist() == want.tolist(), (v, li, path)
+                want = lifts[li] @ homology._path_matrix(a, m, u, path)
+                assert cover.phi[w][q].tolist() == (want % a.field).tolist(), (
+                    li, path)
 
 
 def test_syzygy_dimension_accounting(torus_algebra):

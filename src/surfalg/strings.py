@@ -20,6 +20,14 @@ enough to expose every cyclic junction and every cyclic factor up to the
 longest effective forbidden word.  Bands are canonicalized to the
 lexicographically least rotation; a band and its inverse are kept distinct.
 
+Letters are named tuples (arrow, kind), so words compare and hash as tuples
+do, in C.  A letter's hash is that of the pair (arrow, kind), the value a
+frozen dataclass with the same two fields gives; set and dict orders over
+letters rest on it.  A word is primitive when its root length, the length
+of the shortest u with w = u^k, is its own length; _root_length finds it by
+descending from len(w) one prime factor at a time, with one slice
+comparison per step.
+
 Each presentation precomputes one W2 window table: for each length, the
 letter tuples that spell an effective forbidden word or its inverse.  Three
 private functions answer every question the checks ask: _windows_ending
@@ -82,14 +90,13 @@ INVERSE = "inverse"
 SPECIAL = "special"
 
 
-@dataclass(frozen=True, order=False)
-class Letter:
-    arrow: str
-    kind: str
+class Letter(collections.namedtuple("Letter", "arrow kind")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (DIRECT, INVERSE, SPECIAL):
-            raise ValueError("unknown letter kind %r" % (self.kind,))
+    def __new__(cls, arrow, kind):
+        if kind not in (DIRECT, INVERSE, SPECIAL):
+            raise ValueError("unknown letter kind %r" % (kind,))
+        return super().__new__(cls, arrow, kind)
 
     def __repr__(self):
         return "Letter(%r, %s)" % (self.arrow, self.kind)
@@ -482,25 +489,30 @@ def _string_violations(p, w, n):
     return viols
 
 
-def _min_period(w):
-    n = len(w)
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and w[i] != w[k]:
-            k = fail[k - 1]
-        if w[i] == w[k]:
-            k += 1
-        fail[i] = k
-    return n - fail[n - 1]
+def _root_length(w):
+    """The length of the shortest u with w = u^k.
+
+    w is a power of w[:d] exactly when d divides len(w) and
+    w[d:] == w[:-d], and the d that pass are the multiples of the root
+    length; so start from len(w) and, for each prime factor q of len(w),
+    divide by q while the quotient still passes."""
+    d = n = len(w)
+    q = 2
+    while n > 1:
+        if q * q > n:
+            q = n  # the last prime factor
+        if n % q == 0:
+            while n % q == 0:
+                n //= q
+            while d % q == 0 and w[d // q:] == w[:-(d // q)]:
+                d //= q
+        q += 1
+    return d
 
 
 def is_primitive(w):
     w = tuple(w)
-    if not w:
-        return False
-    per = _min_period(w)
-    return per == len(w) or len(w) % per != 0
+    return bool(w) and _root_length(w) == len(w)
 
 
 def is_band(p, w):
@@ -524,9 +536,10 @@ def is_band(p, w):
             "word ends at %s but starts at %s"
             % (p.end(w[-1]), p.start(w[0]))))
     if not is_primitive(w):
+        # a proper power's least period is its root length
         viols.append(Incompatibility(
             "primitive", 1,
-            "word is a proper power (least period %d)" % _min_period(w)))
+            "word is a proper power (least period %d)" % _root_length(w)))
     if viols:
         return StringCheck(False, tuple(viols))
     m = max(2, -(-p.max_effective_forbidden // len(w)) + 1)

@@ -74,6 +74,9 @@ CASES = [
     # junction 12 is not clean, so every pattern gets the full band check
     "certify-growth --builtin sphere5 --word1 a1.a2'.a3 "
     "--word2 a1'.b3.eps3*.c3.a2 --depth 4",
+    # the benchmark's deep replays: composed words of up to 204 letters
+    "certify-growth --builtin sphere5 --depth 9 --out {out}",
+    "certify-growth --builtin genus2 --arrow x0_0 --max-len 10 --out {out}",
     "certify-growth --builtin torus --arrow nope",
     "certify-growth --builtin tetra",
     "certify-growth --input fixtures/tetra.json",

@@ -44,6 +44,70 @@ def test_letter_kinds():
         Letter("a1", "sideways")
 
 
+def test_letter_contract(sphere5_pres):
+    x = Letter("x0_0", "direct")
+    y = direct("x0_0")
+    assert x == y and x is not y
+    assert x != inverse("x0_0")
+    # equal hashes to the pairs keep set and dict orders byte-stable
+    for kind in ("direct", "inverse", "special"):
+        assert hash(Letter("a1", kind)) == hash(("a1", kind))
+    with pytest.raises(ValueError, match=r"^unknown letter kind 'sideways'$"):
+        Letter("a1", "sideways")
+    with pytest.raises(AttributeError):
+        x.arrow = "x0_1"
+    assert repr(x) == "Letter('x0_0', direct)"
+    assert repr(special("eps1")) == "Letter('eps1', special)"
+    with pytest.raises(ValueError,
+                       match=r"^not a letter: \('a1', 'direct'\)$"):
+        sphere5_pres.validate_letter(("a1", "direct"))
+
+
+def _loops(arrows):
+    """One vertex with a loop per arrow and nothing forbidden: every word
+    over these arrows is closed."""
+    return WordPresentation("loops", ("1",), {a: ("1", "1") for a in arrows},
+                            (), ())
+
+
+def _check_primitivity(p, spec):
+    """is_primitive against the oracle on the word spelled by spec, a list
+    of (arrow, inverse?) pairs, whose letters are built afresh so that equal
+    letters are never identical; a proper power's least period, as is_band
+    reports it, must be the oracle's."""
+    word = tuple(inverse(a) if inv else direct(a) for a, inv in spec)
+    per = oracles.naive_min_period(word)
+    assert strings.is_primitive(word) == (per == len(word)), spec
+    if per != len(word):
+        assert is_band(p, word).violations[0].detail == (
+            "word is a proper power (least period %d)" % per)
+
+
+def test_is_primitive_matches_oracle_on_short_words():
+    p = _loops("a")
+    for n in range(1, 13):
+        for bits in range(2 ** n):
+            _check_primitivity(
+                p, [("a", bits >> i & 1) for i in range(n)])
+
+
+def test_is_primitive_matches_oracle_on_long_powers():
+    p = _loops("abc")
+    rng = random.Random(2801)
+    longest = 0
+    for _ in range(300):
+        size = rng.randint(1, 3)
+        u = [(rng.choice("abc"[:size]), rng.random() < 0.5)
+             for _ in range(rng.randint(1, 48))]
+        spec = u * rng.randint(1, 240 // len(u) + 2)
+        longest = max(longest, len(spec))
+        _check_primitivity(p, spec)
+        # the same power with its last letter turned round is a near miss
+        a, inv = spec[-1]
+        _check_primitivity(p, spec[:-1] + [(a, not inv)])
+    assert longest >= 240
+
+
 def test_parse_format_round_trip():
     for text in (ALPHA, BETA, "x0_0.x1_0'", "eps1*"):
         w = parse_word(text)

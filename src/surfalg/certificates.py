@@ -11,10 +11,17 @@ Two kinds of certificate:
   stored junction records, max_forbidden, necklace list with its band
   flags and scope must all equal what the replay finds.
 
-  periodicity: an algebra spec, a module spec, a syzygy period and the
-  seeded isomorphism evidence.  Replaying rebuilds both, fails a stored
-  dimension chain whose length is not period + 1 before any syzygy, and
-  re-runs the periodicity check with the same seed.
+  periodicity: an algebra spec, a module spec, a syzygy period, the seed
+  and trial count of the producing check, and the isomorphism it found,
+  f_v: M_v -> (O^period M)_v at every vertex v.  Verifying rebuilds the
+  algebra and the module, fails a stored dimension chain whose length is
+  not period + 1 before any syzygy, and fails a verdict other than
+  periodic at once.  It then rebuilds the syzygy chain, compares its
+  dimensions, and checks the stored maps: each f_v invertible, and
+  M_x f_t = f_s N_x for every arrow x: s -> t, where N = O^period M.  It
+  solves no Hom space and draws no trials, so its verdict does not depend
+  on the seed.  The matrices are read with the module reader's shape and
+  range checks.
 
 Every source the program reads -- a builtin name, a triangulation
 document, kx2 or sphere5 -- is resolved here, by the spec readers
@@ -142,6 +149,23 @@ def algebra_from_spec(spec):
         path_budget=spec.get("path_budget", algebra.DEFAULT_PATH_BUDGET))
 
 
+def _matrix(rows, shape, p, name):
+    """The matrix of a document's rows (read as [[int]]), refused with a
+    ValueError led by name unless its rows have one length, it has the
+    expected shape and its entries lie in 0..p-1; [] is the matrix with
+    no rows."""
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("%s has rows of different lengths" % name)
+    got = np.shape(rows)
+    if got == (0,) and shape[0] == 0:
+        got = shape  # [] is the matrix with no rows
+    if got != shape:
+        raise ValueError("%s has shape %s, expected %s" % (name, got, shape))
+    if any(not 0 <= e < p for row in rows for e in row):
+        raise ValueError("%s has entries outside 0..%d" % (name, p - 1))
+    return np.array(rows, dtype=np.int64).reshape(shape)
+
+
 def module_from_spec(a, spec):
     """Build and validate a module over a from its serializable spec: the
     total module (see homology) in which a vertex left out of dims has
@@ -159,10 +183,6 @@ def module_from_spec(a, spec):
     if negative:
         raise ValueError(
             "module dims for %r must be a nonnegative int" % negative[0])
-    for aid, r in rows.items():
-        if len(set(map(len, r))) > 1:
-            raise ValueError("matrix for %s has rows of different lengths"
-                             % aid)
     unknown = ["dims mentions unknown vertex %r" % (v,)
                for v in given if v not in a.quiver.vertices]
     unknown += ["matrices mention unknown arrow %r" % (aid,)
@@ -172,22 +192,13 @@ def module_from_spec(a, spec):
     dims = {v: given.get(v, 0) for v in a.quiver.vertices}
     shapes = {x.id: (dims[x.source], dims[x.target])
               for x in a.quiver.arrows}
-    for aid in sorted(rows):
-        shape = np.shape(rows[aid])
-        if shape == (0,) and shapes[aid][0] == 0:
-            shape = shapes[aid]  # [] is the matrix with no rows
-        if shape != shapes[aid]:
-            raise ValueError(
-                "invalid module: matrix for %s has shape %s, expected %s"
-                % (aid, shape, shapes[aid]))
-        if any(not 0 <= e < a.field for row in rows[aid] for e in row):
-            raise ValueError(
-                "invalid module: matrix for %s has entries outside 0..%d"
-                % (aid, a.field - 1))
+    mats = {aid: _matrix(rows[aid], shapes[aid], a.field,
+                         "invalid module: matrix for %s" % aid)
+            for aid in sorted(rows)}
     try:
         m = homology.FDModule(dims, {
-            aid: (np.array(rows[aid], dtype=np.int64).reshape(want)
-                  if aid in rows else np.zeros(want, dtype=np.int64))
+            aid: (mats[aid] if aid in rows
+                  else np.zeros(want, dtype=np.int64))
             for aid, want in shapes.items()})
         problems = homology.validate_module(a, m)
     except linalg._InexactField:
@@ -253,13 +264,12 @@ class PeriodicityCertificate:
     seed: int
     verdict: str
     dim_chain: tuple
-    hom_dim: int
-    witness: tuple
+    isomorphism: dict  # vertex -> rows of f_v: M_v -> (O^period M)_v
 
     KIND = "periodicity"
     FIELDS = {"kind": str, "algebra": dict, "module": dict, "period": int,
               "trials": int, "seed": int, "verdict": str,
-              "dim_chain": [[int]], "hom_dim": int, "witness": [int]}
+              "dim_chain": [[int]], "isomorphism": _MATRICES}
 
 
 _CERTIFICATES = {cls.KIND: cls
@@ -294,8 +304,9 @@ def make_growth_certificate(pres_spec, p, w1, w2, depth=6):
 
 
 def make_periodicity_certificate(alg_spec, mod_spec, res):
-    """Wrap a check_periodicity result (any verdict) with its specs."""
-    iso = res.iso
+    """Wrap a check_periodicity result (any verdict) with its specs and,
+    for an isomorphism found on a trial, its matrices."""
+    found = (res.iso and res.iso.isomorphism) or {}
     return PeriodicityCertificate(
         algebra=dict(alg_spec),
         module=dict(mod_spec),
@@ -304,8 +315,7 @@ def make_periodicity_certificate(alg_spec, mod_spec, res):
         seed=res.seed,
         verdict=res.verdict,
         dim_chain=res.dim_chain,
-        hom_dim=iso.hom_forward if iso is not None else 0,
-        witness=iso.witness if iso is not None else (),
+        isomorphism={v: f.tolist() for v, f in found.items()},
     )
 
 
@@ -407,7 +417,9 @@ def _verify_growth(cert):
 
 
 def _verify_periodicity(cert):
-    messages = []
+    """Check the stored isomorphism f: M -> N = O^period M on the rebuilt
+    syzygy chain: every f_v is invertible and M_x f_t = f_s N_x for every
+    arrow x: s -> t.  No Hom space is solved and no trial drawn."""
     a = algebra_from_spec(cert.algebra)
     m = module_from_spec(a, cert.module)
     # every written chain holds the module and its first period syzygies;
@@ -415,35 +427,40 @@ def _verify_periodicity(cert):
     if len(cert.dim_chain) != cert.period + 1:
         return VerificationResult(
             False, cert.KIND, ("syzygy dimension chain differs",))
-    res = homology.check_periodicity(
-        a, m, period=cert.period, trials=cert.trials, seed=cert.seed)
-    ok = True
-    if res.verdict != cert.verdict:
-        ok = False
-        messages.append(
-            "verdict mismatch: replay says %s, certificate says %s"
-            % (res.verdict, cert.verdict))
-    if tuple(tuple(dv) for dv in res.dim_chain) != \
-            tuple(tuple(dv) for dv in cert.dim_chain):
-        ok = False
-        messages.append("syzygy dimension chain differs")
-    if res.iso is not None and tuple(res.iso.witness) != tuple(cert.witness):
-        ok = False
-        messages.append("isomorphism witness differs")
-    hom_dim = res.iso.hom_forward if res.iso is not None else 0
-    if hom_dim != cert.hom_dim:
-        ok = False
-        messages.append(
-            "Hom dimension differs: replay says %s, certificate says %s"
-            % (hom_dim, cert.hom_dim))
-    if ok:
-        messages.append(
-            "replayed %d syzygy steps with seed %d; verdict %s confirmed"
-            % (cert.period, cert.seed, cert.verdict))
+    homology.check_arguments(period=cert.period, trials=cert.trials,
+                             seed=cert.seed)
     if cert.verdict != "periodic":
-        ok = False
-        messages.append("certificate does not claim periodicity")
-    return VerificationResult(ok, cert.KIND, tuple(messages))
+        return VerificationResult(
+            False, cert.KIND, ("certificate does not claim periodicity",))
+    chain = homology.syzygy_chain(a, m, cert.period)
+    if tuple(x.dim_vector(a.vertices) for x in chain) != \
+            tuple(map(tuple, cert.dim_chain)):
+        return VerificationResult(
+            False, cert.KIND, ("syzygy dimension chain differs",))
+    n, p = chain[-1], a.field
+    unknown = sorted(cert.isomorphism.keys() - set(a.vertices))
+    missing = [v for v in a.vertices if v not in cert.isomorphism]
+    if unknown or missing:
+        raise ValueError("invalid isomorphism: %s vertex %r" % (
+            ("unknown", unknown[0]) if unknown else ("missing", missing[0])))
+    f = {v: _matrix(cert.isomorphism[v], (m.dims[v], n.dims[v]), p,
+                    "invalid isomorphism: matrix for vertex %r" % (v,))
+         for v in a.vertices}
+    messages = []
+    for v in a.vertices:
+        if not linalg.is_invertible(f[v], p):
+            messages.append("isomorphism is not invertible at vertex %r"
+                            % (v,))
+    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
+        if not np.array_equal(linalg.matmul(m.mats[x.id], f[x.target], p),
+                              linalg.matmul(f[x.source], n.mats[x.id], p)):
+            messages.append("isomorphism does not commute with arrow %s"
+                            % x.id)
+    if messages:
+        return VerificationResult(False, cert.KIND, tuple(messages))
+    return VerificationResult(True, cert.KIND, (
+        "replayed %d syzygy steps with seed %d; verdict periodic confirmed"
+        % (cert.period, cert.seed),))
 
 
 def verify_certificate(cert):

@@ -13,6 +13,15 @@ radical_series repeats the radical step from the identity up to a zero
 layer, at most the Loewy length times; validate_module reads its last
 layer.  projective_cover reads the top of m off one radical step and
 keeps the kernel of each vertex's covering matrix, which syzygy reads.
+
+Modules are never mutated after they are built, so each keeps a record
+of its cover and its radical series: projective_cover and radical_series
+compute them once per module and algebra object (found with an `is`
+check) and store them in the module's record, which lives and dies with
+the module.  So the radical series that validate_module computes is the
+one iso_check compares, and the cover that syzygy_chain builds for m is
+the one _hom_basis solves Hom(m, n) on.
+
 _path_images, the one path action, takes vectors of a module at v to
 their images under each basis path from v, one matmul per path; the
 cover passes it the lifts of the generators at v, _hom_basis the
@@ -34,6 +43,8 @@ on a projective.
 iso_check solves Hom(m, n) and tries seeded random combinations of its
 basis first; Hom(n, m) is solved only when no invertible one (a witness)
 is found, since a witness makes the two Hom spaces equal in dimension.
+The witnessing combination, an isomorphism f_v: m_v -> n_v at every
+vertex, is kept in the result for the periodicity certificate.
 
 Hom(m, n) is solved on the top of m's projective cover P -> m, for
 A-modules m and n (every caller validates or builds its modules).  A map
@@ -79,10 +90,13 @@ __all__ = [
 @dataclass(frozen=True)
 class FDModule:
     """dims: vertex -> nonnegative int, at every vertex; mats: arrow id ->
-    numpy matrix, for every arrow (see the module docstring)."""
+    numpy matrix, for every arrow; record: the results kept for this
+    module (see the module docstring).  Never mutated once built."""
 
     dims: dict
     mats: dict
+    # (algebra, {name: result}) pairs, filled by _recorded
+    record: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def total_dim(self):
@@ -170,7 +184,27 @@ def _path_images(a, m, v, rows):
     return images
 
 
+def _recorded(a, m, name, compute):
+    """m's stored result name over the algebra object a, computed by
+    compute(a, m) and stored the first time it is asked for."""
+    for alg, results in m.record:
+        if alg is a:
+            break
+    else:
+        results = {}
+        m.record.append((a, results))
+    if name not in results:
+        results[name] = compute(a, m)
+    return results[name]
+
+
 def projective_cover(a, m):
+    """Projective cover of m, with the covering map, built once per
+    algebra object and kept in m's record (see _build_cover)."""
+    return _recorded(a, m, "cover", _build_cover)
+
+
+def _build_cover(a, m):
     """Projective cover of m, with the covering map.
 
     The top of m at each vertex is lifted by the standard basis vectors at
@@ -233,10 +267,10 @@ def syzygy(a, m):
         (ks, _), (kt, free) = cover.kernel[s], cover.kernel[t]
         imgs = linalg.matmul(ks, cover.module.mats[x.id], p)
         coords = imgs[:, free] if imgs.size else _zeros(dims[s], dims[t])
-        if linalg.matmul(coords, kt, p).tolist() != imgs.tolist():
+        if not np.array_equal(linalg.matmul(coords, kt, p), imgs):
             raise RuntimeError(
                 "syzygy image of arrow %s leaves the kernel" % (x.id,))
-        mats[x.id] = coords % p
+        mats[x.id] = coords
     return FDModule(dims, mats)
 
 
@@ -277,7 +311,12 @@ def _radical_step(a, m, rows):
 def radical_series(a, m):
     """Per-vertex dimensions of the radical filtration, top layer first,
     up to the first zero layer or rad^L for the Loewy length L of a; that
-    last layer is zero exactly when m is nilpotent."""
+    last layer is zero exactly when m is nilpotent.  Computed once per
+    algebra object and kept in m's record."""
+    return _recorded(a, m, "radical_series", _build_radical_series)
+
+
+def _build_radical_series(a, m):
     rows = {v: np.eye(m.dims[v], dtype=np.int64) for v in a.vertices}
     series = [tuple(int(rows[v].shape[0]) for v in a.vertices)]
     while any(series[-1]) and len(series) <= a.loewy_length:
@@ -295,6 +334,8 @@ class IsoResult:
     witness: tuple
     trials: int
     seed: int
+    # the witnessing isomorphism {vertex: f_v} of an iso found on a trial
+    isomorphism: dict = field(default=None, repr=False, compare=False)
 
 
 def _hom_basis(a, m, n):
@@ -365,11 +406,11 @@ def iso_check(a, m, n, trials=20, seed=0):
     match; then the intertwiner space Hom(m, n) is solved exactly on the
     top of m's projective cover (see the module docstring), and random
     combinations of its reduced basis are tested for invertibility at
-    every vertex.  Hom(n, m)
-    is solved only when no witness is found: an invertible intertwiner
-    makes m and n isomorphic, so hom_backward is then hom_forward.
-    Returns iso (with the witnessing combination), not_iso (with the
-    separating invariant), or inconclusive.
+    every vertex.  Hom(n, m) is solved only when no witness is found: an
+    invertible intertwiner makes m and n isomorphic, so hom_backward is
+    then hom_forward.  Returns iso (with the witnessing combination and
+    the isomorphism it gives), not_iso (with the separating invariant), or
+    inconclusive.
     """
     check_arguments(trials=trials, seed=seed)
     p = a.field
@@ -392,16 +433,19 @@ def iso_check(a, m, n, trials=20, seed=0):
         coeffs = rng.integers(0, p, size=len(fwd))
         if not coeffs.any():
             coeffs[0] = 1
-        # each term is below p^2, which rref has checked fits in int64
-        if all(linalg.is_invertible(
-                sum(int(c) * fam[v] % p for c, fam in zip(coeffs, fwd)) % p,
-                p) for v in a.vertices):
+        f = {}
+        for v in a.vertices:
+            # each term is below p^2, which rref has checked fits in int64
+            f[v] = sum(int(c) * fam[v] % p for c, fam in zip(coeffs, fwd)) % p
+            if not linalg.is_invertible(f[v], p):
+                break
+        else:
             # m and n are isomorphic, so Hom(n, m) has the dimension of
             # Hom(m, n) and need not be solved
             return IsoResult(
                 "iso", "invertible intertwiner found on trial %d" % (t + 1),
                 len(fwd), len(fwd),
-                tuple(int(c) for c in coeffs), t + 1, seed)
+                tuple(int(c) for c in coeffs), t + 1, seed, f)
     bwd = _hom_basis(a, n, m)
     if len(fwd) != len(bwd):
         return IsoResult(

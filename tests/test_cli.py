@@ -427,20 +427,60 @@ def test_verify_tampered_certificate_fails(capsys, tmp_path):
     assert "FAIL" in out
 
 
-def test_verify_checks_stored_hom_dim(capsys, tmp_path):
-    cert = tmp_path / "kx2.json"
-    run(capsys, "periodicity", "--builtin", "kx2", "--simple", "1",
-        "--out", str(cert))
-    doc = json.loads(cert.read_text())
-    assert doc["hom_dim"] == 1
-    doc["hom_dim"] = 99
+@pytest.fixture(scope="module")
+def sum3_certificate(tmp_path_factory):
+    """The certificate of the torus module file S1 + OS2 + O^2S3, whose
+    arrows act by nonzero matrices, as a document."""
+    path = tmp_path_factory.mktemp("sum3") / "cert.json"
+    assert cli.main(["periodicity", "--module", "fixtures/torus_sum3.json",
+                     "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _verify_doc(capsys, tmp_path, doc):
+    cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "verify", "--input", str(cert))
+    return run(capsys, "verify", "--input", str(cert))
+
+
+def test_verify_checks_the_stored_isomorphism_commutes(
+        capsys, tmp_path, sum3_certificate):
+    doc = json.loads(json.dumps(sum3_certificate))
+    doc["isomorphism"]["2"][0][0] += 1
+    assert _verify_doc(capsys, tmp_path, doc) == (
+        1, "certificate kind: periodicity\n"
+           "  isomorphism does not commute with arrow x0_0\n"
+           "  isomorphism does not commute with arrow x0_1\n"
+           "  isomorphism does not commute with arrow x1_0\n"
+           "FAIL\n", "")
+
+
+def test_verify_checks_the_stored_isomorphism_is_invertible(
+        capsys, tmp_path, sum3_certificate):
+    doc = json.loads(json.dumps(sum3_certificate))
+    doc["isomorphism"]["2"][3] = [0] * 7
+    code, out, err = _verify_doc(capsys, tmp_path, doc)
     assert (code, err) == (1, "")
+    assert out.startswith("certificate kind: periodicity\n"
+                          "  isomorphism is not invertible at vertex '2'\n")
+    assert out.endswith("FAIL\n")
+
+
+def test_verify_solves_no_hom_and_draws_no_trial(
+        capsys, tmp_path, monkeypatch, sum3_certificate):
+    # the stored maps are checked as they are: the seed is only reported
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify repeated the periodicity check")
+
+    for name in ("_hom_basis", "iso_check", "check_periodicity"):
+        monkeypatch.setattr(homology, name, refuse)
+    code, out, err = _verify_doc(capsys, tmp_path,
+                                 dict(sum3_certificate, seed=5, trials=1))
+    assert (code, err) == (0, "")
     assert out == ("certificate kind: periodicity\n"
-                   "  Hom dimension differs: replay says 1, "
-                   "certificate says 99\n"
-                   "FAIL\n")
+                   "  replayed 4 syzygy steps with seed 5; verdict periodic "
+                   "confirmed\n"
+                   "PASS\n")
 
 
 @pytest.mark.parametrize("tamper,message", [
@@ -1052,7 +1092,8 @@ def _set(*path_and_value):
     ("periodicity", _set("seed", "x"), "'seed'"),
     ("periodicity", _set("dim_chain", 3), "'dim_chain'"),
     ("periodicity", _set("dim_chain", [1, 1]), "'dim_chain'"),
-    ("periodicity", _set("witness", 5), "'witness'"),
+    ("periodicity", _set("isomorphism", 5), "'isomorphism'"),
+    ("periodicity", _set("isomorphism", "1", [[0.5]]), "'isomorphism'"),
     ("periodicity", _set("algebra", "field", None), "'field'"),
     ("periodicity", _set("algebra", "max_deg", [40]), "'max_deg'"),
     ("growth", _set("word1", 5), "'word1'"),
@@ -1067,7 +1108,8 @@ def _set(*path_and_value):
     ("periodicity", _set("algebra", "max_deg", 40.9), "'max_deg'"),
 ], ids=["depth-str", "depth-null", "junctions-int", "necklaces-object",
         "violations-str", "period-str", "trials-null", "seed-str",
-        "dim_chain-int", "dim_chain-ints", "witness-int", "field-null",
+        "dim_chain-int", "dim_chain-ints", "isomorphism-int",
+        "isomorphism-float", "field-null",
         "max_deg-list", "word1-int", "scope-int", "basepoint-list",
         "max_forbidden-str", "symbols-list", "matrices-int", "dims-int",
         "field-str", "max_deg-float"])
@@ -1087,6 +1129,30 @@ def test_verify_names_a_mistyped_field(capsys, tmp_path, kind, tamper,
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda d: d["isomorphism"]["1"].pop(),
+     "matrix for vertex '1' has shape (8, 9), expected (9, 9)"),
+    (_set("isomorphism", "2", []),
+     "matrix for vertex '2' has shape (0,), expected (7, 7)"),
+    (lambda d: d["isomorphism"]["1"][0].append(1),
+     "matrix for vertex '1' has rows of different lengths"),
+    (_set("isomorphism", "3", 8, 0, 32003),
+     "matrix for vertex '3' has entries outside 0..32002"),
+    # beyond int64: read as a JSON integer, then refused by its range
+    (_set("isomorphism", "3", 8, 0, 2 ** 64),
+     "matrix for vertex '3' has entries outside 0..32002"),
+    (_set("isomorphism", "4", []), "unknown vertex '4'"),
+    (lambda d: d["isomorphism"].pop("3"), "missing vertex '3'"),
+], ids=["shape", "empty", "ragged", "entry-p", "entry-huge",
+        "unknown-vertex", "missing-vertex"])
+def test_verify_names_a_bad_isomorphism_matrix(
+        capsys, tmp_path, sum3_certificate, tamper, message):
+    doc = json.loads(json.dumps(sum3_certificate))
+    tamper(doc)
+    assert _verify_doc(capsys, tmp_path, doc) == (
+        2, "", "error: invalid isomorphism: %s\n" % message)
 
 
 @pytest.mark.parametrize("doc,field", [

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from surfalg import certificates, homology
+from surfalg import certificates, cli, homology
 from surfalg.homology import (
     FDModule,
     check_periodicity,
@@ -391,3 +391,50 @@ def test_two_punctured_torus_simples_lie_in_rank_two_tubes():
         got[v] = (res.verdict, res.dim_chain, tube_rank(a, res))
     assert got == {v: ("periodic", chain, 2)
                    for v, chain in TORUS2_CHAINS.items()}
+
+
+def test_each_module_is_covered_and_filtered_once(capsys, monkeypatch):
+    # count the covers and radical series built, not the calls that find
+    # them in a module's record
+    built = {"cover": [], "radical_series": []}
+
+    def counting(name):
+        build = getattr(homology, "_build_" + name)
+
+        def wrapped(a, m):
+            built[name].append(m)
+            return build(a, m)
+        return wrapped
+
+    for name in built:
+        monkeypatch.setattr(homology, "_build_" + name, counting(name))
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["periodicity", "--module",
+                     "fixtures/torus_sum3.json"]) == 0
+    capsys.readouterr()
+    # M, OM, O^2M and O^3M; Hom(M, O^4M) is solved on the cover of M that
+    # the first syzygy built
+    covered = built["cover"]
+    assert len(covered) == 4
+    assert len({id(m) for m in covered}) == 4
+    # the series that validates M is the one both iso_checks compare
+    m = built["radical_series"][0]
+    assert m is covered[0]
+    assert sum(x is m for x in built["radical_series"]) == 1
+
+
+def test_a_second_algebra_object_gets_its_own_cover():
+    spec = {"builtin": "torus"}
+    a, b = (certificates.algebra_from_spec(spec) for _ in range(2))
+    m = syzygy(a, simple_module(a, "1"))
+    ca, cb = projective_cover(a, m), projective_cover(b, m)
+    assert projective_cover(a, m) is ca and projective_cover(b, m) is cb
+    assert ca is not cb
+    assert (ca.tops, ca.rows, ca.module.dims) == (
+        cb.tops, cb.rows, cb.module.dims)
+    for v in a.vertices:
+        assert np.array_equal(ca.phi[v], cb.phi[v])
+        assert np.array_equal(ca.kernel[v][0], cb.kernel[v][0])
+    for x in a.quiver.arrows:
+        assert np.array_equal(ca.module.mats[x.id], cb.module.mats[x.id])
+    assert radical_series(a, m) == radical_series(b, m)

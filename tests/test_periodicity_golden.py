@@ -5,7 +5,9 @@ row was recorded when its algebra first stabilized, once the quotient came
 from a truncated standard basis.  The rows of the torus module file
 S1 + OS2 + O^2S3 were recorded while Hom spaces were still solved on the
 full system of intertwiner equations, before they were solved on the top
-of the projective cover."""
+of the projective cover.  The certificates were re-recorded when they came
+to store the isomorphism M -> O^4 M in place of the Hom dimension and the
+witnessing coefficients; every other byte is as before."""
 
 import json
 import pathlib
@@ -103,12 +105,50 @@ PASS_4 = ("certificate kind: periodicity\n"
           "PASS\n")
 
 
+# the isomorphism of a simple at vertex 1: 27222 times the identity
+S1_ISO = {"1": [[27222]], "2": [], "3": []}
+# the isomorphism of S1 + OS2 + O^2S3 with its fourth syzygy
+SUM3_ISO = {
+    "1": [
+        [23473, 16347, 29088, 30246, 15192, 16678, 11810, 16403, 4086],
+        [21689, 29998, 8211, 18240, 3527, 17510, 26179, 7651, 14492],
+        [1610, 18127, 15987, 19697, 24252, 30397, 11849, 21264, 19504],
+        [19526, 28499, 1008, 20930, 30569, 591, 10593, 29748, 29527],
+        [5723, 3182, 24334, 9794, 15140, 27218, 5553, 29307, 28926],
+        [3662, 569, 5960, 19392, 23299, 1388, 25864, 14893, 13669],
+        [9316, 6957, 13505, 13746, 10559, 1928, 24202, 455, 14851],
+        [21946, 3727, 3042, 4541, 21240, 20783, 9255, 29031, 306],
+        [27222, 8593, 20384, 10459, 16357, 15497, 13559, 18261, 20006],
+    ],
+    "2": [
+        [2242, 21179, 12451, 28355, 29218, 12814, 13714],
+        [23209, 25734, 7302, 30166, 16900, 26420, 11814],
+        [17517, 17245, 19094, 6744, 29270, 11812, 17655],
+        [19635, 23470, 10613, 25865, 7146, 28373, 1621],
+        [3380, 6513, 1339, 12137, 22835, 30844, 8624],
+        [361, 1130, 3812, 23310, 11017, 8049, 8633],
+        [16159, 31336, 9430, 25662, 6569, 9596, 9851],
+    ],
+    "3": [
+        [8158, 10356, 22609, 26450, 21067, 42, 3776, 10150, 30486],
+        [2574, 20385, 31640, 24259, 25723, 10248, 16712, 25034, 13400],
+        [19848, 7109, 216, 9399, 19264, 19318, 8976, 25098, 22189],
+        [17879, 14287, 31130, 23358, 26279, 20976, 28279, 3791, 6488],
+        [30788, 5689, 16639, 8847, 19800, 8867, 3911, 27853, 19963],
+        [29773, 27299, 264, 3060, 841, 4849, 29085, 9919, 14917],
+        [11470, 27999, 21458, 3845, 7396, 14188, 24481, 25298, 17710],
+        [30457, 1311, 29980, 20687, 2407, 17786, 15402, 528, 5609],
+        [26027, 20783, 29210, 16117, 19414, 20528, 31066, 23346, 20234],
+    ],
+}
+
+
 def _cert(algebra, module, dim_chain, period=4, verdict="periodic",
-          hom_dim=1, witness=(27222,)):
-    return {"algebra": algebra, "dim_chain": dim_chain, "hom_dim": hom_dim,
-            "kind": "periodicity", "module": module, "period": period,
-            "seed": 0, "trials": 20, "verdict": verdict,
-            "witness": list(witness)}
+          isomorphism=S1_ISO):
+    return {"algebra": algebra, "dim_chain": dim_chain,
+            "isomorphism": isomorphism, "kind": "periodicity",
+            "module": module, "period": period, "seed": 0, "trials": 20,
+            "verdict": verdict}
 
 
 # (periodicity args, exit code, stdout, certificate, verify code and stdout)
@@ -118,16 +158,15 @@ CERT_GOLDEN = [
      _cert(TORUS_SPEC, {"simple": "1"}, S1_DIMS), 0, PASS_4),
     (("--builtin", "kx2", "--simple", "1"), 0,
      "simple(1): periodic [" + KX2_CHAIN + "]\n" + RANK1,
-     _cert(dict(TORUS_SPEC, builtin="kx2"), {"simple": "1"}, [[1]] * 5),
+     _cert(dict(TORUS_SPEC, builtin="kx2"), {"simple": "1"}, [[1]] * 5,
+           isomorphism={"1": [[27222]]}),
      0, PASS_4),
     (("--builtin", "torus", "--simple", "3", "--period", "2"), 1,
      "simple(3): not_periodic [[0, 0, 1] -> [4, 4, 3] -> [4, 4, 5]]\n"
      + RANK2,
      _cert(TORUS_SPEC, {"simple": "3"}, [[0, 0, 1], [4, 4, 3], [4, 4, 5]],
-           period=2, verdict="not_periodic", hom_dim=0, witness=()),
+           period=2, verdict="not_periodic", isomorphism={}),
      1, "certificate kind: periodicity\n"
-        "  replayed 2 syzygy steps with seed 0; verdict not_periodic "
-        "confirmed\n"
         "  certificate does not claim periodicity\n"
         "FAIL\n"),
     (("--module", MODULE_FILE), 0,
@@ -138,9 +177,7 @@ CERT_GOLDEN = [
      SUM3_FILE + ": periodic [" + SUM3_CHAIN + "]\n" + RANK2,
      _cert(TORUS_SPEC, {k: v for k, v in json.loads(
          (ROOT / SUM3_FILE).read_text()).items() if k != "algebra"},
-           SUM3_DIMS, hom_dim=17,
-           witness=(27222, 20384, 16357, 8633, 9851, 1311, 2407, 528, 5609,
-                    26027, 20783, 29210, 16117, 19414, 31066, 23346, 20234)),
+           SUM3_DIMS, isomorphism=SUM3_ISO),
      0, PASS_4),
 ]
 
@@ -200,6 +237,20 @@ def test_a_module_file_may_leave_out_zeros(capsys, in_root, tmp_path):
         _cert(TORUS_SPEC, module, S1_DIMS), indent=2, sort_keys=True) + "\n"
     assert run(capsys, "verify", "--input", str(short_cert)) == (
         0, PASS_4, "")
+
+
+def test_verify_refuses_the_format_with_a_hom_dim_and_a_witness(
+        capsys, tmp_path):
+    # a torus simple 1 certificate as written before the isomorphism was
+    # stored: the Hom dimension and the witnessing coefficients
+    old = {"algebra": TORUS_SPEC, "dim_chain": S1_DIMS, "hom_dim": 1,
+           "kind": "periodicity", "module": {"simple": "1"}, "period": 4,
+           "seed": 0, "trials": 20, "verdict": "periodic",
+           "witness": [27222]}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    assert run(capsys, "verify", "--input", str(path)) == (
+        2, "", "error: periodicity certificate has unknown field 'hom_dim'\n")
 
 
 @pytest.mark.parametrize("args,code,err", [

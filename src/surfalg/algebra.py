@@ -68,7 +68,6 @@ class NonStabilizationError(Exception):
     """
 
     def __init__(self, max_deg, graded_dims, reason="max_deg reached"):
-        self.max_deg = max_deg
         self.graded_dims = tuple(graded_dims)
         self.reason = reason
         super().__init__(
@@ -295,7 +294,6 @@ class FDAlgebra:
 
     quiver: object
     field: int
-    relations: object
     vertices: tuple
     basis: tuple
     graded_dims: tuple
@@ -380,7 +378,6 @@ def compute_basis(q, rels, p=linalg.DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
     return FDAlgebra(
         quiver=q,
         field=p,
-        relations=rels,
         vertices=vertices,
         basis=tuple(basis),
         index=index,

@@ -204,8 +204,9 @@ def module_from_spec(a, spec):
     except linalg._InexactField:
         raise  # the field is too large, not the dims
     except (MemoryError, ValueError):
-        # numpy cannot allocate a zero matrix or a relation's path matrix,
-        # or refuses a dimension beyond its maximum
+        # numpy cannot allocate a zero matrix or the identity at a vertex
+        # that validate_module starts its path action from, or refuses a
+        # dimension beyond its maximum
         big = max(given, key=given.get)
         raise ValueError("module dims for %r are too large to allocate: %d"
                          % (big, given[big]))

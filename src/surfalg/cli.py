@@ -378,9 +378,8 @@ def cmd_periodicity(args):
     for label, mspec, m in targets:
         res = homology.check_periodicity(a, m, period=args.period,
                                          trials=args.trials, seed=args.seed)
-        cert = certificates.make_periodicity_certificate(aspec, mspec, res)
-        chain = " -> ".join(str(list(dv)) for dv in cert.dim_chain)
-        print("%s: %s [%s]" % (label, cert.verdict, chain))
+        chain = " -> ".join(str(list(dv)) for dv in res.dim_chain)
+        print("%s: %s [%s]" % (label, res.verdict, chain))
         try:
             rank = homology.tube_rank(a, res)
         except ValueError as e:
@@ -389,9 +388,10 @@ def cmd_periodicity(args):
             om4 = "yes" if rank in (1, 2) else "no"
             print("  omega^4 iso: %s; tau^2 iso: %s (tau = omega^2); "
                   "tube rank: %s" % (om4, om4, rank if rank else "none"))
-        if cert.verdict != "periodic":
+        if res.verdict != "periodic":
             all_ok = False
         if args.out:
+            cert = certificates.make_periodicity_certificate(aspec, mspec, res)
             _write_output(certificates.certificate_to_json(cert), args.out)
     return 0 if all_ok else 1
 

@@ -5,40 +5,52 @@ every arrow; the matrix of an arrow x: s -> t has shape (dims[s], dims[t])
 and acts on row vectors.  certificates.module_from_spec makes a module
 document total (a vertex it leaves out has dimension 0, an arrow it leaves
 out acts as zero) after checking its vertices, arrows, shapes and entries;
-simple_module, the cover and syzygy build total modules.  Relations of the
-algebra must act as zero, and paths as long as the Loewy length of the
-algebra too; validate_module checks both.
+simple_module, the cover and syzygy build total modules.
+
+validate_module reads the algebra's right action: for each entry
+(b, x) -> nf of a.action with b a path from a vertex where m is nonzero,
+M(b) M(x) must be the sum of c M(b') over nf, M(b) coming from
+_path_images on the identity at that vertex.  A product b x that is
+itself a basis path is skipped: _path_images defines M(b x) as that
+product.  By induction on length every path then acts as its normal
+form, so every element of the ideal, the paths as long as the Loewy
+length among them, acts as zero; conversely b x - nf(b x) lies in the
+ideal.  The first failing
+entry in a.action order is returned as `path P does not act as its
+normal form`, or `path P acts as nonzero, but is zero in the algebra`
+when nf is zero, P being b's arrows followed by x.
 
 radical_series repeats the radical step from the identity up to a zero
-layer, at most the Loewy length times; validate_module reads its last
-layer.  projective_cover reads the top of m off one radical step and
-keeps the kernel of each vertex's covering matrix, which syzygy reads.
+layer, at most the Loewy length times.  projective_cover reads the top
+of m off one radical step and keeps the kernel of each vertex's
+covering matrix, which syzygy reads.
 
 Modules are never mutated after they are built, so each keeps a record
 of its cover and its radical series: projective_cover and radical_series
 compute them once per module and algebra object (found with an `is`
 check) and store them in the module's record, which lives and dies with
-the module.  So the radical series that validate_module computes is the
-one iso_check compares, and the cover that syzygy_chain builds for m is
-the one _hom_basis solves Hom(m, n) on.
+the module.  So iso_check computes m's radical series once for all its
+comparisons, and the cover that syzygy_chain builds for m is the one
+_hom_basis solves Hom(m, n) on.
 
 _path_images, the one path action, takes vectors of a module at v to
 their images under each basis path from v, one matmul per path; the
 cover passes it the lifts of the generators at v, _hom_basis the
-identity of n at v.  syzygy_chain, the one loop over syzygy, returns
-(m, Om, ..., O^k m) up to the first zero module and is what the `syzygy`
-command prints.  check_periodicity keeps the chain it walks in its result,
-which `periodicity` passes on to tube_rank: over a weakly symmetric
-algebra tau = O^2, so tube_rank reads O^2 m and O^4 m from that chain
-(extended only for periods below 4), reuses the result's isomorphism test
-at the step equal to the period (m against O^4 m by default), and checks
-weak symmetry once per call.
+identity of n at v and validate_module that of m.  syzygy_chain, the one
+loop over syzygy, returns (m, Om, ..., O^k m) up to the first zero
+module and is what the `syzygy` command prints.  check_periodicity keeps
+the chain it walks in its result, which `periodicity` passes on to
+tube_rank: over a weakly symmetric algebra tau = O^2, so tube_rank reads
+O^2 m and O^4 m from that chain (extended only for periods below 4),
+reuses the result's isomorphism test at the step equal to the period (m
+against O^4 m by default), and checks weak symmetry once per call.
 
 The algebra's stored fields are read as they are: a.vertices orders every
 dimension vector and radical layer, a.paths_from[v] lists the basis paths
 of the projective at v, a.ends[i] the vertex where path i ends, a.index
-the position of a path's prefix, and a.action the matrices of the arrows
-on a projective.
+the position of a path's prefix (and whether b x is a basis path), and
+a.action the matrices of the arrows on a projective and the normal forms
+that validate_module checks.
 
 iso_check solves Hom(m, n) and tries seeded random combinations of its
 basis first; Hom(n, m) is solved only when no invertible one (a witness)
@@ -111,38 +123,24 @@ def _zeros(r, c):
 
 
 def validate_module(a, m):
-    """Relation and nilpotency checks on a total module; returns a list of
-    violations."""
-    out = []
+    """The first way a total module m fails to be an A-module, as a list
+    of at most one violation (see the module docstring)."""
     p = a.field
-    for rel in a.relations.generators:
-        acc = None
-        src = a.quiver.path_source(rel.terms[0][0])
-        tgt = a.quiver.path_target(rel.terms[0][0])
-        for path, coeff in rel.terms:
-            mat = _path_matrix(a, m, src, path)
-            acc = (coeff * mat) % p if acc is None else (acc + coeff * mat) % p
-        if acc is not None and acc.size and acc.any():
-            out.append(
-                "relation %s does not act as zero (%s to %s)"
-                % (rel, src, tgt))
-    if out:
-        return out
-    # an A-module has rad^L = 0 for the Loewy length L of A
-    series = radical_series(a, m)
-    for v, d in zip(a.vertices, series[-1]):
-        if d:
-            out.append("module is not nilpotent: at vertex %r, rad^%d has "
-                       "dimension %d" % (v, len(series) - 1, d))
-            break
-    return out
-
-
-def _path_matrix(a, m, src, path):
-    mat = np.eye(m.dims[src], dtype=np.int64)
-    for aid in path:
-        mat = linalg.matmul(mat, m.mats[aid], a.field)
-    return mat
+    images = {v: _path_images(a, m, v, np.eye(m.dims[v], dtype=np.int64))
+              for v in a.vertices if m.dims[v]}
+    for (bi, x), nf in a.action.items():
+        v, path = a.basis[bi]
+        if v not in images or (v, path + (x,)) in a.index:
+            continue
+        # M(b) M(x) less the sum of c M(b') over the normal form of b x
+        rest = linalg.matmul(images[v][bi], m.mats[x], p)
+        for bj, c in nf:
+            rest = (rest - c * images[v][bj]) % p
+        if rest.any():
+            return ["path %s %s" % (".".join(path + (x,)), (
+                "does not act as its normal form" if nf else
+                "acts as nonzero, but is zero in the algebra"))]
+    return []
 
 
 def simple_module(a, v):

@@ -555,7 +555,6 @@ class CounterExample:
     """A composition pattern that fails the band check."""
 
     symbols: str
-    word: tuple
     check: object
     reason: str
 
@@ -650,7 +649,7 @@ def free_composability(p, w1, w2, depth=6):
     common = {p.start(l) for l in w1} & {p.start(l) for l in w2}
     if not common:
         return CounterExample(
-            "", (), None, "the bands visit disjoint vertex sets")
+            "", None, "the bands visit disjoint vertex sets")
     v0 = min(common)
     r1, r2 = _least_rotation_at(p, w1, v0), _least_rotation_at(p, w2, v0)
     blocks = {"1": r1, "2": r2}
@@ -667,7 +666,7 @@ def free_composability(p, w1, w2, depth=6):
             bc = is_band(p, word)
             if not bc.ok:
                 return CounterExample(
-                    "".join(sym), word, bc,
+                    "".join(sym), bc,
                     "composition pattern %s fails the band check"
                     % "".join(sym))
         necklaces.append(("".join(sym), len(word), True))

@@ -97,6 +97,42 @@ def naive_hom_basis(quiver, p, m_dims, m_mats, n_dims, n_mats):
         for row in null]
 
 
+def naive_path_matrix(p, dims, mats, src, path):
+    """The matrix of a path from src on a representation (dims, mats):
+    the identity at src times each arrow's matrix in turn, mod p."""
+    mat = np.eye(dims[src], dtype=np.int64)
+    for aid in path:
+        mat = mat @ mats[aid] % p
+    return mat
+
+
+def naive_module_violations(quiver, rels, p, loewy_length, dims, mats):
+    """The relations, then the paths of length loewy_length, that do not
+    act as zero on the representation (dims, mats) of the quiver; with
+    none, it is a module over the algebra they present, whose ideal is
+    generated by the relations and the paths of that length.
+
+    The paths are walked one arrow at a time from each arrow, and a path
+    that acts as zero is not extended: its extensions act as zero too.
+    """
+    source = {x.id: x.source for x in quiver.arrows}
+    target = {x.id: x.target for x in quiver.arrows}
+    out = []
+    for rel in rels.generators:
+        src = source[rel.terms[0][0][0]]
+        acc = sum(c % p * naive_path_matrix(p, dims, mats, src, path)
+                  for path, c in rel.terms) % p
+        if acc.any():
+            out.append(("relation", rel.terms))
+    level = [((x,), mats[x]) for x in sorted(source)]
+    for _ in range(loewy_length - 1):
+        level = [(path + (y,), mat @ mats[y] % p)
+                 for path, mat in level if mat.any()
+                 for y in sorted(source) if source[y] == target[path[-1]]]
+    out.extend(("path", path) for path, mat in level if mat.any())
+    return out
+
+
 def all_paths_up_to(quiver, max_len):
     """All composable paths as arrow-id tuples, grouped by length.
 

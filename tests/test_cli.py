@@ -1188,7 +1188,7 @@ def test_verify_names_a_bad_isomorphism_matrix(
      "error: invalid module: dims mentions unknown vertex 'zzz'"),
     ({"matrices": {"bogus": [[1]]}},
      "error: invalid module: matrices mention unknown arrow 'bogus'"),
-    # the relation check multiplies by a 2 x 2 identity, beyond the int64
+    # the module check multiplies by a 2 x 2 identity, beyond the int64
     # bound of this field: the field is named, not the dims
     ({"algebra": {"builtin": "torus", "field": 3037000493},
       "dims": {"1": 2, "2": 0, "3": 0}},
@@ -1211,7 +1211,8 @@ def test_module_file_names_a_bad_dims_or_matrix(capsys, tmp_path, doc, field):
 def test_module_commands_refuse_a_module_that_is_not_nilpotent(
         capsys, tmp_path, command):
     # every relation reads 1 - 1 = 0 with all six torus arrows acting as
-    # [[1]], but no path acts as zero
+    # [[1]], but no path acts as zero, the paths that are zero in the
+    # algebra among them
     path = tmp_path / "ones.json"
     base = json.loads(pathlib.Path("fixtures/torus_simple1.json").read_text())
     path.write_text(json.dumps(dict(
@@ -1219,8 +1220,8 @@ def test_module_commands_refuse_a_module_that_is_not_nilpotent(
         matrices={"x%d_%d" % (i, j): [[1]] for i in (0, 1)
                   for j in (0, 1, 2)})))
     assert run(capsys, command, "--module", str(path)) == (
-        2, "", "error: invalid module: module is not nilpotent: at vertex "
-               "'1', rad^7 has dimension 1\n")
+        2, "", "error: invalid module: path x0_0.x1_1.x1_2 acts as "
+               "nonzero, but is zero in the algebra\n")
 
 
 # A JSON value of each kind; a field is replaced by each value of a kind

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from surfalg import certificates, cli, homology
+import oracles
+from surfalg import algebra, certificates, cli, homology
 from surfalg.homology import (
     FDModule,
     check_periodicity,
@@ -84,8 +85,8 @@ def test_validate_module_checks_relations(torus_algebra):
                    np.zeros((1, 1), dtype=np.int64))
             for a in torus_algebra.quiver.arrows}
     m = FDModule(dims=dims, mats=mats)
-    problems = validate_module(torus_algebra, m)
-    assert any("relation" in s for s in problems)
+    assert validate_module(torus_algebra, m) == [
+        "path x0_0.x0_1 does not act as its normal form"]
 
 
 def _all_ones(a):
@@ -98,7 +99,80 @@ def _all_ones(a):
 
 def test_validate_module_rejects_all_ones(torus_algebra):
     assert validate_module(torus_algebra, _all_ones(torus_algebra)) == [
-        "module is not nilpotent: at vertex '1', rad^7 has dimension 1"]
+        "path x0_0.x1_1.x1_2 acts as nonzero, but is zero in the algebra"]
+
+
+def _y_is_x_squared():
+    """Two loops x and y at one vertex with y = x^2 and x^3 = 0.  The arrow
+    y is not a basis path, so only the trivial path times y asks that y
+    act as x^2."""
+    from surfalg.qp import Arrow, Quiver, Relation, RelationSet
+    return (Quiver(("1",), (Arrow("x", "1", "1"), Arrow("y", "1", "1"))),
+            RelationSet((Relation.from_dict({("y",): 1, ("x", "x"): -1}),
+                         Relation.from_dict({("x", "x", "x"): 1}))))
+
+
+def _oracle_modules(a, rng, valid_only):
+    """Simples, their first three syzygies and projective covers; unless
+    valid_only, also a single-entry change of each of those with a nonzero
+    arrow space, and random 0/1 representations with dimensions <= 2."""
+    valid = []
+    for v in a.vertices:
+        s = simple_module(a, v)
+        valid += syzygy_chain(a, s, 3)
+        valid.append(projective_cover(a, s).module)
+    if valid_only:
+        return valid
+    changed = []
+    for m in valid:
+        arrows = [x for x, mat in sorted(m.mats.items()) if mat.size]
+        if arrows:
+            x = arrows[rng.integers(len(arrows))]
+            mats = dict(m.mats)
+            mats[x] = mats[x].copy()
+            i, j = (rng.integers(n) for n in mats[x].shape)
+            mats[x][i, j] += rng.integers(1, a.field)
+            mats[x][i, j] %= a.field
+            changed.append(FDModule(m.dims, mats))
+    drawn = []
+    for _ in range(40):
+        dims = {v: int(rng.integers(3)) for v in a.vertices}
+        drawn.append(FDModule(dims, {
+            x.id: rng.integers(0, 2, size=(dims[x.source], dims[x.target]))
+            for x in a.quiver.arrows}))
+    return valid + changed + drawn
+
+
+def _oracle_algebras():
+    """(name, quiver, relations, field, valid modules only)."""
+    torus2 = json.loads((ROOT / "fixtures" / "torus2.json").read_text())
+    for name, spec, only in (
+            ("torus", {"builtin": "torus"}, False),
+            ("torus-F5", {"builtin": "torus", "field": 5}, False),
+            ("kx2", {"builtin": "kx2"}, False),
+            ("kx2-F2", {"builtin": "kx2", "field": 2}, False),
+            ("torus2", {"triangulation": torus2}, False),
+            ("genus2", {"builtin": "genus2"}, True)):
+        yield (name, *certificates.quiver_from_spec(spec),
+               spec.get("field", 32003), only)
+    yield ("y=x^2", *_y_is_x_squared(), 32003, False)
+
+
+def test_validate_module_agrees_with_the_relations_and_the_loewy_length():
+    # the package checks the normal form of each basis path times each
+    # arrow; the oracle multiplies out each relation and each path of the
+    # Loewy length, which generate the ideal
+    verdicts = []
+    for seed, (name, q, rels, p, only) in enumerate(_oracle_algebras()):
+        a = algebra.compute_basis(q, rels, p=p)
+        for k, m in enumerate(_oracle_modules(
+                a, np.random.default_rng(seed), only)):
+            got = validate_module(a, m) == []
+            want = oracles.naive_module_violations(
+                q, rels, p, a.loewy_length, m.dims, m.mats) == []
+            assert got == want, (name, k, m)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def test_radical_series_stops_at_the_loewy_length(torus_algebra):
@@ -164,7 +238,8 @@ def test_covering_map_is_lift_times_path_matrix(request, name):
         for w, rows in cover.rows.items():
             for q, (li, bi) in enumerate(rows):
                 u, path = a.basis[bi]
-                want = lifts[li] @ homology._path_matrix(a, m, u, path)
+                want = lifts[li] @ oracles.naive_path_matrix(
+                    a.field, m.dims, m.mats, u, path)
                 assert cover.phi[w][q].tolist() == (want % a.field).tolist(), (
                     li, path)
 
@@ -417,7 +492,7 @@ def test_each_module_is_covered_and_filtered_once(capsys, monkeypatch):
     covered = built["cover"]
     assert len(covered) == 4
     assert len({id(m) for m in covered}) == 4
-    # the series that validates M is the one both iso_checks compare
+    # the first iso_check computes M's series, and both compare it
     m = built["radical_series"][0]
     assert m is covered[0]
     assert sum(x is m for x in built["radical_series"]) == 1

@@ -29,8 +29,9 @@ and the tips held; crossing it names the degree.
 compute_basis is the module's one entry point.  It returns the FDAlgebra,
 or raises NonStabilizationError, which carries the graded dimensions
 computed up to the degree where it stopped.  The FDAlgebra stores, once,
-what its readers need: the sorted vertices, the basis and its index, the
-end vertex of each basis path (ends), the paths from each vertex
+what its readers need: the sorted vertices, the arrows in id order, the
+basis and its index, the position of each basis path's prefix (prefix),
+the end vertex of each basis path (ends), the paths from each vertex
 (paths_from, the basis of its projective) and the right action.
 
 The normal form of a path is its reduction by the standard basis with the
@@ -281,9 +282,12 @@ class FDAlgebra:
     """Basis, normal forms and right action of a stabilized quotient.
 
     vertices is the sorted vertex tuple: the order of the trivial paths at
-    the head of the basis and of every dimension vector.  Basis elements
-    are (source_vertex, arrow_id_tuple); the tuple is empty for the trivial
-    path at a vertex.  index maps each basis element to its position, ends
+    the head of the basis and of every dimension vector; arrows is the
+    quiver's arrow tuple sorted by id, the order every loop over the arrows
+    takes.  Basis elements are (source_vertex, arrow_id_tuple); the tuple
+    is empty for the trivial path at a vertex.  index maps each basis
+    element to its position, prefix holds the position of each element's
+    prefix (the path less its last arrow; None for a trivial path), ends
     holds the end vertex of each, and paths_from maps each vertex v to the
     positions of the elements starting at v, the basis of the projective
     e_v A, in basis order, so that each path comes after its prefix.
@@ -297,7 +301,9 @@ class FDAlgebra:
     vertices: tuple
     basis: tuple
     graded_dims: tuple
+    arrows: tuple = dc_field(repr=False)
     index: dict = dc_field(repr=False)
+    prefix: tuple = dc_field(repr=False)
     ends: tuple = dc_field(repr=False)
     paths_from: dict = dc_field(repr=False)
     action: dict = dc_field(repr=False)
@@ -352,8 +358,9 @@ def compute_basis(q, rels, p=linalg.DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
         survivors or tips than the path budget are held first.
     """
     vertices = tuple(sorted(q.vertices))
+    arrows = tuple(sorted(q.arrows, key=lambda x: x.id))
     arrows_from = {v: [] for v in vertices}
-    for x in sorted(q.arrows, key=lambda x: x.id):
+    for x in arrows:
         arrows_from[x.source].append(x.id)
     dims, stop, layers, sb = _eliminate(q, rels, p, max_deg, path_budget,
                                         arrows_from)
@@ -379,8 +386,11 @@ def compute_basis(q, rels, p=linalg.DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
         quiver=q,
         field=p,
         vertices=vertices,
+        arrows=arrows,
         basis=tuple(basis),
         index=index,
+        prefix=tuple(index[v, path[:-1]] if path else None
+                     for v, path in basis),
         ends=ends,
         paths_from={v: tuple(ix) for v, ix in paths_from.items()},
         graded_dims=tuple(dims),
@@ -407,16 +417,15 @@ def check_weakly_symmetric(a):
     and the vertices supporting it.
     """
     p = a.field
-    arrows = sorted(a.quiver.arrows, key=lambda x: x.id)
     witness = {}
     ok = True
     for v in a.vertices:
         rows_v = a.paths_from[v]
         loc = {bi: k for k, bi in enumerate(rows_v)}
         n = len(rows_v)
-        stacked = np.zeros((n, len(arrows) * n), dtype=np.int64)
+        stacked = np.zeros((n, len(a.arrows) * n), dtype=np.int64)
         for k, bi in enumerate(rows_v):
-            for t, x in enumerate(arrows):
+            for t, x in enumerate(a.arrows):
                 for bj, c in a.action.get((bi, x.id), ()):
                     stacked[k, t * n + loc[bj]] = c
         soc, _ = linalg.left_nullspace(stacked, p)

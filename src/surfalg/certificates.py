@@ -183,15 +183,14 @@ def module_from_spec(a, spec):
     if negative:
         raise ValueError(
             "module dims for %r must be a nonnegative int" % negative[0])
+    dims = {v: given.get(v, 0) for v in a.vertices}
+    shapes = {x.id: (dims[x.source], dims[x.target]) for x in a.arrows}
     unknown = ["dims mentions unknown vertex %r" % (v,)
-               for v in given if v not in a.quiver.vertices]
+               for v in given if v not in dims]
     unknown += ["matrices mention unknown arrow %r" % (aid,)
-                for aid in rows if not a.quiver.has_arrow(aid)]
+                for aid in rows if aid not in shapes]
     if unknown:
         raise ValueError("invalid module: %s" % unknown[0])
-    dims = {v: given.get(v, 0) for v in a.quiver.vertices}
-    shapes = {x.id: (dims[x.source], dims[x.target])
-              for x in a.quiver.arrows}
     mats = {aid: _matrix(rows[aid], shapes[aid], a.field,
                          "invalid module: matrix for %s" % aid)
             for aid in sorted(rows)}
@@ -320,15 +319,15 @@ def make_periodicity_certificate(alg_spec, mod_spec, res):
     )
 
 
-def certificate_to_json(cert, indent=2):
+def certificate_to_json(cert):
     doc = dict(vars(cert), kind=cert.KIND)
     if isinstance(cert, GrowthCertificate):
         doc["necklaces"] = [dict(zip(_NECKLACE, n)) for n in cert.necklaces]
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def certificate_from_json(text):
-    doc = json.loads(text) if isinstance(text, str) else text
+    doc = json.loads(text)
     kind = read_fields(doc, "certificate", {"kind": str}, rest=True)["kind"]
     if kind not in _CERTIFICATES:
         raise ValueError("certificate field 'kind' must be %s, not %s" % (
@@ -452,7 +451,7 @@ def _verify_periodicity(cert):
         if not linalg.is_invertible(f[v], p):
             messages.append("isomorphism is not invertible at vertex %r"
                             % (v,))
-    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
+    for x in a.arrows:
         if not np.array_equal(linalg.matmul(m.mats[x.id], f[x.target], p),
                               linalg.matmul(f[x.source], n.mats[x.id], p)):
             messages.append("isomorphism does not commute with arrow %s"
@@ -466,7 +465,7 @@ def _verify_periodicity(cert):
 
 def verify_certificate(cert):
     """Replay a certificate from scratch; returns a VerificationResult."""
-    if isinstance(cert, (str, dict)):
+    if isinstance(cert, str):
         cert = certificate_from_json(cert)
     if isinstance(cert, GrowthCertificate):
         return _verify_growth(cert)

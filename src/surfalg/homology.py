@@ -46,11 +46,12 @@ reuses the result's isomorphism test at the step equal to the period (m
 against O^4 m by default), and checks weak symmetry once per call.
 
 The algebra's stored fields are read as they are: a.vertices orders every
-dimension vector and radical layer, a.paths_from[v] lists the basis paths
-of the projective at v, a.ends[i] the vertex where path i ends, a.index
-the position of a path's prefix (and whether b x is a basis path), and
-a.action the matrices of the arrows on a projective and the normal forms
-that validate_module checks.
+dimension vector and radical layer, a.arrows every loop over the arrows,
+a.paths_from[v] lists the basis paths of the projective at v, a.ends[i]
+the vertex where path i ends, a.prefix[i] the position of path i's
+prefix, a.index whether b x is a basis path, and a.action the matrices
+of the arrows on a projective and the normal forms that validate_module
+checks.  Nothing here reads a.quiver.
 
 iso_check solves Hom(m, n) and tries seeded random combinations of its
 basis first; Hom(n, m) is solved only when no invertible one (a witness)
@@ -144,13 +145,10 @@ def validate_module(a, m):
 
 
 def simple_module(a, v):
-    if v not in a.quiver.vertices:
+    if v not in a.vertices:
         raise KeyError("unknown vertex %r" % (v,))
-    dims = {u: (1 if u == v else 0) for u in a.quiver.vertices}
-    mats = {
-        x.id: _zeros(dims[x.source], dims[x.target])
-        for x in a.quiver.arrows
-    }
+    dims = {u: (1 if u == v else 0) for u in a.vertices}
+    mats = {x.id: _zeros(dims[x.source], dims[x.target]) for x in a.arrows}
     return FDModule(dims, mats)
 
 
@@ -165,20 +163,14 @@ class _Cover:
 
 def _path_images(a, m, v, rows):
     """rows (vectors of m at v) times m's matrix of each basis path from v,
-    keyed by basis index; paths_from[v] lists a path after its prefix."""
+    keyed by basis index; paths_from[v] lists a path after its prefix,
+    a.prefix[bi], so each image is its prefix's times one arrow."""
     p = a.field
     images = {}
     for bi in a.paths_from[v]:
-        path = a.basis[bi][1]
-        if not path:
-            images[bi] = rows
-            continue
-        pre = a.index.get((v, path[:-1]))
-        if pre is None:
-            raise RuntimeError(
-                "internal error: the prefix of basis path %s is not a "
-                "basis path" % (path,))
-        images[bi] = linalg.matmul(images[pre], m.mats[path[-1]], p)
+        pre = a.prefix[bi]
+        images[bi] = rows if pre is None else linalg.matmul(
+            images[pre], m.mats[a.basis[bi][1][-1]], p)
     return images
 
 
@@ -220,8 +212,8 @@ def _build_cover(a, m):
              for v in a.vertices}
     tops = tuple(v for v in a.vertices for _ in lifts[v])
 
-    rows = {v: [] for v in a.quiver.vertices}
-    phi = {v: [] for v in a.quiver.vertices}
+    rows = {v: [] for v in a.vertices}
+    phi = {v: [] for v in a.vertices}
     images = {v: _path_images(a, m, v, lifts[v])
               for v in dict.fromkeys(tops)}
     for li, v in enumerate(tops):
@@ -233,9 +225,9 @@ def _build_cover(a, m):
            for v, r in phi.items()}
     # the cover is the sum of the projectives e_v A, one per generator:
     # row (i, b) times an arrow x is row i's part of the normal form of b x
-    at = {r: q for v in a.quiver.vertices for q, r in enumerate(rows[v])}
+    at = {r: q for v in a.vertices for q, r in enumerate(rows[v])}
     mats = {}
-    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
+    for x in a.arrows:
         mat = mats[x.id] = _zeros(len(rows[x.source]), len(rows[x.target]))
         for q, (li, bi) in enumerate(rows[x.source]):
             for bj, c in a.action[(bi, x.id)]:
@@ -258,13 +250,12 @@ def syzygy(a, m):
     """Kernel of the projective cover, as a module."""
     p = a.field
     cover = projective_cover(a, m)
-    dims = {v: int(cover.kernel[v][0].shape[0]) for v in a.quiver.vertices}
+    dims = {v: int(cover.kernel[v][0].shape[0]) for v in a.vertices}
     mats = {}
-    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
-        s, t = x.source, x.target
-        (ks, _), (kt, free) = cover.kernel[s], cover.kernel[t]
+    for x in a.arrows:
+        (ks, _), (kt, free) = cover.kernel[x.source], cover.kernel[x.target]
         imgs = linalg.matmul(ks, cover.module.mats[x.id], p)
-        coords = imgs[:, free] if imgs.size else _zeros(dims[s], dims[t])
+        coords = imgs[:, free]
         if not np.array_equal(linalg.matmul(coords, kt, p), imgs):
             raise RuntimeError(
                 "syzygy image of arrow %s leaves the kernel" % (x.id,))
@@ -296,14 +287,14 @@ def _radical_step(a, m, rows):
     """Per vertex v, the rref (r, pivots) of the images of rows[s] under the
     arrows s -> v: the radical of the submodule of m that the rows span."""
     p = a.field
-    imgs = {v: [] for v in a.quiver.vertices}
-    for x in sorted(a.quiver.arrows, key=lambda x: x.id):
+    imgs = {v: [] for v in a.vertices}
+    for x in a.arrows:
         img = linalg.matmul(rows[x.source], m.mats[x.id], p)
         if img.shape[0]:
             imgs[x.target].append(img)
     return {v: linalg.rref(np.vstack(imgs[v]), p) if imgs[v]
             else (_zeros(0, m.dims[v]), [])
-            for v in a.quiver.vertices}
+            for v in a.vertices}
 
 
 def radical_series(a, m):

@@ -311,7 +311,7 @@ def quiver_to_dot(q):
     return "\n".join(lines) + "\n"
 
 
-def quiver_to_json(q, indent=2):
+def quiver_to_json(q):
     doc = {
         "vertices": list(q.vertices),
         "arrows": [
@@ -319,14 +319,14 @@ def quiver_to_json(q, indent=2):
             for a in q.arrows
         ],
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
-def potential_to_json(w, indent=2):
+def potential_to_json(w):
     doc = {
         "terms": [
             {"cycle": list(path), "coefficient": coeff}
             for path, coeff in sorted(w.terms.items())
         ]
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)

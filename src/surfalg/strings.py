@@ -21,12 +21,15 @@ longest effective forbidden word.  Bands are canonicalized to the
 lexicographically least rotation; a band and its inverse are kept distinct.
 
 Letters are named tuples (arrow, kind), so words compare and hash as tuples
-do, in C.  A letter's hash is that of the pair (arrow, kind), the value a
-frozen dataclass with the same two fields gives; set and dict orders over
-letters rest on it.  A word is primitive when its root length, the length
-of the shortest u with w = u^k, is its own length; _root_length finds it by
-descending from len(w) one prime factor at a time, with one slice
-comparison per step.
+do, in C.  The tuple order is the letter order, in which least rotations
+and Lyndon words are taken: by arrow id, then "direct" before "inverse"; a
+special arrow has only its special letter, so no other two kinds of one
+arrow meet.  A letter's hash is that of the pair (arrow, kind), the value
+a frozen dataclass with the same two fields gives; set and dict orders
+over letters rest on it.  A word is primitive when its root length, the
+length of the shortest u with w = u^k, is its own length; _root_length
+finds it by descending from len(w) one prime factor at a time, with one
+slice comparison per step.
 
 Each presentation precomputes one W2 window table: for each length, the
 letter tuples that spell an effective forbidden word or its inverse.  Three
@@ -69,7 +72,6 @@ __all__ = [
     "invert_word",
     "parse_word",
     "format_word",
-    "letter_key",
     "sphere5_presentation",
     "string_quotient",
     "is_string",
@@ -124,11 +126,6 @@ def invert_letter(l):
 
 def invert_word(w):
     return tuple(invert_letter(l) for l in reversed(w))
-
-
-def letter_key(l):
-    """Total order on letters: by arrow id, non-inverse before inverse."""
-    return (l.arrow, 0 if l.kind != INVERSE else 1)
 
 
 def format_word(w):
@@ -305,7 +302,7 @@ class WordPresentation:
         return y in self._greater.get(x, ()) or x in self._greater.get(y, ())
 
     def letters(self):
-        """All valid letters, sorted by letter_key."""
+        """All valid letters, in letter order."""
         out = []
         for aid in self.arrows:
             if aid in self.special_ids:
@@ -313,7 +310,7 @@ class WordPresentation:
             else:
                 out.append(direct(aid))
                 out.append(inverse(aid))
-        out.sort(key=letter_key)
+        out.sort()
         return out
 
     def __repr__(self):
@@ -580,8 +577,7 @@ class FreeComposability:
 
 def _least_rotation_at(p, w, v):
     """The least rotation of w in letter order among those starting at v."""
-    return min((w[i:] + w[:i] for i in range(len(w)) if p.start(w[i]) == v),
-               key=lambda u: [letter_key(l) for l in u])
+    return min(w[i:] + w[:i] for i in range(len(w)) if p.start(w[i]) == v)
 
 
 def _lyndon_words(alphabet, maxlen):
@@ -814,9 +810,9 @@ def enumerate_bands(p, max_len):
     _, states, edges = graph
     out, into = [[] for _ in states], [[] for _ in states]
     for i, y, j in edges:
-        out[i].append((letter_key(y), y, j))
+        out[i].append((y, j))
         into[j].append(i)
-    found = []  # (length, letter keys, band)
+    found = []
     for s, c in enumerate(states):
         dist, queue = {s: 0}, [s]  # the fewest letters from each back to s
         for j in queue:  # grows while it is walked
@@ -824,26 +820,24 @@ def enumerate_bands(p, max_len):
                 if i not in dist:
                     dist[i] = dist[j] + 1
                     queue.append(i)
-        first = min(map(letter_key, c))  # the greatest first letter
-        path = []  # the edges (key, letter, context) of w
+        first = min(c)  # the greatest first letter
+        path = []  # the edges (letter, context) of w
 
         def rec(i, per):  # at context i; per is the period of w
             t = len(path)
             if t and i == s and per == t:
-                found.append((t, tuple(k for k, _, _ in path),
-                              tuple(y for _, y, _ in path)))
+                found.append(tuple(y for y, _ in path))
             for e in out[i]:
-                ck, _, j = e
-                if (ck < path[t - per][0] if t else ck > first) or \
+                y, j = e
+                if (y < path[t - per][0] if t else y > first) or \
                         j not in dist or t + 1 + dist[j] > max_len:
                     continue
                 path.append(e)
-                rec(j, per if t and ck == path[t - per][0] else t + 1)
+                rec(j, per if t and y == path[t - per][0] else t + 1)
                 path.pop()
 
         rec(s, 0)
-    found.sort(key=lambda e: e[:2])
-    words = tuple(u for _, _, u in found)
+    words = tuple(sorted(found, key=lambda w: (len(w), w)))
     lengths = collections.Counter(map(len, words))
     listed = [lengths[d] for d in range(1, max_len + 1)]
     if tuple(listed) != census.counts:

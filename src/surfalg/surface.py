@@ -229,7 +229,7 @@ def excluded_for_certificates(surface):
     return surface.genus == 0 and len(surface.punctures) <= 4
 
 
-def triangulation_to_json(t, indent=2):
+def triangulation_to_json(t):
     doc = {
         "genus": t.surface.genus,
         "punctures": list(t.surface.punctures),
@@ -238,7 +238,7 @@ def triangulation_to_json(t, indent=2):
         ],
         "triangles": [list(tri) for tri in t.triangles],
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
 class Optional:

@@ -269,6 +269,21 @@ def test_bands_words_must_match_the_counts(capsys, monkeypatch):
                   "--words"])
 
 
+# the totals that the installed-copy step of the CI workflow greps for
+@pytest.mark.parametrize("argv,total", [
+    (("--builtin", "torus", "--max-len", "20"),
+     "total: 145340 (72670 up to inversion)"),
+    (("--builtin", "sphere5", "--max-len", "16"),
+     "total: 681 (362 up to inversion)"),
+    (("--builtin", "sphere5", "--max-len", "12", "--words"),
+     "total: 114 (64 up to inversion)"),
+], ids=["torus-L20", "sphere5-L16", "sphere5-L12-words"])
+def test_bands_total_line(capsys, argv, total):
+    code, out, err = run(capsys, "bands", *argv)
+    assert (code, err) == (0, "")
+    assert total in out.splitlines()
+
+
 def test_bands_requires_presentation(capsys):
     code = cli.main(["bands", "--max-len", "4"])
     assert code == 2
@@ -405,6 +420,15 @@ def test_certify_growth_and_verify(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--input", str(cert))
     assert code == 0
     assert "PASS" in out
+
+
+def test_certify_growth_torus_depth4_replays(capsys, tmp_path):
+    cert = tmp_path / "growth.json"
+    code, out, err = run(capsys, "certify-growth", "--builtin", "torus",
+                         "--depth", "4", "--out", str(cert))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "verify", "--input", str(cert))
+    assert (code, out.splitlines()[-1], err) == (0, "PASS", "")
 
 
 def test_certify_growth_genus2(capsys, tmp_path):
@@ -1188,6 +1212,12 @@ def test_verify_names_a_bad_isomorphism_matrix(
      "error: invalid module: dims mentions unknown vertex 'zzz'"),
     ({"matrices": {"bogus": [[1]]}},
      "error: invalid module: matrices mention unknown arrow 'bogus'"),
+    # acting only through triangle 0: the short side of a relation acts as
+    # nonzero, its long side, which runs through triangle 1, as zero
+    ({"dims": {"1": 1, "2": 1, "3": 1},
+      "matrices": {"x0_0": [[1]], "x0_1": [[1]], "x0_2": [[1]]}},
+     "error: invalid module: path x0_0.x0_1 does not act as its normal "
+     "form"),
     # the module check multiplies by a 2 x 2 identity, beyond the int64
     # bound of this field: the field is named, not the dims
     ({"algebra": {"builtin": "torus", "field": 3037000493},
@@ -1196,7 +1226,8 @@ def test_verify_names_a_bad_isomorphism_matrix(
 ], ids=["dims-bool", "matrices-list", "entry-float", "ragged", "shape",
         "shape-empty", "entry-negative", "entry-p", "entry-huge",
         "dims-unallocatable", "dims-identity-unallocatable", "dims-1e30",
-        "dims-unknown-vertex", "matrices-unknown-arrow", "field-int64"])
+        "dims-unknown-vertex", "matrices-unknown-arrow", "triangle0",
+        "field-int64"])
 def test_module_file_names_a_bad_dims_or_matrix(capsys, tmp_path, doc, field):
     path = tmp_path / "mod.json"
     base = json.loads(pathlib.Path("fixtures/torus_simple1.json").read_text())

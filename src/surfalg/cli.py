@@ -288,11 +288,10 @@ def cmd_certify_growth(args):
             for v in cert.check.violations:
                 print("  %s" % v)
         return 1
+    # the certificate stores rotations of w1 and w2, of the same lengths
     lines = []
-    lines.append("band 1: %s (length %d)" % (cert.word1,
-                                             len(strings.parse_word(cert.word1))))
-    lines.append("band 2: %s (length %d)" % (cert.word2,
-                                             len(strings.parse_word(cert.word2))))
+    lines.append("band 1: %s (length %d)" % (cert.word1, len(w1)))
+    lines.append("band 2: %s (length %d)" % (cert.word2, len(w2)))
     lines.append("basepoint: %s" % cert.basepoint)
     lines.append(
         "verified %d composition patterns to depth %d: all bands"

@@ -82,9 +82,6 @@ class Quiver:
         except KeyError:
             raise KeyError("unknown arrow id %r" % (arrow_id,))
 
-    def has_arrow(self, arrow_id):
-        return arrow_id in self._by_id
-
     def path_source(self, path):
         return self.arrow(path[0]).source
 

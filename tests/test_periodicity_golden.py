@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from surfalg import cli
+from surfalg import cli, homology
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULE_FILE = "fixtures/torus_simple1.json"
@@ -182,6 +182,15 @@ CERT_GOLDEN = [
 ]
 
 
+def _ids(cases):
+    """A short id for each case, from its command line: the builtin or the
+    module file's stem, then the options without their leading dashes."""
+    return ["-".join(pathlib.PurePath(a).stem if a.endswith(".json")
+                     else a.removeprefix("--")
+                     for a in case[0] if a not in ("--builtin", "--module"))
+            for case in cases]
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -195,17 +204,20 @@ def in_root(monkeypatch):
     monkeypatch.chdir(ROOT)
 
 
-@pytest.mark.parametrize("args,code,out", PERIODICITY_GOLDEN)
+@pytest.mark.parametrize("args,code,out", PERIODICITY_GOLDEN,
+                         ids=_ids(PERIODICITY_GOLDEN))
 def test_periodicity_golden(capsys, in_root, args, code, out):
     assert run(capsys, "periodicity", *args) == (code, out, "")
 
 
-@pytest.mark.parametrize("args,out", SYZYGY_GOLDEN)
+@pytest.mark.parametrize("args,out", SYZYGY_GOLDEN,
+                         ids=_ids(SYZYGY_GOLDEN))
 def test_syzygy_golden(capsys, in_root, args, out):
     assert run(capsys, "syzygy", *args) == (0, out, "")
 
 
-@pytest.mark.parametrize("args,code,out,doc,vcode,vout", CERT_GOLDEN)
+@pytest.mark.parametrize("args,code,out,doc,vcode,vout", CERT_GOLDEN,
+                         ids=_ids(CERT_GOLDEN))
 def test_periodicity_certificate_golden(capsys, in_root, tmp_path, args,
                                         code, out, doc, vcode, vout):
     path = tmp_path / "cert.json"
@@ -253,14 +265,51 @@ def test_verify_refuses_the_format_with_a_hom_dim_and_a_witness(
         2, "", "error: periodicity certificate has unknown field 'hom_dim'\n")
 
 
-@pytest.mark.parametrize("args,code,err", [
+def test_verify_fails_a_singular_isomorphism(capsys, tmp_path):
+    # the torus simple 1 certificate with its stored isomorphism, 27222
+    # times the identity, set to 0
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(_cert(
+        TORUS_SPEC, {"simple": "1"}, S1_DIMS,
+        isomorphism=dict(S1_ISO, **{"1": [[0]]}))))
+    assert run(capsys, "verify", "--input", str(path)) == (
+        1, "certificate kind: periodicity\n"
+           "  isomorphism is not invertible at vertex '1'\n"
+           "FAIL\n", "")
+
+
+def test_verify_fails_a_forged_period_without_walking_it(
+        capsys, tmp_path, monkeypatch):
+    # the certificate of a module file that leaves out zeros, its period
+    # raised to 2000: the 5 stored dimension vectors are too few, and no
+    # syzygy is computed to find that out
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(_cert(
+        TORUS_SPEC, {"dims": {"1": 1}, "matrices": {}}, S1_DIMS,
+        period=2000)))
+
+    def no_syzygy(*args, **kwargs):
+        raise AssertionError("the forged certificate was replayed")
+
+    monkeypatch.setattr(homology, "syzygy", no_syzygy)
+    assert run(capsys, "verify", "--input", str(path)) == (
+        1, "certificate kind: periodicity\n"
+           "  syzygy dimension chain differs\n"
+           "FAIL\n", "")
+
+
+BAD_OPTIONS = [
     (("--trials", "0"), 2, "error: trials must be >= 1\n"),
     (("--period", "0"), 2, "error: period must be >= 1\n"),
     (("--field", "4"), 2, "error: field modulus 4 is not prime\n"),
     (("--max-deg", "3"), 3,
      "error: no stabilization within degree 3 (max_deg reached); "
      "graded dims so far: [3, 6, 6, 6]\n"),
-])
+    (("--simple", "1", "--seed", "-1"), 2, "error: seed must be >= 0\n"),
+]
+
+
+@pytest.mark.parametrize("args,code,err", BAD_OPTIONS, ids=_ids(BAD_OPTIONS))
 def test_periodicity_rejects_bad_options(capsys, args, code, err):
     assert run(capsys, "periodicity", "--builtin", "torus", *args) == (
         code, "", err)

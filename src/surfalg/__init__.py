@@ -9,6 +9,14 @@ and for fourth-syzygy periodicity of modules.
 
 The library is imported by module (`from surfalg import algebra`); the
 package root holds only __version__.
+
+Every record the package defines (a triangulation, a quiver, an algebra, a
+module, a band census, a certificate, ...) is a named tuple: it compares
+and hashes as the tuple of its fields, and the attributes some records keep
+beside their fields (a quiver's arrows by id, a module's stored results, an
+algebra's cached tables) take no part in either.  No record is a
+dataclass, whose generated methods every import of the package would pay
+for at start-up.
 """
 
 __version__ = "0.1.0"

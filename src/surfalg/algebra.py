@@ -41,7 +41,7 @@ normal form of each basis path times each arrow leaving its end, and reads
 every product from it one arrow at a time.
 """
 
-from dataclasses import dataclass, field as dc_field
+import collections
 from functools import cached_property
 
 import numpy as np
@@ -277,8 +277,9 @@ def _eliminate(q, rels, p, max_deg, path_budget, arrows_from):
     return dims, None, layers, sb
 
 
-@dataclass(frozen=True)
-class FDAlgebra:
+class FDAlgebra(collections.namedtuple(
+        "FDAlgebra", "quiver field vertices basis graded_dims arrows index "
+        "prefix ends paths_from action")):
     """Basis, normal forms and right action of a stabilized quotient.
 
     vertices is the sorted vertex tuple: the order of the trivial paths at
@@ -296,17 +297,13 @@ class FDAlgebra:
     empty when it is zero.
     """
 
-    quiver: object
-    field: int
-    vertices: tuple
-    basis: tuple
-    graded_dims: tuple
-    arrows: tuple = dc_field(repr=False)
-    index: dict = dc_field(repr=False)
-    prefix: tuple = dc_field(repr=False)
-    ends: tuple = dc_field(repr=False)
-    paths_from: dict = dc_field(repr=False)
-    action: dict = dc_field(repr=False)
+    # no __slots__: weak_symmetry and mult_table are cached in the
+    # instance's __dict__
+
+    def __repr__(self):
+        # the tables from arrows on are left out
+        return ("FDAlgebra(quiver=%r, field=%r, vertices=%r, basis=%r, "
+                "graded_dims=%r)" % self[:5])
 
     @property
     def dim(self):
@@ -377,6 +374,10 @@ def compute_basis(q, rels, p=linalg.DEFAULT_PRIME, max_deg=DEFAULT_MAX_DEG,
     for i, (v, path) in enumerate(basis):
         paths_from[v].append(i)
         for x in arrows_from[ends[i]]:
+            j = index.get((v, path + (x,)))
+            if j is not None:  # a basis path holds no tip: no reduction
+                action[(i, x)] = ((j, 1),)
+                continue
             nf = {path + (x,): 1}
             sb.reduce(nf, stop - 1)
             action[(i, x)] = tuple(sorted((index[v, m], c)

@@ -34,7 +34,7 @@ rejected by name.
 """
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,9 +61,9 @@ __all__ = [
 ]
 
 
-# The field tables of the specs and the module file (the certificate
-# tables follow their dataclasses).  A spec embedded in a certificate or a
-# module file is an object there, read by its own table when it is used.
+# The field tables of the specs and the module file (each certificate
+# record holds its own table, FIELDS).  A spec embedded in a certificate or
+# a module file is an object there, read by its own table when it is used.
 _PRESENTATION_SPEC = {"source": str, "builtin": Optional(str),
                       "triangulation": Optional(dict)}
 _ALGEBRA_SPEC = {"builtin": Optional(str), "triangulation": Optional(dict),
@@ -236,8 +236,7 @@ _JUNCTION = {"blocks": str, "last": str, "first": str, "violations": [str],
 _NECKLACE = {"symbols": str, "length": int, "band": bool}
 
 
-@dataclass(frozen=True)
-class GrowthCertificate:
+class GrowthCertificate(NamedTuple):
     presentation: dict
     word1: str
     word2: str
@@ -255,8 +254,7 @@ class GrowthCertificate:
               "scope": Optional(str)}
 
 
-@dataclass(frozen=True)
-class PeriodicityCertificate:
+class PeriodicityCertificate(NamedTuple):
     algebra: dict
     module: dict
     period: int
@@ -276,8 +274,7 @@ _CERTIFICATES = {cls.KIND: cls
                  for cls in (GrowthCertificate, PeriodicityCertificate)}
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     kind: str
     messages: tuple
@@ -320,7 +317,7 @@ def make_periodicity_certificate(alg_spec, mod_spec, res):
 
 
 def certificate_to_json(cert):
-    doc = dict(vars(cert), kind=cert.KIND)
+    doc = dict(cert._asdict(), kind=cert.KIND)
     if isinstance(cert, GrowthCertificate):
         doc["necklaces"] = [dict(zip(_NECKLACE, n)) for n in cert.necklaces]
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -111,7 +111,7 @@ def cmd_build(args):
         if maps is None:
             raise ValueError(
                 "dot output needs a quiver; %s"
-                % (note or "triangulation is invalid: %s" % report))
+                % (note or "triangulation is invalid: %s" % (report,)))
         _write_output(qp.quiver_to_dot(maps.quiver), args.out)
         return 0
     if args.format == "json":
@@ -286,7 +286,7 @@ def cmd_certify_growth(args):
         print("FAIL: %s" % cert.reason)
         if cert.check is not None:
             for v in cert.check.violations:
-                print("  %s" % v)
+                print("  %s" % (v,))
         return 1
     # the certificate stores rotations of w1 and w2, of the same lengths
     lines = []
@@ -328,7 +328,7 @@ def cmd_xi(args):
         print("xi(%s) = %s" % (aid, strings.format_word(word)))
         print("  length %d, band: %s" % (len(word), "yes" if bc.ok else "no"))
         for v in bc.violations:
-            print("  %s" % v)
+            print("  %s" % (v,))
         if not args.all:
             print("  rho1 = %s" % ".".join(strings.rho1(maps, aid)))
             print("  rho2 = %s" % ".".join(strings.rho2(maps, aid)))

@@ -77,7 +77,8 @@ families, taken with the columns reversed and then turned back, is that
 basis, and the seeded trials draw the same witnesses from it.
 """
 
-from dataclasses import dataclass, field
+import collections
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,16 +101,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FDModule:
+class FDModule(collections.namedtuple("FDModule", "dims mats")):
     """dims: vertex -> nonnegative int, at every vertex; mats: arrow id ->
     numpy matrix, for every arrow; record: the results kept for this
     module (see the module docstring).  Never mutated once built."""
 
-    dims: dict
-    mats: dict
-    # (algebra, {name: result}) pairs, filled by _recorded
-    record: list = field(default_factory=list, repr=False, compare=False)
+    # no __slots__: record, the (algebra, {name: result}) pairs filled by
+    # _recorded, is an attribute of the instance and not a field
+
+    def __new__(cls, dims, mats):
+        self = super().__new__(cls, dims, mats)
+        self.record = []
+        return self
 
     @property
     def total_dim(self):
@@ -152,8 +155,7 @@ def simple_module(a, v):
     return FDModule(dims, mats)
 
 
-@dataclass(frozen=True)
-class _Cover:
+class _Cover(NamedTuple):
     module: object
     tops: tuple
     rows: dict
@@ -314,8 +316,7 @@ def _build_radical_series(a, m):
     return tuple(series)
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     verdict: str
     reason: str
     hom_forward: int
@@ -324,7 +325,7 @@ class IsoResult:
     trials: int
     seed: int
     # the witnessing isomorphism {vertex: f_v} of an iso found on a trial
-    isomorphism: dict = field(default=None, repr=False, compare=False)
+    isomorphism: dict = None
 
 
 def _hom_basis(a, m, n):
@@ -454,15 +455,14 @@ def iso_check(a, m, n, trials=20, seed=0):
         len(fwd), len(bwd), (), trials, seed)
 
 
-@dataclass(frozen=True)
-class PeriodicityResult:
+class PeriodicityResult(NamedTuple):
     period: int
     verdict: str
     dim_chain: tuple
     iso: object
     trials: int
     seed: int
-    modules: tuple = field(repr=False, compare=False)
+    modules: tuple
 
 
 def check_periodicity(a, m, period=4, trials=20, seed=0):

@@ -28,8 +28,9 @@ by default).  Its cyclic derivatives generate the relation ideal of the
 algebra module.
 """
 
+import collections
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Arrow",
@@ -50,21 +51,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     id: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple
-    arrows: tuple
+class Quiver(collections.namedtuple("Quiver", "vertices arrows")):
+    # no __slots__: each quiver keeps its arrows by id in _by_id
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "arrows", tuple(self.arrows))
+    def __new__(cls, vertices, arrows):
+        self = super().__new__(cls, tuple(vertices), tuple(arrows))
         ids = [a.id for a in self.arrows]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate arrow ids")
@@ -74,7 +71,8 @@ class Quiver:
                 raise ValueError(
                     "arrow %r has endpoint outside the vertex set" % a.id
                 )
-        object.__setattr__(self, "_by_id", {a.id: a for a in self.arrows})
+        self._by_id = {a.id: a for a in self.arrows}
+        return self
 
     def arrow(self, arrow_id):
         try:
@@ -110,15 +108,14 @@ def canonical_rotation(path):
     return best
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(collections.namedtuple("Potential", "terms")):
     """Finite map from canonical cyclic paths to nonzero coefficients."""
 
-    terms: dict
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, terms):
         clean = {}
-        for path, coeff in self.terms.items():
+        for path, coeff in terms.items():
             path = tuple(path)
             if coeff == 0:
                 continue
@@ -128,7 +125,7 @@ class Potential:
                     % (path,)
                 )
             clean[path] = coeff
-        object.__setattr__(self, "terms", clean)
+        return super().__new__(cls, clean)
 
     def arrows_used(self):
         used = set()
@@ -137,8 +134,7 @@ class Potential:
         return used
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """A scalar linear combination of parallel composable paths."""
 
     terms: tuple  # ((path_tuple, coeff), ...) sorted by (len, path)
@@ -150,19 +146,18 @@ class Relation:
         return Relation(tuple(items))
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    generators: tuple
+class RelationSet(collections.namedtuple("RelationSet", "generators")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        for r in self.generators:
+    def __new__(cls, generators):
+        generators = tuple(generators)
+        for r in generators:
             if not r.terms:
                 raise ValueError("zero relation in relation set")
+        return super().__new__(cls, generators)
 
 
-@dataclass(frozen=True)
-class ArrowMaps:
+class ArrowMaps(NamedTuple):
     """The quiver of a triangulation, its triangle rotation f and its
     puncture rotation g, with the orbits of both.
 
@@ -213,7 +208,7 @@ def arrow_maps(t):
 
     report = _surface.validate_triangulation(t)
     if not report.ok:
-        raise ValueError("invalid triangulation: %s" % report)
+        raise ValueError("invalid triangulation: %s" % (report,))
     if _surface.has_self_folded(t):
         bad = [tri for tri in t.triangles if len(set(tri)) < 3]
         raise ValueError(

@@ -24,12 +24,12 @@ Letters are named tuples (arrow, kind), so words compare and hash as tuples
 do, in C.  The tuple order is the letter order, in which least rotations
 and Lyndon words are taken: by arrow id, then "direct" before "inverse"; a
 special arrow has only its special letter, so no other two kinds of one
-arrow meet.  A letter's hash is that of the pair (arrow, kind), the value
-a frozen dataclass with the same two fields gives; set and dict orders
-over letters rest on it.  A word is primitive when its root length, the
-length of the shortest u with w = u^k, is its own length; _root_length
-finds it by descending from len(w) one prime factor at a time, with one
-slice comparison per step.
+arrow meet.  A letter's hash is that of the pair (arrow, kind), as every
+record of the package hashes as the tuple of its fields; set and dict
+orders over letters rest on it.  A word is primitive when its root
+length, the length of the shortest u with w = u^k, is its own length;
+_root_length finds it by descending from len(w) one prime factor at a
+time, with one slice comparison per step.
 
 Each presentation precomputes one W2 window table: for each length, the
 letter tuples that spell an effective forbidden word or its inverse.  Three
@@ -52,7 +52,7 @@ tests/oracles.py holds independent checks of both.
 
 import collections
 import math
-from dataclasses import dataclass, replace as dc_replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,20 +161,19 @@ def parse_word(text):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ForbiddenWord:
+class ForbiddenWord(collections.namedtuple("ForbiddenWord", "arrows")):
     """A monomial relation: its arrow ids in composition order."""
 
-    arrows: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "arrows", tuple(self.arrows))
-        if not self.arrows:
+    def __new__(cls, arrows):
+        arrows = tuple(arrows)
+        if not arrows:
             raise ValueError("empty forbidden word")
+        return super().__new__(cls, arrows)
 
 
-@dataclass(frozen=True)
-class Incompatibility:
+class Incompatibility(NamedTuple):
     """One violated condition, at a 1-based letter position."""
 
     kind: str
@@ -185,8 +184,7 @@ class Incompatibility:
         return "%s at %d: %s" % (self.kind, self.position, self.detail)
 
 
-@dataclass(frozen=True)
-class StringCheck:
+class StringCheck(NamedTuple):
     """The outcome of is_string or is_band: ok exactly when violations is
     empty."""
 
@@ -547,8 +545,7 @@ def is_band(p, w):
     return StringCheck(not viols, viols)
 
 
-@dataclass(frozen=True)
-class CounterExample:
+class CounterExample(NamedTuple):
     """A composition pattern that fails the band check."""
 
     symbols: str
@@ -556,8 +553,7 @@ class CounterExample:
     reason: str
 
 
-@dataclass(frozen=True)
-class FreeComposability:
+class FreeComposability(NamedTuple):
     """Evidence that two bands compose freely up to a pattern depth.
 
     Every primitive necklace over the two block symbols, up to the stated
@@ -719,8 +715,7 @@ def build_eta(maps, alpha):
     return invert_word(build_xi(maps, maps.g[maps.f[maps.f[alpha]]]))
 
 
-@dataclass(frozen=True)
-class BandCensus:
+class BandCensus(NamedTuple):
     """The bands up to a length bound, from the closed walks of one context
     graph: how many, and with enumerate_bands which.
 
@@ -844,7 +839,7 @@ def enumerate_bands(p, max_len):
         raise RuntimeError(
             "internal error: the enumerated bands (%s by length) differ "
             "from the counted ones (%s)" % (listed, list(census.counts)))
-    return dc_replace(census, words=words)
+    return census._replace(words=words)
 
 
 def _moebius(n):

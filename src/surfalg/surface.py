@@ -25,8 +25,9 @@ specs, module files and certificates) is checked against its field table
 by one reader, read_fields.
 """
 
+import collections
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "MarkedSurface",
@@ -44,41 +45,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MarkedSurface:
-    genus: int
-    punctures: tuple
+class MarkedSurface(collections.namedtuple("MarkedSurface",
+                                           "genus punctures")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "punctures", tuple(self.punctures))
+    def __new__(cls, genus, punctures):
+        return super().__new__(cls, genus, tuple(punctures))
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(collections.namedtuple("Arc", "id endpoints")):
     """An arc between two punctures; endpoints may coincide (a loop)."""
 
-    id: str
-    endpoints: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "endpoints", tuple(self.endpoints))
-
-
-@dataclass(frozen=True)
-class Triangulation:
-    surface: MarkedSurface
-    arcs: tuple
-    triangles: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(
-            self, "triangles", tuple(tuple(t) for t in self.triangles)
-        )
+    def __new__(cls, id, endpoints):
+        return super().__new__(cls, id, tuple(endpoints))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class Triangulation(collections.namedtuple("Triangulation",
+                                           "surface arcs triangles")):
+    __slots__ = ()
+
+    def __new__(cls, surface, arcs, triangles):
+        return super().__new__(cls, surface, tuple(arcs),
+                               tuple(tuple(t) for t in triangles))
+
+
+class ValidationReport(NamedTuple):
     violations: tuple
     cycles: tuple = ()  # (puncture or None, corners 3i+s) per corner cycle
 

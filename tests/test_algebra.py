@@ -123,7 +123,7 @@ def test_nonprime_field_rejected(torus_quiver, torus_relations):
     ({"max_deg": -1}, "max_deg must be >= 1"),
     ({"path_budget": 0}, "path_budget must be >= 1"),
     ({"path_budget": -5}, "path_budget must be >= 1"),
-])
+], ids=["max_deg=0", "max_deg=-1", "path_budget=0", "path_budget=-5"])
 def test_nonpositive_bounds_rejected(torus_quiver, torus_relations, fn,
                                      kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -880,6 +880,23 @@ def test_xi_refuses_an_arrow_with_all(capsys):
     assert got == (2, "", "error: give either --arrow or --all, not both\n")
 
 
+def test_xi_prints_the_violations_of_a_word_that_is_no_band(capsys,
+                                                            monkeypatch):
+    # every xi of torus is a band; checking each word's square in its place
+    # gives a real violation record to print
+    is_band = strings.is_band
+    monkeypatch.setattr(strings, "is_band", lambda p, w: is_band(p, w + w))
+    assert run(capsys, "xi", "--builtin", "torus") == (1, (
+        "xi(x0_0) = x0_0.x1_0'.x0_2'.x1_1'.x0_0'.x1_0.x0_0'.x1_2'.x0_1'"
+        ".x1_0'\n"
+        "  length 10, band: no\n"
+        "  primitive at 1: word is a proper power (least period 10)\n"
+        "  rho1 = x0_0.x1_1.x0_2.x1_0\n"
+        "  rho2 = x1_0.x0_1.x1_2.x0_0\n"
+        "  eta  = x0_0.x1_1.x0_2.x1_0.x0_0'.x1_0.x0_1.x1_2.x0_0.x1_0'\n"
+        "  length 10, band: no\n"), "")
+
+
 @pytest.mark.parametrize("argv,err", [
     (("--builtin", "torus", "--arrow", "x0_0", "--word1", "a1",
       "--word2", "a1"),

@@ -338,6 +338,8 @@ def cmd_xi(args):
             print("  eta  = %s" % strings.format_word(eta))
             print("  length %d, band: %s"
                   % (len(eta), "yes" if be.ok else "no"))
+            for v in be.violations:
+                print("  %s" % (v,))
     return 0 if ok else 1
 
 

@@ -255,6 +255,14 @@ def _letter_ends(pres, letter):
     return s, t
 
 
+def naive_letters(pres):
+    """Every valid letter: the special letter of a special arrow, the
+    direct and inverse letters of any other."""
+    return [Letter(a, kind) for a in sorted(pres.arrows)
+            for kind in ((SPECIAL,) if a in pres.special_ids
+                         else (DIRECT, INVERSE))]
+
+
 def _effective_forbidden(pres):
     out = []
     for f in pres.forbidden:
@@ -428,9 +436,7 @@ def naive_band_counts(pres, max_len):
     two special centres; it is counted twice among the walks of length m
     between states that are their own inverse.
     """
-    letters = [Letter(a, kind) for a in sorted(pres.arrows)
-               for kind in ((SPECIAL,) if a in pres.special_ids
-                            else (DIRECT, INVERSE))]
+    letters = naive_letters(pres)
     k = max(1, naive_max_forbidden(pres) - 1)
     k += 1 - k % 2
     states = [w for w in itertools.product(letters, repeat=k)
@@ -453,6 +459,77 @@ def naive_band_counts(pres, max_len):
             closed[d] += walks.get(s, 0)
             if s in fixed:
                 between[d] += sum(c for t, c in walks.items() if t in fixed)
+
+    def primitive(seq, d):
+        return sum(_naive_moebius(d // e) * seq[e]
+                   for e in range(1, d + 1) if d % e == 0)
+
+    counts = [primitive(closed, d) // d for d in range(1, max_len + 1)]
+    self_inverse = sum(primitive(between, m) // 2
+                       for m in range(1, max_len // 2 + 1))
+    return counts, self_inverse
+
+
+def dense_census(pres, max_len, states, edges):
+    """(counts by length, self-inverse count) of the bands up to max_len,
+    from dense powers of the adjacency matrix A of a context graph.
+
+    states and edges are a context graph as strings._context_graph builds
+    it: states the contexts, letter tuples, and edges (i, letter, j).  The
+    bands of length d number the Moebius sum of tr(A^e) over the divisors
+    e of d, divided by d.  With k as in naive_band_counts and the fixed
+    words the legal words of length k that are their own inverse, W(m)
+    counts the legal words of length k + m that begin and end with a fixed
+    word: directly for m < k, where the two overlap, and for m >= k as
+    start A^(m-k) end, start counting the fixed words by their context and
+    end[c] the fixed words legal after c.  The self-inverse bands of length
+    2m number the Moebius sum of W over the divisors of m, halved.  Exact:
+    int64 while (n + fixed words) r^max_len < 2^62, r the largest
+    out-degree, Python ints otherwise.
+    """
+    n = len(states)
+    a = np.zeros((n, n), dtype=object)
+    for i, _, j in edges:
+        a[i, j] += 1
+    r = max((sum(row) for row in a), default=0)
+    letters = naive_letters(pres)
+    inv = {DIRECT: INVERSE, INVERSE: DIRECT, SPECIAL: SPECIAL}
+
+    def invert(w):
+        return tuple(Letter(l.arrow, inv[l.kind]) for l in reversed(w))
+
+    k = max(1, naive_max_forbidden(pres) - 1)
+    k += 1 - k % 2
+    # a self-inverse word of odd length has a special centre
+    fixed = [w for centre in letters if centre.kind == SPECIAL
+             for h in itertools.product(letters, repeat=k // 2)
+             for w in (invert(h) + (centre,) + h,)
+             if naive_is_string(pres, w)]
+    dtype = np.int64 if (n + len(fixed)) * r ** max_len < 2 ** 62 else object
+    a = a.astype(dtype)
+    windows = [tuple(Letter(x, DIRECT) for x in f)
+               for f in _effective_forbidden(pres)]
+    prefixes = {w[:i] for w in windows + [invert(w) for w in windows]
+                for i in range(1, len(w))}
+    index = {c: i for i, c in enumerate(states)}
+    start, end = np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype)
+    for w in fixed:  # its context: the longest suffix in prefixes
+        start[index[next((w[i:] for i in range(len(w))
+                          if w[i:] in prefixes), w[-1:])]] += 1
+    for i, c in enumerate(states):
+        end[i] = sum(naive_is_string(pres, c + t) for t in fixed)
+    closed = [0] * (max_len + 1)
+    between = [0] * (max_len // 2 + 1)
+    for m in range(1, min(k, max_len // 2 + 1)):
+        between[m] = sum(naive_is_string(pres, s + t[k - m:])
+                         for s in fixed for t in fixed if s[m:] == t[:k - m])
+    power = np.identity(n, dtype=dtype)
+    for d in range(max_len + 1):
+        if d:
+            power = power @ a
+            closed[d] = int(power.trace())
+        if d + k <= max_len // 2:
+            between[d + k] = int(start @ power @ end)
 
     def primitive(seq, d):
         return sum(_naive_moebius(d // e) * seq[e]

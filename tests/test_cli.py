@@ -894,7 +894,8 @@ def test_xi_prints_the_violations_of_a_word_that_is_no_band(capsys,
         "  rho1 = x0_0.x1_1.x0_2.x1_0\n"
         "  rho2 = x1_0.x0_1.x1_2.x0_0\n"
         "  eta  = x0_0.x1_1.x0_2.x1_0.x0_0'.x1_0.x0_1.x1_2.x0_0.x1_0'\n"
-        "  length 10, band: no\n"), "")
+        "  length 10, band: no\n"
+        "  primitive at 1: word is a proper power (least period 10)\n"), "")
 
 
 @pytest.mark.parametrize("argv,err", [

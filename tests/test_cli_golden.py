@@ -109,6 +109,38 @@ CASES = [
     "verify --input {missing}",
 ]
 
+# The id of a case is its argv line, or here a short one where the line
+# would take the collected test id past 100 characters; pytest names a
+# case by its argv line when SHORT_IDS.get returns None.
+SHORT_IDS = {
+    "build --input fixtures/torus.json --format dot --out {out}":
+        "build-torus-file-dot-out",
+    "bands --builtin sphere5 --input fixtures/torus.json --max-len 4":
+        "bands-builtin-and-input",
+    "certify-growth --builtin sphere5 --depth 3 --max-len 6 --out {out}":
+        "certify-sphere5-depth-3-out",
+    "certify-growth --input fixtures/torus.json --depth 3 --max-len 6 "
+    "--out {out}": "certify-torus-file-depth-3-out",
+    "certify-growth --builtin genus2 --arrow x3_1 --depth 2 --max-len 3 "
+    "--out {out}": "certify-genus2-x3_1-depth-2-out",
+    "certify-growth --builtin sphere5 --word1 a1.a2'.a3 --word2 a1.a2'.a3":
+        "certify-sphere5-equal-words",
+    "certify-growth --builtin sphere5 --word1 a1.a2'.a3 "
+    "--word2 a1'.b3.eps3*.c3.a2 --depth 4": "certify-sphere5-two-words",
+    "certify-growth --builtin genus2 --arrow x0_0 --max-len 10 --out {out}":
+        "certify-genus2-x0_0-out",
+    "certify-growth --builtin torus --input fixtures/torus.json":
+        "certify-builtin-and-input",
+    "periodicity --input fixtures/torus.json --simple 1 --out {out}":
+        "periodicity-torus-file-simple-1-out",
+    "periodicity --input fixtures/torus.json --simple 2 --period 2 "
+    "--out {out}": "periodicity-torus-file-simple-2-period-2-out",
+    "periodicity --module fixtures/torus_simple1.json --out {out}":
+        "periodicity-module-out",
+    "periodicity --builtin kx2 --input fixtures/torus.json --simple 3":
+        "periodicity-builtin-and-input",
+}
+
 CERTIFYING = ("certify-growth", "periodicity")
 
 
@@ -150,7 +182,15 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
 
 
-@pytest.mark.parametrize("case", CASES)
+def test_case_ids_are_short_and_unique():
+    assert set(SHORT_IDS) <= set(CASES)
+    ids = [SHORT_IDS.get(case, case) for case in CASES]
+    assert len(set(ids)) == len(ids)
+    assert max(len("tests/test_cli_golden.py::test_cli_golden[%s]" % i)
+               for i in ids) <= 100
+
+
+@pytest.mark.parametrize("case", CASES, ids=SHORT_IDS.get)
 def test_cli_golden(monkeypatch, tmp_path, golden, case):
     monkeypatch.chdir(tmp_path)
     want = dict(golden[case])

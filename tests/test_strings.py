@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -482,6 +483,21 @@ def test_is_band_numbers_letters_within_the_word(sphere5_pres):
     ]
 
 
+def _builtin_quotient(name):
+    return certificates.quotient_from_spec(
+        certificates.presentation_spec({"builtin": name}))
+
+
+def _agrees_with_the_dense_oracle(pres, max_len, graph):
+    """band_counts' census of graph against dense powers of its matrix;
+    returns the graph's (states, edges)."""
+    _, states, edges = graph
+    census = strings._census(pres, max_len, graph)
+    assert (list(census.counts), census.self_inverse) == \
+        oracles.dense_census(pres, max_len, states, edges)
+    return states, edges
+
+
 @pytest.mark.parametrize("name,max_len", [
     ("torus", 80), ("sphere5", 40),
     # past L = 57, n r^L > 2^62 for sphere5, and its self-inverse walks
@@ -489,14 +505,54 @@ def test_is_band_numbers_letters_within_the_word(sphere5_pres):
     ("sphere5", 60),
 ])
 def test_band_counts_match_big_int_oracle(name, max_len):
-    pres = certificates.quotient_from_spec(
-        certificates.presentation_spec({"builtin": name}))[0]
+    pres = _builtin_quotient(name)[0]
     census = band_counts(pres, max_len)
     counts, self_inverse = oracles.naive_band_counts(pres, max_len)
     assert list(census.counts) == counts
     assert census.self_inverse == self_inverse
     if name == "torus":
         assert max(counts) > 2 ** 63
+    # the Python-int branch of the stepped powers, against dense ones
+    _agrees_with_the_dense_oracle(pres, max_len, strings._context_graph(pres))
+
+
+def test_census_counts_parallel_edges(torus_quotient):
+    # a context ends with the letter read into it, so _context_graph never
+    # joins two contexts by two letters; a hand-made graph does
+    x, y, z = torus_quotient.letters()[:3]
+    states = [(x,), (y,), (z,)]
+    edges = [(0, x, 1), (0, y, 1), (1, z, 0), (1, x, 2), (2, x, 2),
+             (2, y, 2), (2, z, 0)]
+    for max_len in (1, 6, 20):
+        _agrees_with_the_dense_oracle(
+            torus_quotient, max_len, ({}, states, edges))
+
+
+def test_census_counts_contexts_without_in_or_out_edges():
+    # a' ends at u, where only a starts, and nothing but a' ends at u
+    pres = WordPresentation(
+        "dead-ends", ("u", "v"),
+        {"a": ("u", "v"), "b": ("v", "v"), "c": ("v", "v")}, (),
+        [ForbiddenWord(("b", "b", "b")), ForbiddenWord(("c", "b"))])
+    graph = strings._context_graph(pres)
+    states, edges = _agrees_with_the_dense_oracle(pres, 12, graph)
+    assert {(direct("a"),)} == set(states) - {states[j] for _, _, j in edges}
+    assert {(inverse("a"),)} == set(states) - {states[i] for i, _, _ in edges}
+    assert band_counts(pres, 12).counts[-1] == 242
+
+
+def test_census_counts_several_hundred_contexts():
+    # genus2's string quotient with a window of 10 arrows from each start
+    # along its one g-orbit of 18
+    pres, maps = _builtin_quotient("genus2")
+    (_, orbit), = maps.g_orbits
+    pres = WordPresentation(
+        "genus2-g-windows", pres.vertices, pres.arrows, (),
+        pres.forbidden + tuple(ForbiddenWord((orbit[i:] + orbit[:i])[:10])
+                               for i in range(len(orbit))))
+    states, _ = _agrees_with_the_dense_oracle(
+        pres, 10, strings._context_graph(pres))
+    assert len(states) == 324
 
 
 # ---------------------------------------------------------------------------
@@ -797,14 +853,23 @@ _COMPARABLE = WordPresentation(
     ((inverse("a0"), direct("a1")),))
 
 JUNCTION_GOLDEN = [
-    # the seam crosses c2.a3.a1.b2, directly, inverted, at another split
-    ("sphere5", "c1'.eps1*.b1'.b2.eps2*.c2.a3", "a1.b2.eps2*.c2.c3'.eps3*.b3'",
-     ("W2",), ("letters 6-9 spell forbidden word c2.a3.a1.b2",)),
-    ("sphere5", "b3.eps3*.c3.c2'.eps2*.b2'.a1'", "a3'.c2'.eps2*.b2'.b1.eps1*.c1",
-     ("W2",),
-     ("letters 6-9 spell the inverse of forbidden word c2.a3.a1.b2",)),
-    ("sphere5", "c1'.eps1*.b1'.b2.eps2*.c2", "a3.a1.b2.eps2*.c2.c3'.eps3*.b3'",
-     ("W2",), ("letters 6-9 spell forbidden word c2.a3.a1.b2",)),
+    # the seam crosses c2.a3.a1.b2, directly, inverted, at another split;
+    # ids by the letters on each side of the seam
+    pytest.param(
+        ("sphere5", "c1'.eps1*.b1'.b2.eps2*.c2.a3",
+         "a1.b2.eps2*.c2.c3'.eps3*.b3'",
+         ("W2",), ("letters 6-9 spell forbidden word c2.a3.a1.b2",)),
+        id="sphere5-seam-2+2"),
+    pytest.param(
+        ("sphere5", "b3.eps3*.c3.c2'.eps2*.b2'.a1'",
+         "a3'.c2'.eps2*.b2'.b1.eps1*.c1", ("W2",),
+         ("letters 6-9 spell the inverse of forbidden word c2.a3.a1.b2",)),
+        id="sphere5-seam-inverse-2+2"),
+    pytest.param(
+        ("sphere5", "c1'.eps1*.b1'.b2.eps2*.c2",
+         "a3.a1.b2.eps2*.c2.c3'.eps3*.b3'",
+         ("W2",), ("letters 6-9 spell forbidden word c2.a3.a1.b2",)),
+        id="sphere5-seam-1+3"),
     # two windows end at letter 3, reported in forbidden-list order
     ("stacked", "a0.a1", "a1.a0", ("W2",),
      ("letters 1-3 spell forbidden word a0.a1.a1",
@@ -829,6 +894,29 @@ def test_junction_record_golden(case, sphere5_pres):
         "violations": violations,
         "seam_factors": seam,
     }
+
+
+@pytest.mark.parametrize("name", ["sphere5", "torus", "genus2"])
+def test_junction_faults_of_every_letter_pair(name, sphere5_pres,
+                                              torus_quotient, genus2_setup):
+    pres = {"sphere5": sphere5_pres, "torus": torus_quotient,
+            "genus2": genus2_setup[3]}[name]
+    inv = {"direct": "inverse", "inverse": "direct", "special": "special"}
+    letters = oracles.naive_letters(pres)
+    seen = collections.Counter()
+    for x in letters:
+        xi = Letter(x.arrow, inv[x.kind])
+        for y in letters:
+            want = tuple(kind for kind, broken in (
+                ("W3", oracles._letter_ends(pres, x)[1]
+                 != oracles._letter_ends(pres, y)[0]),
+                ("W1", y == xi),
+                ("incomparability", oracles.naive_comparable(pres, xi, y)))
+                if broken)
+            assert strings._junction_faults(pres, x, y) == want, (x, y)
+            seen[want] += 1
+    # only sphere5 has comparability pairs, whose letters never compose
+    assert (seen[("W3", "incomparability")] > 0) == (name == "sphere5")
 
 
 # ---------------------------------------------------------------------------

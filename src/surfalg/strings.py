@@ -38,16 +38,17 @@ scans the table for the windows that end at one position, _junction_faults
 names the W3, W1 and incomparability faults of a letter pair, and
 _seam_windows finds the windows that run from one word into the next.  The
 string check and the junction records of composed bands use them, and so
-does _read, which reads a word letter by letter.
+does _context_graph, which applies them to one letter at a time.
 
-One transfer graph, built by _context_graph, holds all that bands need of
-band legality: its states are the contexts of _read, legal words that are
-one letter or a proper prefix of a window, and its edges read one letter.
-A word whose cyclic readings are all legal labels exactly one closed walk.
-band_counts counts bands by Moebius inversion of the traces of the powers
-of its matrix, stepped along the out-edges; enumerate_bands lists them, as
-the Lyndon words that label a closed walk, and checks its list against the
-counts on the same graph.
+One transfer graph, built by _context_graph, is all that bands read of
+band legality: its states are contexts, suffixes of legal words that are
+one letter or a proper prefix of a window, and step[i] maps each letter
+that may follow state i to the next state.  A legal word walks from the
+state of its first letter, and a word whose cyclic readings are all legal
+labels exactly one closed walk.  band_counts counts bands by Moebius
+inversion of the traces of the powers of its matrix, stepped along the
+out-edges; enumerate_bands lists them, as the Lyndon words that label a
+closed walk, and checks its list against the counts on the same graph.
 tests/oracles.py holds independent checks of both.
 """
 
@@ -91,13 +92,18 @@ __all__ = [
 DIRECT = "direct"
 INVERSE = "inverse"
 SPECIAL = "special"
+# Each letter kind's inverse kind and the suffix that spells it after the
+# arrow id; parse_word finds a kind by its suffix.
+_KINDS = {DIRECT: (INVERSE, ""), INVERSE: (DIRECT, "'"),
+          SPECIAL: (SPECIAL, "*")}
+_SUFFIXES = {suffix: kind for kind, (_, suffix) in _KINDS.items() if suffix}
 
 
 class Letter(collections.namedtuple("Letter", "arrow kind")):
     __slots__ = ()
 
     def __new__(cls, arrow, kind):
-        if kind not in (DIRECT, INVERSE, SPECIAL):
+        if kind not in _KINDS:
             raise ValueError("unknown letter kind %r" % (kind,))
         return super().__new__(cls, arrow, kind)
 
@@ -118,11 +124,7 @@ def special(arrow):
 
 
 def invert_letter(l):
-    if l.kind == DIRECT:
-        return Letter(l.arrow, INVERSE)
-    if l.kind == INVERSE:
-        return Letter(l.arrow, DIRECT)
-    return l
+    return Letter(l.arrow, _KINDS[l.kind][0])
 
 
 def invert_word(w):
@@ -130,15 +132,7 @@ def invert_word(w):
 
 
 def format_word(w):
-    parts = []
-    for l in w:
-        if l.kind == DIRECT:
-            parts.append(l.arrow)
-        elif l.kind == INVERSE:
-            parts.append(l.arrow + "'")
-        else:
-            parts.append(l.arrow + "*")
-    return ".".join(parts)
+    return ".".join(l.arrow + _KINDS[l.kind][1] for l in w)
 
 
 def parse_word(text):
@@ -150,15 +144,11 @@ def parse_word(text):
         tok = tok.strip()
         if not tok:
             raise ValueError("empty letter in word text %r" % (text,))
-        if tok.endswith("*"):
-            out.append(special(tok[:-1]))
-        elif tok.endswith("'"):
-            out.append(inverse(tok[:-1]))
-        else:
-            out.append(direct(tok))
-        aid = out[-1].arrow
+        kind = _SUFFIXES.get(tok[-1])
+        aid = tok[:-1] if kind else tok
         if not aid or "'" in aid or "*" in aid:
             raise ValueError("bad letter %r in word text %r" % (tok, text))
+        out.append(Letter(aid, kind or DIRECT))
     return tuple(out)
 
 
@@ -750,31 +740,19 @@ class BandCensus(NamedTuple):
         return sum(self.counts)
 
 
-def _read(p, follow, c, word):
-    """The context after reading word from context c, or None at the first
-    junction fault or window; follow[x] lists the letters that the junction
-    rule lets follow x.
-
-    The context of a legal text is its longest suffix that is one letter or
-    a proper prefix of a window, and () before the first letter.  A window
-    ending at the next letter starts inside the context, so _windows_ending
-    on the context and that letter finds it, and the new context is a
-    suffix of the two.
-    """
-    for y in word:
-        u = c + (y,)
-        if c and y not in follow[c[-1]] or _windows_ending(p, u, len(c)):
-            return None
-        c = next((u[i:] for i in range(len(u) - 1)
-                  if u[i:] in p._w2_prefixes), u[-1:])
-    return c
-
-
 def _context_graph(p):
-    """follow, the contexts and the edges (i, letter, j) of the transfer
-    graph: follow[x] lists the letters that the junction rule lets follow
-    x, the states are the contexts of _read that a legal word reaches, and
-    an edge reads one letter from context i to context j."""
+    """The states and the step table of the transfer graph, the one
+    reader of the band rule for band_counts and enumerate_bands.
+
+    The context of a legal word is its longest suffix that is one letter
+    or a proper prefix of a window.  The states are the contexts that legal
+    words reach, the one-letter ones first, in letter order.  step[i] maps
+    each letter that may follow state i, in letter order, to the state
+    reached.  A letter y may follow context c when the junction rule lets
+    it follow the last letter of c (follow lists such letters) and no
+    window ends at y.  Such a window starts inside c, so _windows_ending on
+    c + (y,) finds it, and the new context is a suffix of c + (y,).
+    """
     letters = p.letters()
     starting = collections.defaultdict(list)
     for y in letters:
@@ -782,17 +760,19 @@ def _context_graph(p):
     # W3 rules out every pair that does not compose
     follow = {x: [y for y in starting[p.end(x)]
                   if not _junction_faults(p, x, y)] for x in letters}
-    states = [(x,) for x in letters if _read(p, follow, (), (x,)) is not None]
-    index, edges = {c: i for i, c in enumerate(states)}, []
-    for i, c in enumerate(states):  # grows while it is walked
+    states = [(x,) for x in letters if not _windows_ending(p, (x,), 0)]
+    index, step = {c: i for i, c in enumerate(states)}, []
+    for c in states:  # grows while it is walked
+        step.append({})
         for y in follow[c[-1]]:
-            t = _read(p, follow, c, (y,))
-            if t is not None:
-                j = index.setdefault(t, len(states))
+            u = c + (y,)
+            if not _windows_ending(p, u, len(c)):
+                t = next((u[i:] for i in range(len(u) - 1)
+                          if u[i:] in p._w2_prefixes), u[-1:])
+                j = step[-1][y] = index.setdefault(t, len(states))
                 if j == len(states):
                     states.append(t)
-                edges.append((i, y, j))
-    return follow, states, edges
+    return states, step
 
 
 def enumerate_bands(p, max_len):
@@ -812,11 +792,12 @@ def enumerate_bands(p, max_len):
     """
     graph = _context_graph(p)
     census = _census(p, max_len, graph)
-    _, states, edges = graph
-    out, into = [[] for _ in states], [[] for _ in states]
-    for i, y, j in edges:
-        out[i].append((y, j))
-        into[j].append(i)
+    states, step = graph
+    out = [tuple(s.items()) for s in step]  # (letter, state) per out-edge
+    into = [[] for _ in states]
+    for i, s in enumerate(step):
+        for j in s.values():
+            into[j].append(i)
     found = []
     for s, c in enumerate(states):
         dist, queue = {s: 0}, [s]  # the fewest letters from each back to s
@@ -912,25 +893,30 @@ def band_counts(p, max_len):
 
 
 def _census(p, max_len, graph):
-    """band_counts on graph, the result of _context_graph(p)."""
+    """band_counts on graph, the result of _context_graph(p): every word
+    that it tests is a walk along the graph's steps."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    follow, states, edges = graph
+    states, step = graph
+
+    def walk(i, word):  # the state that word leads to from state i, or None
+        for y in word:
+            i = None if i is None else step[i].get(y)
+        return i
+
     k = max(1, p.max_effective_forbidden - 1) | 1
-    halves = [(x,) for x in follow if x.kind == SPECIAL]
+    first = {c[0]: i for i, c in enumerate(states) if len(c) == 1}
+    halves = [((x,), i) for x, i in first.items() if x.kind == SPECIAL]
     for _ in range(k // 2):
-        halves = [h + (y,) for h in halves for y in follow[h[-1]]
-                  if _read(p, follow, (), h + (y,)) is not None]
-    fixed = {}  # each fixed word, with its context
-    for h in halves:
+        halves = [(h + (y,), j) for h, i in halves for y, j in step[i].items()]
+    fixed = {}  # each fixed word, with its state
+    for h, _ in halves:
         w = invert_word(h[1:]) + h
-        c = _read(p, follow, (), w)
-        if c is not None:
-            fixed[w] = c
+        i = walk(first.get(w[0]), w[1:])
+        if i is not None:
+            fixed[w] = i
     n = len(states)
-    out = [[] for _ in states]  # the targets of each context's out-edges
-    for i, _, j in edges:
-        out[i].append(j)
+    out = [list(s.values()) for s in step]  # the targets of the out-edges
     r = max(map(len, out), default=0)
     dtype = np.int64 if (n + len(fixed)) * r ** max_len < 2 ** 62 else object
     # padded with n, the index of a zero row
@@ -938,13 +924,12 @@ def _census(p, max_len, graph):
                        dtype=np.intp).reshape(n, r)
     start, end = np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype)
     if k <= max_len // 2:  # W(m) for some m >= k is wanted
-        for c in fixed.values():
-            start[states.index(c)] += 1
-        end[:] = [sum(_read(p, follow, c, w) is not None for w in fixed)
-                  for c in states]
+        for i in fixed.values():
+            start[i] += 1
+        end[:] = [sum(walk(i, w) is not None for w in fixed) for i in range(n)]
     # W(m) for m < k: S and T overlap in k - m letters
-    walks = [sum(_read(p, follow, c, t[k - m:]) is not None
-                 for s, c in fixed.items() for t in fixed
+    walks = [sum(walk(i, t[k - m:]) is not None
+                 for s, i in fixed.items() for t in fixed
                  if s[m:] == t[:k - m])
              for m in range(1, min(k, max_len // 2 + 1))]
     power = np.eye(n + 1, n, dtype=dtype)  # A^d, then a zero row

@@ -59,7 +59,10 @@ class Arc(collections.namedtuple("Arc", "id endpoints")):
     __slots__ = ()
 
     def __new__(cls, id, endpoints):
-        return super().__new__(cls, id, tuple(endpoints))
+        endpoints = tuple(endpoints)
+        if len(endpoints) != 2:
+            raise ValueError("arc %r must have exactly two endpoints" % id)
+        return super().__new__(cls, id, endpoints)
 
 
 class Triangulation(collections.namedtuple("Triangulation",
@@ -67,8 +70,12 @@ class Triangulation(collections.namedtuple("Triangulation",
     __slots__ = ()
 
     def __new__(cls, surface, arcs, triangles):
-        return super().__new__(cls, surface, tuple(arcs),
-                               tuple(tuple(t) for t in triangles))
+        triangles = tuple(tuple(t) for t in triangles)
+        for tri in triangles:
+            if len(tri) != 3:
+                raise ValueError(
+                    "triangle %r does not have three sides" % (tri,))
+        return super().__new__(cls, surface, tuple(arcs), triangles)
 
 
 class ValidationReport(NamedTuple):
@@ -110,9 +117,6 @@ def validate_triangulation(t):
     known = set(arc_ids)
     pset = set(punctures)
     for a in t.arcs:
-        if len(a.endpoints) != 2:
-            v.append("arc %r must have exactly two endpoints" % a.id)
-            continue
         for q in a.endpoints:
             if q not in pset:
                 v.append("arc %r has unknown endpoint %r" % (a.id, q))
@@ -131,9 +135,6 @@ def validate_triangulation(t):
 
     slot_count = {}
     for tri in t.triangles:
-        if len(tri) != 3:
-            v.append("triangle %r does not have three sides" % (tri,))
-            continue
         for arc_id in tri:
             if arc_id not in known:
                 v.append("unknown arc %r in triangle %r" % (arc_id, tri))
@@ -306,13 +307,6 @@ def triangulation_from_json(text):
     """
     doc = read_fields(json.loads(text) if isinstance(text, str) else text,
                       "triangulation document", _TRIANGULATION_FIELDS)
-    for arc in doc["arcs"]:
-        if len(arc["endpoints"]) != 2:
-            raise ValueError(
-                "arc %r must have exactly two endpoints" % arc["id"])
-    for tri in doc["triangles"]:
-        if len(tri) != 3:
-            raise ValueError("triangle %r does not have three sides" % (tri,))
     return Triangulation(MarkedSurface(doc["genus"], doc["punctures"]),
                          tuple(Arc(**arc) for arc in doc["arcs"]),
                          doc["triangles"])

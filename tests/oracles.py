@@ -474,8 +474,9 @@ def dense_census(pres, max_len, states, edges):
     """(counts by length, self-inverse count) of the bands up to max_len,
     from dense powers of the adjacency matrix A of a context graph.
 
-    states and edges are a context graph as strings._context_graph builds
-    it: states the contexts, letter tuples, and edges (i, letter, j).  The
+    states and edges are a context graph: states the contexts, letter
+    tuples, as strings._context_graph lists them, and edges (i, letter, j),
+    one for each entry letter -> j of its step[i].  The
     bands of length d number the Moebius sum of tr(A^e) over the divisors
     e of d, divided by d.  With k as in naive_band_counts and the fixed
     words the legal words of length k that are their own inverse, W(m)

@@ -504,6 +504,16 @@ def test_det_int_exact():
     assert linalg.det_int(big) == int(oracles.det_fraction(big))
 
 
+def test_det_int_swaps_rows_at_a_zero_pivot():
+    assert linalg.det_int([[0, 1], [1, 0]]) == -1
+    rng = np.random.default_rng(7)
+    for n in range(2, 6):
+        for _ in range(20):
+            m = rng.integers(-3, 4, size=(n, n))
+            m[0, 0] = 0
+            assert linalg.det_int(m) == int(oracles.det_fraction(m))
+
+
 def test_inv_mod():
     for p in (2, 3, 32003):
         for a in range(1, min(p, 8)):

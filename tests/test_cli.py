@@ -115,6 +115,56 @@ def test_build_invalid_triangulation_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "build", "--input", str(path))
     assert code == 1
     assert "violation" in out
+    assert run(capsys, "build", "--input", str(path), "--format", "dot") == (
+        2, "", "error: dot output needs a quiver; triangulation is invalid: "
+               "3 * triangle count (3) != 2 * arc count (6); "
+               "arc '1' appears in 1 triangle slots, expected 2; "
+               "arc '2' appears in 1 triangle slots, expected 2; "
+               "arc '3' appears in 1 triangle slots, expected 2\n")
+
+
+@pytest.mark.parametrize("edit,code,lines", [
+    (lambda d: d.update(punctures=[]), 1,
+     ["  - no punctures"]
+     + ["  - arc '%s' has unknown endpoint 'p'" % a for a in "112233"]
+     + ["  - arc count 3 != 6*genus - 6 + 3*punctures = 0"]),
+    (lambda d: d.update(punctures=[""], arcs=[
+        dict(a, endpoints=["", ""]) for a in d["arcs"]]), 1,
+     ["  - empty puncture identifier"]),
+    (lambda d: d.update(punctures=["p", "p"]), 1,
+     ["  - duplicate puncture identifiers",
+      "  - arc count 3 != 6*genus - 6 + 3*punctures = 6"]),
+    (lambda d: d["arcs"][0].update(id=""), 1,
+     ["  - empty arc identifier",
+      "  - unknown arc '1' in triangle ('1', '2', '3')",
+      "  - unknown arc '1' in triangle ('1', '2', '3')",
+      "  - arc '' appears in 0 triangle slots, expected 2"]),
+    (lambda d: d["arcs"][1].update(id="1"), 1,
+     ["  - duplicate arc identifiers",
+      "  - unknown arc '2' in triangle ('1', '2', '3')",
+      "  - unknown arc '2' in triangle ('1', '2', '3')"]),
+    (lambda d: d["arcs"][0].update(endpoints=["p", "q"]), 1,
+     ["  - arc '1' has unknown endpoint 'q'"]),
+    (lambda d: d["arcs"][2].update(endpoints=["p"]), 2,
+     "error: arc '3' must have exactly two endpoints"),
+    (lambda d: d["triangles"][1].append("1"), 2,
+     "error: triangle ('1', '2', '3', '1') does not have three sides"),
+], ids=["no-punctures", "empty-puncture", "duplicate-punctures", "empty-arc",
+        "duplicate-arcs", "unknown-endpoint", "arc-arity", "triangle-arity"])
+def test_build_names_each_refusal_reason(capsys, tmp_path, edit, code, lines):
+    # a validation reason is a listed violation (exit 1); a wrong arity is
+    # refused as the document is read (exit 2)
+    doc = json.loads(triangulation_to_json(fixtures.torus()))
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "build", "--input", str(path))
+    if code == 1:
+        assert (got, err) == (1, "")
+        assert out.splitlines()[2:] == [
+            "validation: %d violation(s)" % len(lines)] + lines
+    else:
+        assert (got, out, err) == (2, "", lines + "\n")
 
 
 def test_build_missing_file_exits_two(capsys):
@@ -479,6 +529,12 @@ def _verify_doc(capsys, tmp_path, doc):
     return run(capsys, "verify", "--input", str(cert))
 
 
+def test_verify_names_a_module_spec_without_dims(capsys, tmp_path,
+                                                 sum3_certificate):
+    assert _verify_doc(capsys, tmp_path, dict(sum3_certificate, module={})) \
+        == (2, "", "error: module spec is missing field 'dims'\n")
+
+
 def test_verify_checks_the_stored_isomorphism_commutes(
         capsys, tmp_path, sum3_certificate):
     doc = json.loads(json.dumps(sum3_certificate))
@@ -531,7 +587,14 @@ def test_verify_solves_no_hom_and_draws_no_trial(
      "necklace 12 is not recorded as a band"),
     (lambda d: d.update(scope="every algebra has exponential growth"),
      "scope differs from the certified claim"),
-], ids=["junction", "junctions", "max_forbidden", "band", "scope"])
+    # a1.a2'.a3 rotated: the replay rotates it back
+    (lambda d: d.update(word1="a2'.a3.a1"),
+     "replayed rotations differ from the stored words"),
+    # as many necklaces as the depth has patterns, one of them twice
+    (lambda d: d["necklaces"][0].update(symbols=d["necklaces"][1]["symbols"]),
+     "necklace lists differ"),
+], ids=["junction", "junctions", "max_forbidden", "band", "scope", "rotation",
+        "renamed-necklace"])
 def test_verify_checks_stored_growth_evidence(capsys, tmp_path, tamper,
                                               message):
     cert = tmp_path / "growth.json"
@@ -718,6 +781,33 @@ def test_module_commands_take_exactly_one_source(capsys, command):
             2, "", "error: give either --module or %s, not both\n" % flag)
 
 
+@pytest.mark.parametrize("command", ["periodicity", "syzygy"])
+def test_module_commands_refuse_an_unknown_vertex(capsys, command):
+    assert run(capsys, command, "--builtin", "torus", "--simple", "9") == (
+        2, "", "error: unknown vertex '9'\n")
+
+
+_TORUS = json.loads(triangulation_to_json(fixtures.torus()))
+_ONE_SOURCE = "algebra spec needs exactly one of 'builtin' or 'triangulation'"
+
+
+@pytest.mark.parametrize("command", ["periodicity", "syzygy"])
+@pytest.mark.parametrize("algebra,err", [
+    ({"builtin": "torus", "triangulation": _TORUS}, _ONE_SOURCE),
+    ({"field": 32003}, _ONE_SOURCE),
+    ({"builtin": "kx2", "triangulation": _TORUS}, _ONE_SOURCE),
+    ({"builtin": "nope"},
+     "unknown builtin 'nope' (choose from torus, genus2, sphere5, tetra)"),
+], ids=["both", "neither", "kx2-and-triangulation", "unknown-builtin"])
+def test_module_file_refuses_a_bad_algebra_spec(capsys, tmp_path, command,
+                                                algebra, err):
+    doc = json.loads(pathlib.Path("fixtures/torus_simple1.json").read_text())
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(dict(doc, algebra=algebra)))
+    assert run(capsys, command, "--module", str(path)) == (
+        2, "", "error: %s\n" % err)
+
+
 def test_syzygy_rejects_negative_steps(capsys):
     code, out, err = run(capsys, "syzygy", "--builtin", "torus",
                          "--steps", "-2")
@@ -741,8 +831,10 @@ def test_syzygy_rejects_negative_steps(capsys):
      "--out needs a single module (--simple or --module)"),
     (("syzygy", "--builtin", "genus2", "--steps", "-1"),
      "steps must be >= 0"),
+    (("certify-growth", "--builtin", "sphere5", "--word1", "a1.a2'.a3"),
+     "give both --word1 and --word2, or neither"),
 ], ids=["trials", "period", "seed", "module-trials", "out-genus2",
-        "out-torus2", "steps"])
+        "out-torus2", "steps", "word1-alone"])
 def test_refused_arguments_build_no_algebra(capsys, monkeypatch, tmp_path,
                                             argv, err):
     calls = []

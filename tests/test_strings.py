@@ -490,8 +490,9 @@ def _builtin_quotient(name):
 
 def _agrees_with_the_dense_oracle(pres, max_len, graph):
     """band_counts' census of graph against dense powers of its matrix;
-    returns the graph's (states, edges)."""
-    _, states, edges = graph
+    returns the graph's states and its edges (i, letter, j)."""
+    states, step = graph
+    edges = [(i, y, j) for i, s in enumerate(step) for y, j in s.items()]
     census = strings._census(pres, max_len, graph)
     assert (list(census.counts), census.self_inverse) == \
         oracles.dense_census(pres, max_len, states, edges)
@@ -521,11 +522,9 @@ def test_census_counts_parallel_edges(torus_quotient):
     # joins two contexts by two letters; a hand-made graph does
     x, y, z = torus_quotient.letters()[:3]
     states = [(x,), (y,), (z,)]
-    edges = [(0, x, 1), (0, y, 1), (1, z, 0), (1, x, 2), (2, x, 2),
-             (2, y, 2), (2, z, 0)]
+    step = [{x: 1, y: 1}, {x: 2, z: 0}, {x: 2, y: 2, z: 0}]
     for max_len in (1, 6, 20):
-        _agrees_with_the_dense_oracle(
-            torus_quotient, max_len, ({}, states, edges))
+        _agrees_with_the_dense_oracle(torus_quotient, max_len, (states, step))
 
 
 def test_census_counts_contexts_without_in_or_out_edges():

@@ -96,7 +96,8 @@ def validate_triangulation(t):
     """Check the structural and counting invariants of a triangulation.
 
     Violations are data, not faults: the report lists every failed
-    invariant and is empty iff all of them hold.
+    invariant once, in the order first found, and is empty iff all of
+    them hold.
     """
     v = []
     punctures = t.surface.punctures
@@ -146,7 +147,7 @@ def validate_triangulation(t):
                 "arc %r appears in %d triangle slots, expected 2" % (arc_id, c)
             )
     cycles = () if v else _corner_cycles(t, v)
-    return ValidationReport(tuple(v), cycles)
+    return ValidationReport(tuple(dict.fromkeys(v)), cycles)
 
 
 def _corner_cycles(t, v):

@@ -613,6 +613,47 @@ def glued_vertex_classes(triangles):
     return cls, len(number), len(pieces)
 
 
+def cartan_from_puncture_cycles(triangles, vertices):
+    """The Cartan matrix predicted by the cycles of arrows around the
+    punctures, as nested lists in the given order of the arcs.
+
+    Points and sides are those of glued_vertex_classes.  The arrow at point
+    (i, k) runs from side k-1 to side k of triangle i.  Across side k, the
+    other side (j, m) that carries the same arc is glued so that point
+    (i, k) meets point (j, m+1), whose arrow leaves that arc: the next
+    arrow around the same puncture.  So each cycle of this walk is the
+    cycle of arrows around one puncture, through the arcs u_0, ..., u_{n-1}
+    with arrow t from u_t to u_{t+1 mod n}.  The prediction is 2 on the
+    diagonal (the trivial path and the socle) plus one count from u_t to
+    u_{t+l mod n} for every start t and every length l from 1 to n - 1.
+    """
+    sides = {}
+    for i, tri in enumerate(triangles):
+        for k, arc in enumerate(tri):
+            sides.setdefault(arc, []).append((i, k))
+    after = {}
+    for ends in sides.values():
+        for (i, k), (j, m) in (ends, ends[::-1]):
+            after[i, k] = (j, (m + 1) % 3)
+    pos = {v: n for n, v in enumerate(vertices)}
+    c = [[2 * (a == b) for b in range(len(pos))] for a in range(len(pos))]
+    seen = set()
+    for start in sorted(after):
+        if start in seen:
+            continue
+        arcs, x = [], start
+        while x not in seen:
+            seen.add(x)
+            i, k = x
+            arcs.append(triangles[i][k - 1])
+            x = after[x]
+        n = len(arcs)
+        for t in range(n):
+            for length in range(1, n):
+                c[pos[arcs[t]]][pos[arcs[(t + length) % n]]] += 1
+    return c
+
+
 def gluing_labellings(genus, punctures, arcs, triangles):
     """Every naming of the glued vertex classes by the punctures, one to
     one, under which each arc's endpoints are the classes of its two ends.

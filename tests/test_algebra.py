@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from surfalg import algebra, cli, fixtures, homology, linalg, qp
+from surfalg import algebra, certificates, cli, fixtures, homology, linalg, qp
 from surfalg.qp import Arrow, Quiver, Relation, RelationSet
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _toy_quiver_loop():
@@ -402,6 +405,19 @@ def test_cartan_matrix_tetra(tetra_algebra):
     assert linalg.det_int(cm) == int(oracles.det_fraction(cm))
 
 
+@pytest.mark.parametrize("name", ["torus", "torus2", "genus2"])
+def test_cartan_matrix_matches_the_puncture_cycles(name):
+    if name == "torus2":
+        doc = FIXTURES.joinpath("torus2.json").read_text()
+        spec = {"triangulation": json.loads(doc)}
+    else:
+        spec = {"builtin": name}
+    a = certificates.algebra_from_spec(spec)
+    t = certificates.triangulation_from_spec(spec)
+    want = oracles.cartan_from_puncture_cycles(t.triangles, a.vertices)
+    assert algebra.cartan_matrix(a).tolist() == want
+
+
 def test_weakly_symmetric(torus_algebra, tetra_algebra):
     ok, witness = algebra.check_weakly_symmetric(torus_algebra)
     assert ok
@@ -576,6 +592,29 @@ def test_kernel_matches_oracle_up_to_40(drawn):
     square = m.shape[0] == m.shape[1]
     assert linalg.is_invertible(m, p) == (
         square and len(ref_pivots) == m.shape[0])
+
+
+@pytest.mark.parametrize("shape", [(27, 37), (40, 25), (7, 143),
+                                   (0, 4), (4, 0), (0, 0)])
+@pytest.mark.parametrize("p", [2, 5, 32003])
+def test_rref_agrees_with_the_oracle_on_both_sides_of_the_cutoff(shape, p):
+    # 999, 1000 and 1001 entries: the list elimination takes the first two
+    # and the numpy one the third; no strategy above draws an empty side
+    assert linalg._LIST_CELLS == 1000
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + p)
+    for density in (0.2, 1.0):
+        m = rng.integers(-2 * p, 2 * p, size=shape)
+        m = m * (rng.random(shape) < density)
+        before = m.copy()
+        ours, pivots = linalg.rref(m, p)
+        ref, ref_pivots = oracles.rref_mod(m, p)
+        assert (m == before).all()
+        assert ours.dtype == np.int64
+        assert ours.shape == (len(ref_pivots), shape[1])
+        assert pivots == ref_pivots
+        assert (ours == ref).all()
+    with pytest.raises(ValueError, match="inner dimension 1"):
+        linalg.rref(np.eye(2, dtype=np.int64), 2 ** 32 + 15)
 
 
 def test_matmul_rejects_fields_too_large_for_int64():

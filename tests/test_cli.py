@@ -126,7 +126,7 @@ def test_build_invalid_triangulation_exits_one(capsys, tmp_path):
 @pytest.mark.parametrize("edit,code,lines", [
     (lambda d: d.update(punctures=[]), 1,
      ["  - no punctures"]
-     + ["  - arc '%s' has unknown endpoint 'p'" % a for a in "112233"]
+     + ["  - arc '%s' has unknown endpoint 'p'" % a for a in "123"]
      + ["  - arc count 3 != 6*genus - 6 + 3*punctures = 0"]),
     (lambda d: d.update(punctures=[""], arcs=[
         dict(a, endpoints=["", ""]) for a in d["arcs"]]), 1,
@@ -137,11 +137,9 @@ def test_build_invalid_triangulation_exits_one(capsys, tmp_path):
     (lambda d: d["arcs"][0].update(id=""), 1,
      ["  - empty arc identifier",
       "  - unknown arc '1' in triangle ('1', '2', '3')",
-      "  - unknown arc '1' in triangle ('1', '2', '3')",
       "  - arc '' appears in 0 triangle slots, expected 2"]),
     (lambda d: d["arcs"][1].update(id="1"), 1,
      ["  - duplicate arc identifiers",
-      "  - unknown arc '2' in triangle ('1', '2', '3')",
       "  - unknown arc '2' in triangle ('1', '2', '3')"]),
     (lambda d: d["arcs"][0].update(endpoints=["p", "q"]), 1,
      ["  - arc '1' has unknown endpoint 'q'"]),

@@ -17,10 +17,12 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 PINS = {
     # one Hom dimension total and trial count per round, one syzygy chain
-    # and one omega^4 test per module in `periodicity` and none in `verify`
+    # and one omega^4 test per module in `periodicity` and none in `verify`,
+    # and the matrices that round hands to rref
     "periodicity": {"homology.hom_dim": 36, "homology.iso_trials": 7,
                     "homology.syzygy_calls": 60,
-                    "homology.iso_check_calls": 12},
+                    "homology.iso_check_calls": 12,
+                    "linalg.rref_calls": 464, "linalg.rref_cells": 56535},
     # every pattern but 16 decided by primitivity alone
     "growth_certify": {"strings.is_band_calls.in_free_composability": 16,
                        "strings.necklaces": 352,
